@@ -4,8 +4,9 @@
     {v B<L> = L ⊕.⊗ Lᵀ;  triangles = reduce(B) v}
 
     Each triangle {i, j, k} is counted exactly once.  The masked
-    [mxm]-with-transposed-B form hits the dot-product kernel that only
-    evaluates mask-allowed output cells. *)
+    [mxm]-with-transposed-B form hits {!Gbtl.Matmul}'s marker dot kernel,
+    which evaluates only mask-allowed output cells and whose result is
+    installed in [B] without a separate write step. *)
 
 open Gbtl
 
@@ -14,9 +15,10 @@ val native : int Smatrix.t -> int
     entries. *)
 
 val generic : int Smatrix.t -> int
-(** Alias of {!native}: the masked [mxm] already runs the shared
-    dot-product kernel, so the library tier and the specialized tier
-    coincide for this algorithm. *)
+(** Alias of {!native}: the library's masked [mxm] is the only kernel
+    for this product (every tier reaches it, through
+    {!Jit.Kernels.mxm} above the library), so the library tier and the
+    specialized tier coincide for this algorithm. *)
 
 val of_undirected : bool Smatrix.t -> int Smatrix.t
 (** Extract the strict lower triangle as an int64 matrix of ones. *)

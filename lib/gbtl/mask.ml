@@ -81,21 +81,16 @@ let m_check_shape mask nrows ncols =
         ~expected:(Printf.sprintf "output %s" (Error.shape_str nrows ncols))
         ~actual:(Error.shape_str (Smatrix.nrows m) (Smatrix.ncols m))
 
-let m_row_allowed mask r =
+let m_row_cursor mask r =
   match mask with
   | No_mmask -> fun _ -> true
   | Mmask { m; complemented } ->
+    let ci = Smatrix.unsafe_colidx m and vs = Smatrix.unsafe_values m in
+    let q = ref (Smatrix.unsafe_rowptr m).(r)
+    and qe = (Smatrix.unsafe_rowptr m).(r + 1) in
     fun c ->
-      let stored_true =
-        match Smatrix.get m r c with Some b -> b | None -> false
-      in
+      while !q < qe && ci.(!q) < c do
+        incr q
+      done;
+      let stored_true = !q < qe && ci.(!q) = c && vs.(!q) in
       stored_true <> complemented
-
-let m_row_allowed_list mask r =
-  match mask with
-  | No_mmask -> None
-  | Mmask { complemented = true; _ } -> None
-  | Mmask { m; complemented = false } ->
-    let cols = ref [] in
-    Smatrix.iter_row (fun c b -> if b then cols := c :: !cols) m r;
-    Some (Array.of_list (List.rev !cols))

@@ -33,11 +33,8 @@ val v_check_size : vmask -> int -> unit
 
 val m_check_shape : mmask -> int -> int -> unit
 
-val m_row_allowed : mmask -> int -> (int -> bool)
-(** Membership predicate for one row (binary search in the mask row). *)
-
-val m_row_allowed_list : mmask -> int -> int array option
-(** For a non-complemented mask: the sorted list of allowed columns in the
-    row — the structural pruning set masked [mxm] iterates over.  [None]
-    when the mask does not restrict structure this way (absent or
-    complemented), in which case callers fall back to {!m_row_allowed}. *)
+val m_row_cursor : mmask -> int -> (int -> bool)
+(** [m_row_cursor mask r] — membership predicate for row [r] that must be
+    queried at non-decreasing columns: it advances one cursor through the
+    mask row's CSR, so a sweep over a row costs one merge, not a binary
+    search per query. *)

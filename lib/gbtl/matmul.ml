@@ -106,9 +106,14 @@ let mxm_gustavson sr ?keep a b ncols_out =
       | None -> Spa.extract spa
       | Some keep -> Spa.extract_filtered spa ~keep:(keep i))
 
-(* Dot kernel for C = A ⊕.⊗ Bᵀ restricted to mask-allowed positions:
-   C(i,j) = ⊕_k A(i,k) ⊗ B(j,k), a sorted two-pointer merge of two rows. *)
-let mxm_dot sr ~allowed_cols a b =
+(* Dot kernel for C<M> = A ⊕.⊗ Bᵀ over the mask's stored-true cells:
+   C(i,j) = ⊕_k A(i,k) ⊗ B(j,k).  Row i of A is scattered once into [pos]
+   (k ↦ its position in A's CSR); a slot is live only if it falls inside
+   row i's extent, so nothing is cleared between rows.  Walking B(j,:)
+   then meets the matched k in ascending order, as a two-pointer merge
+   of the two rows would, and the first hit seeds the accumulator, so
+   every semiring sees the same operands in the same order. *)
+let mxm_dot sr ~mask a b =
   let add = Semiring.add sr and mul = Semiring.mul sr in
   let arp = Smatrix.unsafe_rowptr a
   and aci = Smatrix.unsafe_colidx a
@@ -116,30 +121,43 @@ let mxm_dot sr ~allowed_cols a b =
   let brp = Smatrix.unsafe_rowptr b
   and bci = Smatrix.unsafe_colidx b
   and bvs = Smatrix.unsafe_values b in
-  Array.init (Smatrix.nrows a) (fun i ->
-      let row = Entries.create () in
-      Array.iter
-        (fun j ->
-          let p = ref arp.(i)
-          and pe = arp.(i + 1)
-          and q = ref brp.(j)
-          and qe = brp.(j + 1) in
-          let acc = ref (Semiring.zero sr) and hit = ref false in
-          while !p < pe && !q < qe do
-            let ka = aci.(!p) and kb = bci.(!q) in
-            if ka < kb then incr p
-            else if kb < ka then incr q
-            else begin
-              let v = mul avs.(!p) bvs.(!q) in
-              acc := (if !hit then add !acc v else v);
-              hit := true;
-              incr p;
-              incr q
-            end
-          done;
-          if !hit then Entries.push row j !acc)
-        (allowed_cols i);
-      row)
+  let mrp = Smatrix.unsafe_rowptr mask
+  and mci = Smatrix.unsafe_colidx mask
+  and mvs = Smatrix.unsafe_values mask in
+  let nrows = Smatrix.nrows a and cap = Smatrix.nvals mask in
+  let pos = Array.make (Smatrix.ncols a) (-1) in
+  let rowptr = Array.make (nrows + 1) 0
+  and colidx = Array.make cap 0
+  and values = Array.make cap (Semiring.zero sr) in
+  let nnz = ref 0 in
+  for i = 0 to nrows - 1 do
+    let ps = arp.(i) in
+    for p = ps to arp.(i + 1) - 1 do
+      pos.(aci.(p)) <- p
+    done;
+    for r = mrp.(i) to mrp.(i + 1) - 1 do
+      if mvs.(r) then begin
+        let j = mci.(r) in
+        let acc = ref (Semiring.zero sr) and hit = ref false in
+        for q = brp.(j) to brp.(j + 1) - 1 do
+          let p = pos.(bci.(q)) in
+          if p >= ps then begin
+            let v = mul avs.(p) bvs.(q) in
+            acc := (if !hit then add !acc v else v);
+            hit := true
+          end
+        done;
+        if !hit then begin
+          colidx.(!nnz) <- j;
+          values.(!nnz) <- !acc;
+          incr nnz
+        end
+      end
+    done;
+    rowptr.(i + 1) <- !nnz
+  done;
+  Smatrix.of_csr_unsafe (Smatrix.dtype a) ~nrows ~ncols:(Smatrix.ncols mask)
+    ~rowptr ~colidx ~values
 
 let mxm ?(mask = Mask.No_mmask) ?accum ?(replace = false)
     ?(transpose_a = false) ?(transpose_b = false) sr ~out a b =
@@ -157,23 +175,21 @@ let mxm ?(mask = Mask.No_mmask) ?accum ?(replace = false)
       ~expected:(Printf.sprintf "output %s" (Error.shape_str arows bcols))
       ~actual:(Error.shape_str (Smatrix.nrows out) (Smatrix.ncols out));
   Mask.m_check_shape mask arows bcols;
-  let structural_mask r = Mask.m_row_allowed_list mask r in
-  let t =
-    match mask with
-    | Mask.Mmask { complemented = false; _ } when transpose_b ->
-      (* Masked dot-product path: only allowed (i, j) cells are computed. *)
-      let allowed_cols i =
-        match structural_mask i with Some cols -> cols | None -> [||]
-      in
-      mxm_dot sr ~allowed_cols a b
-    | Mask.Mmask { complemented = false; _ } ->
-      let keep i =
-        let allow = Mask.m_row_allowed mask i in
-        fun j -> allow j
-      in
-      mxm_gustavson sr ~keep a (if transpose_b then Smatrix.transpose b else b)
-        bcols
-    | Mask.No_mmask | Mask.Mmask { complemented = true; _ } ->
-      mxm_gustavson sr a (if transpose_b then Smatrix.transpose b else b) bcols
-  in
-  Output.write_matrix ~mask ~accum ~replace ~out ~t
+  let write t = Output.write_matrix ~mask ~accum ~replace ~out ~t in
+  match mask with
+  | Mask.Mmask { m; complemented = false } ->
+    (* The masked kernels compute only mask-allowed cells. *)
+    let c =
+      if transpose_b then mxm_dot sr ~mask:m a b
+      else
+        Smatrix.of_rows_unsafe (Smatrix.dtype out) ~nrows:arows ~ncols:bcols
+          (mxm_gustavson sr ~keep:(Mask.m_row_cursor mask) a b bcols)
+    in
+    (* With no accumulator and no entry of [out] to keep, C<M> is the
+       kernel's result itself: install it without the write step. *)
+    if Option.is_none accum && (replace || Smatrix.nvals out = 0) then
+      Smatrix.replace_contents out c
+    else write (Array.init arows (Smatrix.row_entries c))
+  | Mask.No_mmask | Mask.Mmask { complemented = true; _ } ->
+    write
+      (mxm_gustavson sr a (if transpose_b then Smatrix.transpose b else b) bcols)

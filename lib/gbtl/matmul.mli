@@ -2,12 +2,16 @@
     [mxm] (Table I).  Absent entries are the semiring's additive identity
     implicitly; products are accumulated with the additive monoid.
 
-    Kernels: Gustavson row-wise SPA for unmasked [mxm]; a dot-product
-    kernel for masked [mxm] with [transpose_b] (computing only
-    mask-allowed outputs — the access pattern masked triangle counting
-    depends on); scatter/gather SPA kernels for [mxv]/[vxm].  Input
-    transposition falls back to materializing the transpose where no
-    cheaper dual formulation exists. *)
+    Kernels: Gustavson row-wise SPA for unmasked [mxm]; for masked [mxm]
+    with [transpose_b], a dot kernel that computes only mask-allowed
+    outputs (the access pattern masked triangle counting depends on):
+    row i of A is scattered into a position marker once, then each
+    allowed B(j,:) is walked against it.  A masked product with no
+    accumulator whose output is empty or replaced is installed as the
+    kernel's result, without the write step.  Scatter/gather SPA
+    kernels serve [mxv]/[vxm].  Input transposition falls back to
+    materializing the transpose where no cheaper dual formulation
+    exists. *)
 
 val mxv :
   ?mask:Mask.vmask ->

@@ -94,7 +94,7 @@ let write_matrix ~mask ~accum ~replace ~out ~t =
     let accum = Option.map (fun (op : _ Binop.t) -> op.Binop.f) accum in
     let rows =
       Array.init nrows (fun r ->
-          masked_entries ~allowed:(Mask.m_row_allowed mask r) ~accum ~replace
+          masked_entries ~allowed:(Mask.m_row_cursor mask r) ~accum ~replace
             ~c:(Smatrix.row_entries out r) ~t:t.(r))
     in
     let result =

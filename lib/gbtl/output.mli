@@ -26,7 +26,8 @@ val masked_entries :
   t:'a Entries.t ->
   'a Entries.t
 (** Pure form of the write step on one index space (a vector, or one
-    matrix row). *)
+    matrix row).  [allowed] is queried at strictly ascending indices, so
+    a cursor such as {!Mask.m_row_cursor} may serve it. *)
 
 val write_vector :
   mask:Mask.vmask ->
@@ -46,4 +47,5 @@ val write_matrix :
   out:'a Smatrix.t ->
   t:'a Entries.t array ->
   unit
-(** Row-wise write step; [t] has one entry sequence per output row. *)
+(** Row-wise write step; [t] has one entry sequence per output row.
+    A masked write merges each row against the mask row's CSR. *)

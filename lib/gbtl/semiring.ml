@@ -40,6 +40,8 @@ let max_select1st dt = of_name "MaxSelect1st" dt
 let max_select2nd dt = of_name "MaxSelect2nd" dt
 
 let zero sr = sr.add.Monoid.identity
-let add sr x y = sr.add.Monoid.op.Binop.f x y
-let mul sr x y = sr.mul.Binop.f x y
+(* Return the stored closures, not a partial application: kernels hoist
+   [let add = Semiring.add sr], so each term costs one indirect call. *)
+let add sr = sr.add.Monoid.op.Binop.f
+let mul sr = sr.mul.Binop.f
 let pp fmt sr = Format.pp_print_string fmt sr.name

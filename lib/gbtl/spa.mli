@@ -25,5 +25,8 @@ val extract : 'a t -> 'a Entries.t
 (** Occupied (index, value) pairs in ascending index order. *)
 
 val extract_filtered : 'a t -> keep:(int -> bool) -> 'a Entries.t
+(** [extract] restricted to [keep]; [keep] is queried in ascending index
+    order. *)
+
 val clear : 'a t -> unit
 (** O(number of touched slots). *)

@@ -19,6 +19,10 @@ let env_float name default =
   | Some x when x >= 0.0 -> x
   | _ -> default
 
+(* Seconds on the monotonic clock: a wall-clock jump must neither end a
+   cooldown early nor hold the breaker open. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let threshold = ref (env_int "OGB_JIT_BREAKER_K" 5)
 let cooldown = ref (env_float "OGB_JIT_BREAKER_COOLDOWN" 30.0)
 
@@ -43,7 +47,7 @@ let state_string () =
   | Closed -> "closed"
   | Open ->
     Printf.sprintf "open (cooldown %.1fs, %.1fs elapsed)" !cooldown
-      (Unix.gettimeofday () -. !opened_at)
+      (now () -. !opened_at)
   | Half_open -> "half-open (one trial in flight)"
 
 let allow () =
@@ -55,7 +59,7 @@ let allow () =
     Jit_stats.record_breaker_short_circuit ();
     false
   | Open ->
-    if Unix.gettimeofday () -. !opened_at >= !cooldown then begin
+    if now () -. !opened_at >= !cooldown then begin
       st := Half_open;
       true
     end
@@ -75,13 +79,13 @@ let failure () =
   | Half_open ->
     (* the trial failed: straight back to open, fresh cooldown *)
     st := Open;
-    opened_at := Unix.gettimeofday ();
+    opened_at := now ();
     Jit_stats.record_breaker_trip ()
   | Open -> ()
   | Closed ->
     incr consecutive_failures;
     if !consecutive_failures >= !threshold then begin
       st := Open;
-      opened_at := Unix.gettimeofday ();
+      opened_at := now ();
       Jit_stats.record_breaker_trip ()
     end

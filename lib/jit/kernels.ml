@@ -962,8 +962,9 @@ let mxm (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose_a
     Smatrix.of_csr_unsafe dt ~nrows:(Smatrix.nrows a) ~ncols:(Smatrix.ncols b)
       ~rowptr ~colidx ~values
   | Mask.Mmask _ ->
-    (* masked: the dot-product/pruned kernels of the library, as a
-       closure kernel *)
+    (* masked: the library's kernels as a closure kernel — the marker dot
+       kernel with [transpose_b], the mask-filtered Gustavson otherwise;
+       [out] is fresh, so the result is installed without a write step *)
     let flags =
       (if transpose_a then [ "transpose_a" ] else [])
       @ (if transpose_b then [ "transpose_b" ] else [])

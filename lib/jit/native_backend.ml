@@ -71,9 +71,13 @@ let compile_retries () = !retries
 
 type run_status = Exited of int | Signaled of int | Timed_out
 
-(* Run the compiler with a wall-clock deadline: poll the child with
-   WNOHANG (backing off to 20ms) and SIGKILL it past the deadline.  A
-   hung ocamlopt therefore costs one timeout, not the whole process. *)
+(* Seconds on the monotonic clock, so a wall-clock jump cannot fire or
+   postpone the compile deadline. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+(* Run the compiler with a deadline: poll the child with WNOHANG
+   (backing off to 20ms) and SIGKILL it past the deadline.  A hung
+   ocamlopt therefore costs one timeout, not the whole process. *)
 let run_command argv ~stderr_file =
   let fd =
     Unix.openfile stderr_file [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
@@ -84,13 +88,13 @@ let run_command argv ~stderr_file =
   in
   Unix.close fd;
   let deadline =
-    if !timeout > 0.0 then Some (Unix.gettimeofday () +. !timeout) else None
+    if !timeout > 0.0 then Some (now () +. !timeout) else None
   in
   let rec wait pause =
     match Unix.waitpid [ Unix.WNOHANG ] pid with
     | 0, _ -> (
       match deadline with
-      | Some t when Unix.gettimeofday () > t ->
+      | Some t when now () > t ->
         (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
         ignore (Unix.waitpid [] pid);
         Timed_out

@@ -166,6 +166,51 @@ let mxm_t sr (a : 'a mat) (b : 'a mat) : 'a mat =
           done;
           !acc))
 
+(* The masked dot product C<M> = A ⊕.⊗ Bᵀ as a two-pointer merge of
+   A(i,:) and B(j,:) for every stored-true M(i,j) — the kernel Matmul
+   used before its marker kernel, kept as the reference that pins the
+   new kernel's summation order. *)
+let mxm_dot_merge sr ~(mask : bool Smatrix.t) a b =
+  let arp = Smatrix.unsafe_rowptr a
+  and aci = Smatrix.unsafe_colidx a
+  and avs = Smatrix.unsafe_values a in
+  let brp = Smatrix.unsafe_rowptr b
+  and bci = Smatrix.unsafe_colidx b
+  and bvs = Smatrix.unsafe_values b in
+  let rows =
+    Array.init (Smatrix.nrows a) (fun i ->
+        let row = Entries.create () in
+        Smatrix.iter_row
+          (fun j allowed ->
+            if allowed then begin
+              let p = ref arp.(i)
+              and pe = arp.(i + 1)
+              and q = ref brp.(j)
+              and qe = brp.(j + 1) in
+              let acc = ref None in
+              while !p < pe && !q < qe do
+                let ka = aci.(!p) and kb = bci.(!q) in
+                if ka < kb then incr p
+                else if kb < ka then incr q
+                else begin
+                  let v = Semiring.mul sr avs.(!p) bvs.(!q) in
+                  acc :=
+                    Some
+                      (match !acc with
+                      | None -> v
+                      | Some s -> Semiring.add sr s v);
+                  incr p;
+                  incr q
+                end
+              done;
+              Option.iter (Entries.push row j) !acc
+            end)
+          mask i;
+        row)
+  in
+  Smatrix.of_rows_unsafe (Smatrix.dtype a) ~nrows:(Smatrix.nrows a)
+    ~ncols:(Smatrix.ncols mask) rows
+
 let ewise_vec_t ~union (op : 'a Binop.t) (u : 'a vec) (v : 'a vec) : 'a vec =
   Array.init (Array.length u) (fun i ->
       match u.(i), v.(i) with

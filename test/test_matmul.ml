@@ -212,6 +212,118 @@ let qcheck_mxm_masked_dot_path =
       let expected = Dense_ref.write_mat ~mask ~accum:None ~replace:false c t in
       Smatrix.equal out (mk_mat 5 5 expected))
 
+(* -- the masked dot kernel against the merge it replaced -- *)
+
+(* Magnitudes from 1e-8 to 1e16 of both signs: reordering a sum of these
+   changes its bits. *)
+let order_sensitive_float =
+  QCheck.Gen.(
+    map3
+      (fun m e neg ->
+        let x = m *. (10.0 ** float_of_int e) in
+        if neg then -.x else x)
+      (float_range 1.0 10.0) (int_range (-8) 16) bool)
+
+(* Mostly sparse rows, some empty ones and a few dense hub rows. *)
+let skewed_mat_gen nrows ncols =
+  let open QCheck.Gen in
+  let row =
+    frequency [ (2, return 0.0); (1, return 0.9); (7, return 0.15) ]
+    >>= fun density ->
+    list_repeat ncols
+      ( float_bound_inclusive 1.0 >>= fun u ->
+        if u < density then map Option.some order_sensitive_float
+        else return None )
+    >|= Array.of_list
+  in
+  list_repeat nrows row >|= Array.of_list
+
+(* A mask with stored-true, stored-false and absent cells. *)
+let mask_with_false_gen nrows ncols =
+  let open QCheck.Gen in
+  list_repeat (nrows * ncols)
+    (frequency
+       [ (5, return None); (4, return (Some true)); (1, return (Some false)) ])
+  >|= fun cells ->
+  Smatrix.of_coo Dtype.Bool nrows ncols
+    (List.concat
+       (List.mapi
+          (fun k -> function
+            | Some b -> [ (k / ncols, k mod ncols, b) ]
+            | None -> [])
+          cells))
+
+let bits_equal a b =
+  let key (r, c, x) = (r, c, Int64.bits_of_float x) in
+  Smatrix.shape a = Smatrix.shape b
+  && List.map key (Smatrix.to_coo a) = List.map key (Smatrix.to_coo b)
+
+let qcheck_mxm_dot_matches_merge =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 1 40) (int_range 1 40) (int_range 1 40)
+      >>= fun (m, k, n) ->
+      skewed_mat_gen m k >>= fun a ->
+      skewed_mat_gen n k >>= fun b ->
+      mask_with_false_gen m n >>= fun mask ->
+      oneofl Semiring.names >>= fun sr ->
+      bool >|= fun ta -> (a, b, mask, sr, ta))
+  in
+  Helpers.qtest ~count:300 "masked dot kernel matches the merge bit for bit"
+    (Helpers.arb gen) (fun (a, b, mask, sr, ta) ->
+      let sr = Semiring.of_name sr f64 in
+      let a = Dense_ref.smatrix_of_mat_auto f64 a
+      and b = Dense_ref.smatrix_of_mat_auto f64 b in
+      let out = Smatrix.create f64 (Smatrix.nrows a) (Smatrix.nrows b) in
+      Matmul.mxm ~mask:(Mask.mmask mask) ~transpose_a:ta ~transpose_b:true sr
+        ~out
+        (if ta then Smatrix.transpose a else a)
+        b;
+      bits_equal out (Dense_ref.mxm_dot_merge sr ~mask a b))
+
+(* A masked product installs the kernel's result only without an
+   accumulator and with [out] empty or replaced; otherwise it merges
+   into [out].  T = A Bᵀ = [[5; 14]; [24; 53]]; the mask allows (0,0)
+   and (1,1), stores false at (0,1) and leaves (1,0) absent. *)
+let guard_a =
+  Smatrix.of_coo f64 2 3 [ (0, 0, 1.0); (0, 1, 2.0); (1, 1, 3.0); (1, 2, 4.0) ]
+
+let guard_b =
+  Smatrix.of_coo f64 2 3 [ (0, 0, 5.0); (0, 2, 6.0); (1, 1, 7.0); (1, 2, 8.0) ]
+
+let guard_mask () =
+  Smatrix.of_coo Dtype.Bool 2 2 [ (0, 0, true); (0, 1, false); (1, 1, true) ]
+
+let guard_out () =
+  Smatrix.of_coo f64 2 2 [ (0, 1, 100.0); (1, 0, 200.0); (1, 1, 300.0) ]
+
+let guard_mxm ?accum ~replace ~transpose_b out =
+  Matmul.mxm ~mask:(Mask.mmask (guard_mask ())) ?accum ~replace ~transpose_b
+    (Semiring.arithmetic f64) ~out guard_a
+    (if transpose_b then guard_b else Smatrix.transpose guard_b)
+
+let coo = Alcotest.(list (triple int int (float 0.0)))
+
+let test_masked_mxm_merges_into_kept_entries () =
+  List.iter
+    (fun transpose_b ->
+      let out = guard_out () in
+      guard_mxm ~replace:false ~transpose_b out;
+      Alcotest.check coo "masked-out entries survive"
+        [ (0, 0, 5.0); (0, 1, 100.0); (1, 0, 200.0); (1, 1, 53.0) ]
+        (Smatrix.to_coo out))
+    [ true; false ]
+
+let test_masked_mxm_accum_merges_under_replace () =
+  List.iter
+    (fun transpose_b ->
+      let out = guard_out () in
+      guard_mxm ~accum:(Binop.plus f64) ~replace:true ~transpose_b out;
+      Alcotest.check coo "accumulated, masked-out cleared"
+        [ (0, 0, 5.0); (1, 1, 353.0) ]
+        (Smatrix.to_coo out))
+    [ true; false ]
+
 let suite =
   [ Alcotest.test_case "BFS ply (paper Fig. 1)" `Quick test_bfs_ply;
     Alcotest.test_case "mxv dense example" `Quick test_mxv_simple;
@@ -227,4 +339,9 @@ let suite =
     Helpers.to_alcotest qcheck_vxm_transposed;
     Helpers.to_alcotest qcheck_mxm;
     Helpers.to_alcotest qcheck_mxm_masked_dot_path;
+    Helpers.to_alcotest qcheck_mxm_dot_matches_merge;
+    Alcotest.test_case "masked mxm keeps out's masked-out entries" `Quick
+      test_masked_mxm_merges_into_kept_entries;
+    Alcotest.test_case "masked mxm accumulates under replace" `Quick
+      test_masked_mxm_accum_merges_under_replace;
   ]
