@@ -32,146 +32,8 @@
    error without it: the gate must never silently pass because nobody
    committed a reference. *)
 
-(* ---- minimal JSON reader (objects/arrays/strings/numbers/bools) ---- *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some x when x = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let string_lit () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some 'n' -> Buffer.add_char b '\n'
-        | Some 't' -> Buffer.add_char b '\t'
-        | Some 'r' -> Buffer.add_char b '\r'
-        | Some 'u' ->
-          (* keep the escape verbatim; paths never contain \u *)
-          Buffer.add_string b "\\u"
-        | Some c -> Buffer.add_char b c
-        | None -> fail "dangling escape");
-        advance ();
-        go ()
-      | Some c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let k = string_lit () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or } in object"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ] in array"
-        in
-        elements []
-      end
-    | Some '"' -> Str (string_lit ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = value () in
-  skip_ws ();
-  v
+(* Artifacts are read with the wire protocol's JSON codec. *)
+module J = Server.Json
 
 let read_file path =
   let ic = open_in_bin path in
@@ -186,12 +48,12 @@ type leaf = L_num of float | L_bool of bool
 let flatten json =
   let acc = ref [] in
   let rec go path = function
-    | Null | Str _ -> ()
-    | Bool b -> acc := (path, L_bool b) :: !acc
-    | Num f -> acc := (path, L_num f) :: !acc
-    | Arr xs ->
+    | J.Null | J.Str _ -> ()
+    | J.Bool b -> acc := (path, L_bool b) :: !acc
+    | J.Num f -> acc := (path, L_num f) :: !acc
+    | J.Arr xs ->
       List.iteri (fun i x -> go (Printf.sprintf "%s.%d" path i) x) xs
-    | Obj kvs ->
+    | J.Obj kvs ->
       List.iter
         (fun (k, v) -> go (if path = "" then k else path ^ "." ^ k) v)
         kvs
@@ -250,8 +112,8 @@ let recorded_cores fresh =
 
 let check_artifact ~tolerance ~absolute ~allow_missing ~baseline_path
     ~fresh_path =
-  let base = flatten (parse_json (read_file baseline_path)) in
-  let fresh = flatten (parse_json (read_file fresh_path)) in
+  let base = flatten (J.parse (read_file baseline_path)) in
+  let fresh = flatten (J.parse (read_file fresh_path)) in
   let gate_speedups =
     match recorded_cores fresh with
     | Some c when c < 2.0 ->
@@ -337,7 +199,7 @@ let () =
       if update then begin
         (* refresh the committed reference from this run *)
         let data = read_file fresh_path in
-        ignore (parse_json data);
+        ignore (J.parse data);
         let oc = open_out_bin baseline_path in
         output_string oc data;
         close_out oc;
@@ -362,7 +224,7 @@ let () =
           Printf.printf "FAIL %s vs %s:\n" fresh_path baseline_path;
           List.iter (fun m -> Printf.printf "  - %s\n" m) failures;
           failed := true
-        | exception Parse_error msg ->
+        | exception J.Parse_error msg ->
           Printf.printf "FAIL %s: %s\n" fresh_path msg;
           failed := true
       end)

@@ -18,8 +18,23 @@ let decay_window = 3
 (* workload -> metric -> (timestamp, value) series, timestamp-sorted *)
 type series = (string * (string * (string * float) list) list) list
 
+module J = Server.Json
+
+(* booleans (the [agree] flags) become 0/1 series *)
+let to_num = function
+  | J.Num f -> Some f
+  | J.Bool b -> Some (if b then 1.0 else 0.0)
+  | _ -> None
+
+let parse_file path =
+  let ic = open_in_bin path in
+  J.parse
+    (Fun.protect
+       ~finally:(fun () -> close_in_noerr ic)
+       (fun () -> really_input_string ic (in_channel_length ic)))
+
 let metric_of_leaf (k, v) =
-  match Json_min.to_num v with
+  match to_num v with
   | Some f when k <> "cores" && k <> "reps" -> Some (k, f)
   | _ -> None
 
@@ -28,27 +43,25 @@ let metric_of_leaf (k, v) =
 let load_history path : series =
   if not (Sys.file_exists path) then []
   else
-    match Json_min.parse_file path with
-    | Json_min.Obj kvs -> (
-      match List.assoc_opt "workloads" (List.map (fun x -> x) kvs) with
-      | Some (Json_min.Obj workloads) ->
+    match parse_file path with
+    | J.Obj kvs -> (
+      match List.assoc_opt "workloads" kvs with
+      | Some (J.Obj workloads) ->
         List.map
           (fun (wl, metrics) ->
             let metrics =
               match metrics with
-              | Json_min.Obj ms ->
+              | J.Obj ms ->
                 List.map
                   (fun (metric, points) ->
                     let pts =
                       match points with
-                      | Json_min.Arr ps ->
+                      | J.Arr ps ->
                         List.filter_map
                           (fun p ->
                             match
-                              ( Option.bind (Json_min.member "ts" p)
-                                  Json_min.to_str,
-                                Option.bind (Json_min.member "value" p)
-                                  Json_min.to_num )
+                              ( Option.bind (J.member "ts" p) J.str,
+                                Option.bind (J.member "value" p) to_num )
                             with
                             | Some ts, Some v -> Some (ts, v)
                             | _ -> None)
@@ -63,7 +76,7 @@ let load_history path : series =
           workloads
       | _ -> [])
     | _ -> []
-    | exception Json_min.Parse_error _ -> []
+    | exception J.Parse_error _ -> []
 
 (* A timestamped result artifact: <workload>-YYYYmmdd-HHMMSS.json.
    The -latest aliases are duplicates of the newest stamped file and
@@ -118,8 +131,8 @@ let fold_results ~results_dir history : series * int =
   let history =
     List.fold_left
       (fun hist (workload, ts, path) ->
-        match Json_min.parse_file path with
-        | Json_min.Obj kvs ->
+        match parse_file path with
+        | J.Obj kvs ->
           let seen =
             match List.assoc_opt workload hist with
             | Some metrics -> (
@@ -139,7 +152,7 @@ let fold_results ~results_dir history : series * int =
                 | None -> hist)
               hist kvs
           end
-        | _ | (exception Json_min.Parse_error _) ->
+        | _ | (exception J.Parse_error _) ->
           Printf.eprintf "history: skipping unreadable %s\n" path;
           hist)
       history (scan_results results_dir)

@@ -22,226 +22,25 @@ let run_algorithm algo tier spec src symmetrize top =
   | Error e ->
     Printf.eprintf "error: %s\n" e;
     1
-  | Ok m ->
-    let n = Smatrix.nrows m in
-    Printf.printf "graph: %d vertices, %d edges; algorithm=%s tier=%s\n" n
-      (Smatrix.nvals m) algo tier;
-    let bool_m = Smatrix.cast ~into:Dtype.Bool m in
-    let cont = Ogb.Container.of_smatrix m in
-    let bool_cont = Ogb.Container.of_smatrix bool_m in
-    let show_vector entries =
-      let entries = List.filteri (fun i _ -> i < top) entries in
-      List.iter (fun (i, x) -> Printf.printf "  %d: %g\n" i x) entries
-    in
-    let ok =
-      match algo, tier with
-      | "bfs", "native" ->
-        let levels, dt = time (fun () -> Algorithms.Bfs.native bool_m ~src) in
-        Printf.printf "reached %d vertices in %.3f ms\n" (Svector.nvals levels)
-          (1000.0 *. dt);
-        show_vector
-          (List.map (fun (i, l) -> (i, float_of_int l))
-             (Algorithms.Bfs.levels_of_svector levels));
-        true
-      | "bfs", "dsl" ->
-        let levels, dt = time (fun () -> Algorithms.Bfs.dsl bool_cont ~src) in
-        Printf.printf "reached %d vertices in %.3f ms\n"
-          (Ogb.Container.nvals levels) (1000.0 *. dt);
-        show_vector (Ogb.Container.vector_entries levels);
-        true
-      | "bfs", "vm" ->
-        let levels, dt = time (fun () -> Algorithms.Bfs.vm_loops bool_cont ~src) in
-        Printf.printf "reached %d vertices in %.3f ms\n"
-          (Ogb.Container.nvals levels) (1000.0 *. dt);
-        show_vector (Ogb.Container.vector_entries levels);
-        true
-      | "sssp", "native" ->
-        let d, dt = time (fun () -> Algorithms.Sssp.native m ~src) in
-        Printf.printf "solved in %.3f ms\n" (1000.0 *. dt);
-        show_vector (List.rev (Svector.fold (fun acc i x -> (i, x) :: acc) [] d));
-        true
-      | "sssp", "dsl" ->
-        let d, dt = time (fun () -> Algorithms.Sssp.dsl cont ~src) in
-        Printf.printf "solved in %.3f ms\n" (1000.0 *. dt);
-        show_vector (Algorithms.Sssp.distances_of_container d);
-        true
-      | "sssp", "vm" ->
-        let d, dt = time (fun () -> Algorithms.Sssp.vm_loops cont ~src) in
-        Printf.printf "solved in %.3f ms\n" (1000.0 *. dt);
-        show_vector (Algorithms.Sssp.distances_of_container d);
-        true
-      | "pagerank", "native" ->
-        let (ranks, iters), dt = time (fun () -> Algorithms.Pagerank.native m) in
-        Printf.printf "converged in %d iterations, %.3f ms\n" iters
-          (1000.0 *. dt);
-        show_vector
-          (List.sort (fun (_, a) (_, b) -> compare b a)
-             (List.rev (Svector.fold (fun acc i x -> (i, x) :: acc) [] ranks)));
-        true
-      | "pagerank", "dsl" ->
-        let (ranks, iters), dt = time (fun () -> Algorithms.Pagerank.dsl cont) in
-        Printf.printf "converged in %d iterations, %.3f ms\n" iters
-          (1000.0 *. dt);
-        show_vector
-          (List.sort (fun (_, a) (_, b) -> compare b a)
-             (Algorithms.Pagerank.ranks_of_container ranks));
-        true
-      | "pagerank", "nonblocking" ->
-        let (ranks, iters), dt =
-          time (fun () -> Algorithms.Pagerank.nonblocking cont)
-        in
-        Printf.printf "converged in %d iterations, %.3f ms\n" iters
-          (1000.0 *. dt);
-        show_vector
-          (List.sort (fun (_, a) (_, b) -> compare b a)
-             (Algorithms.Pagerank.ranks_of_container ranks));
-        true
-      | "pagerank", "vm" ->
-        let ranks, dt = time (fun () -> Algorithms.Pagerank.vm_loops cont) in
-        Printf.printf "done in %.3f ms\n" (1000.0 *. dt);
-        show_vector
-          (List.sort (fun (_, a) (_, b) -> compare b a)
-             (Algorithms.Pagerank.ranks_of_container ranks));
-        true
-      | "tc", "native" ->
-        let l = Algorithms.Triangle.of_undirected bool_m in
-        let t, dt = time (fun () -> Algorithms.Triangle.native l) in
-        Printf.printf "triangles: %d (%.3f ms)\n" t (1000.0 *. dt);
-        true
-      | "tc", "dsl" ->
-        let l = Algorithms.Triangle.of_undirected bool_m in
-        let t, dt =
-          time (fun () -> Algorithms.Triangle.dsl (Ogb.Container.of_smatrix l))
-        in
-        Printf.printf "triangles: %g (%.3f ms)\n" t (1000.0 *. dt);
-        true
-      | "tc", "nonblocking" ->
-        let l = Algorithms.Triangle.of_undirected bool_m in
-        let t, dt =
-          time (fun () ->
-              Algorithms.Triangle.nonblocking (Ogb.Container.of_smatrix l))
-        in
-        Printf.printf "triangles: %g (%.3f ms)\n" t (1000.0 *. dt);
-        true
-      | "tc", "vm" ->
-        let l = Algorithms.Triangle.of_undirected bool_m in
-        let t, dt =
-          time (fun () ->
-              Algorithms.Triangle.vm_loops (Ogb.Container.of_smatrix l))
-        in
-        Printf.printf "triangles: %g (%.3f ms)\n" t (1000.0 *. dt);
-        true
-      | "cc", "native" ->
-        let labels, dt =
-          time (fun () -> Algorithms.Connected_components.native bool_m)
-        in
-        Printf.printf "components: %d (%.3f ms)\n"
-          (Algorithms.Connected_components.component_count labels)
-          (1000.0 *. dt);
-        true
-      | "bc", "native" ->
-        let bc, dt =
-          time (fun () -> Algorithms.Bc.native (Smatrix.cast ~into:Dtype.Bool m))
-        in
-        Printf.printf "betweenness centrality in %.3f ms; top vertices:\n"
-          (1000.0 *. dt);
-        show_vector
-          (List.sort (fun (_, a) (_, b) -> compare b a)
-             (List.rev (Svector.fold (fun acc i x -> (i, x) :: acc) [] bc)));
-        true
-      | "ktruss", "native" ->
-        let adj = Smatrix.cast ~into:Dtype.Bool m in
-        let truss, dt = time (fun () -> Algorithms.Ktruss.native ~k:4 adj) in
-        Printf.printf "4-truss has %d edges (%.3f ms)\n"
-          (Algorithms.Ktruss.edge_count truss) (1000.0 *. dt);
-        true
-      | "mis", "native" ->
-        let iset, dt =
-          time (fun () -> Algorithms.Mis.native (Smatrix.cast ~into:Dtype.Bool m))
-        in
-        Printf.printf "independent set of %d vertices (%.3f ms)\n"
-          (Svector.nvals iset) (1000.0 *. dt);
-        true
-      | "cc", ("dsl" | "nonblocking" | "vm") ->
-        let runner =
-          match tier with
-          | "dsl" -> Algorithms.Connected_components.dsl
-          | "nonblocking" ->
-            fun g ->
-              Exec.with_mode Exec.Nonblocking (fun () ->
-                  Algorithms.Connected_components.dsl g)
-          | _ -> Algorithms.Connected_components.vm_loops
-        in
-        let labels, dt = time (fun () -> runner bool_cont) in
-        Printf.printf "components: %d (%.3f ms)\n"
-          (Algorithms.Connected_components.component_count
-             (Ogb.Container.as_vector Dtype.Int64 labels))
-          (1000.0 *. dt);
-        true
-      | "labelprop", "native" ->
-        let labels, dt = time (fun () -> Algorithms.Labelprop.native bool_m) in
-        Printf.printf "communities: %d (%.3f ms)\n"
-          (Algorithms.Labelprop.community_count labels)
-          (1000.0 *. dt);
-        true
-      | "labelprop", ("dsl" | "nonblocking" | "vm") ->
-        let runner =
-          match tier with
-          | "dsl" -> fun g -> fst (Algorithms.Labelprop.dsl g)
-          | "nonblocking" -> fun g -> fst (Algorithms.Labelprop.nonblocking g)
-          | _ -> fun g -> Algorithms.Labelprop.vm_loops g
-        in
-        let labels, dt = time (fun () -> runner bool_cont) in
-        Printf.printf "communities: %d (%.3f ms)\n"
-          (Algorithms.Labelprop.community_count
-             (Ogb.Container.as_vector Dtype.Int64 labels))
-          (1000.0 *. dt);
-        true
-      | "ktruss", ("dsl" | "nonblocking") ->
-        let runner =
-          if tier = "dsl" then Algorithms.Ktruss.dsl
-          else Algorithms.Ktruss.nonblocking
-        in
-        let truss, dt = time (fun () -> runner ~k:4 bool_cont) in
-        Printf.printf "4-truss has %d edges (%.3f ms)\n"
-          (Ogb.Container.nvals truss / 2)
-          (1000.0 *. dt);
-        true
-      | "ktruss", "vm" ->
-        let truss, dt =
-          time (fun () -> Algorithms.Ktruss.vm_loops ~k:4 bool_cont)
-        in
-        Printf.printf "4-truss has %d edges (%.3f ms)\n"
-          (Ogb.Container.nvals truss / 2)
-          (1000.0 *. dt);
-        true
-      | "bc", ("dsl" | "nonblocking") ->
-        let runner =
-          if tier = "dsl" then Algorithms.Bc.dsl else Algorithms.Bc.nonblocking
-        in
-        let c, dt = time (fun () -> runner bool_cont ~src) in
-        Printf.printf
-          "single-source betweenness from %d in %.3f ms; top vertices:\n" src
-          (1000.0 *. dt);
-        show_vector
-          (List.sort (fun (_, a) (_, b) -> compare b a)
-             (Ogb.Container.vector_entries c));
-        true
-      | "bc", "vm" ->
-        let c, dt = time (fun () -> Algorithms.Bc.vm_loops bool_cont ~src) in
-        Printf.printf
-          "single-source betweenness from %d in %.3f ms; top vertices:\n" src
-          (1000.0 *. dt);
-        show_vector
-          (List.sort (fun (_, a) (_, b) -> compare b a)
-             (Ogb.Container.vector_entries c));
-        true
-      | _, _ ->
-        Printf.eprintf "unsupported algorithm/tier combination %s/%s\n" algo
-          tier;
-        false
-    in
-    if ok then 0 else 1
+  | Ok m -> (
+    Printf.printf "graph: %d vertices, %d edges; algorithm=%s tier=%s\n"
+      (Smatrix.nrows m) (Smatrix.nvals m) algo tier;
+    match Algorithms.Registry.lookup ~algo ~tier with
+    | None ->
+      Printf.eprintf "unsupported algorithm/tier combination %s/%s\n" algo tier;
+      1
+    | Some (e, t) ->
+      let o = e.run t m ~src in
+      Printf.printf "%s (%.3f ms)\n"
+        (Algorithms.Registry.summary e o.result)
+        o.ms;
+      (match o.result with
+      | Entries { entries; _ } ->
+        List.iteri
+          (fun k (i, x) -> if k < top then Printf.printf "  %d: %g\n" i x)
+          entries
+      | Count _ -> ());
+      0)
 
 let graph_arg =
   let doc =
@@ -256,20 +55,20 @@ let run_cmd =
   let algo =
     Arg.(
       required
-      & pos 0 (some (enum [ ("bfs", "bfs"); ("sssp", "sssp");
-                            ("pagerank", "pagerank"); ("tc", "tc");
-                            ("cc", "cc"); ("mis", "mis"); ("bc", "bc");
-                            ("ktruss", "ktruss");
-                            ("labelprop", "labelprop") ])) None
+      & pos 0
+          (some
+             (enum
+                (List.map
+                   (fun (e : Algorithms.Registry.entry) -> (e.name, e.name))
+                   Algorithms.Registry.all)))
+          None
       & info [] ~docv:"ALGORITHM")
   in
   let tier =
     Arg.(
       value
       & opt
-          (enum
-             [ ("native", "native"); ("dsl", "dsl"); ("vm", "vm");
-               ("nonblocking", "nonblocking") ])
+          (enum (List.map (fun (n, _) -> (n, n)) Algorithms.Registry.tiers))
           "native"
       & info [ "tier"; "t" ]
           ~doc:"Execution tier: native, dsl, vm or nonblocking.")
@@ -970,8 +769,8 @@ let analyze_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"ALGORITHM"
           ~doc:
-            "Restrict to one tier-1 encoding (bfs, pagerank, sssp, triangle, \
-             cc, labelprop, ktruss, bc); default analyzes all of them.")
+            "Restrict to one tier-1 encoding (bfs, pagerank, sssp, tc, cc, \
+             labelprop, ktruss, bc); default analyzes all of them.")
   in
   let n =
     Arg.(

@@ -51,8 +51,8 @@ let sssp =
         [ VCont (C.matrix_empty ~dtype:(Dtype.P Dtype.FP64) n n);
           VCont (C.vector_coo ~size:n [ (0, 0.0) ]) ]) }
 
-let triangle =
-  { name = "triangle";
+let tc =
+  { name = "tc";
     program = Algorithms.Triangle.vm_program;
     entrypoint = "triangle_count";
     args =
@@ -114,7 +114,7 @@ let bc =
           VCont (C.vector_empty ~dtype:i64 n);
           VCont (C.vector_empty ~dtype:i64 n) ]) }
 
-let all = [ bfs; pagerank; sssp; triangle; cc; labelprop; ktruss; bc ]
+let all = [ bfs; pagerank; sssp; tc; cc; labelprop; ktruss; bc ]
 
 let find name = List.find_opt (fun e -> e.name = name) all
 

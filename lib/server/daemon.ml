@@ -237,11 +237,6 @@ let parse_vector req ~n =
     with Failure m | Invalid_argument m -> Error m)
   | Some _ -> Error "vector must be \"ones\" or a list of [index, value]"
 
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, 1000.0 *. (Unix.gettimeofday () -. t0))
-
 let truncate_top req entries =
   match Json.int_field "top" req with
   | Some t when t > 0 -> List.filteri (fun i _ -> i < t) entries
@@ -249,76 +244,27 @@ let truncate_top req entries =
   | None -> List.filteri (fun i _ -> i < 10) entries
 
 let handle_run s id req =
+  let module W = Algorithms.Registry in
   let ( let* ) r f = match r with Error e -> err id e | Ok v -> f v in
   let* algo = require_str req "algo" in
   let tier = Option.value ~default:"vm" (Json.str_field "tier" req) in
   let* name = require_str req "graph" in
   let* m = find_graph s name in
   let src = Option.value ~default:0 (Json.int_field "src" req) in
-  let bool_m () = Smatrix.cast ~into:Dtype.Bool m in
-  let cont () = Ogb.Container.of_smatrix m in
-  let bool_cont () = Ogb.Container.of_smatrix (bool_m ()) in
-  let vec ?iters entries ms =
-    ok id
-      (("ms", Json.Num ms)
-      :: (match iters with
-         | Some k -> [ ("iters", Json.Num (float_of_int k)) ]
-         | None -> [])
-      @ [ ("result", entries_json (truncate_top req entries)) ])
-  in
-  let scalar x ms = ok id [ ("ms", Json.Num ms); ("value", Json.Num x) ] in
-  let float_levels l = List.map (fun (i, v) -> (i, float_of_int v)) l in
-  let by_rank l = List.sort (fun (_, a) (_, b) -> compare b a) l in
-  let svec_entries v =
-    List.rev (Svector.fold (fun acc i x -> (i, x) :: acc) [] v)
-  in
-  match (algo, tier) with
-  | "bfs", "native" ->
-    let l, ms = time (fun () -> Algorithms.Bfs.native (bool_m ()) ~src) in
-    vec (float_levels (Algorithms.Bfs.levels_of_svector l)) ms
-  | "bfs", "dsl" ->
-    let l, ms = time (fun () -> Algorithms.Bfs.dsl (bool_cont ()) ~src) in
-    vec (float_levels (Algorithms.Bfs.levels_of_container l)) ms
-  | "bfs", "vm" ->
-    let l, ms = time (fun () -> Algorithms.Bfs.vm_loops (bool_cont ()) ~src) in
-    vec (float_levels (Algorithms.Bfs.levels_of_container l)) ms
-  | "sssp", "native" ->
-    let d, ms = time (fun () -> Algorithms.Sssp.native m ~src) in
-    vec (svec_entries d) ms
-  | "sssp", "dsl" ->
-    let d, ms = time (fun () -> Algorithms.Sssp.dsl (cont ()) ~src) in
-    vec (Algorithms.Sssp.distances_of_container d) ms
-  | "sssp", "vm" ->
-    let d, ms = time (fun () -> Algorithms.Sssp.vm_loops (cont ()) ~src) in
-    vec (Algorithms.Sssp.distances_of_container d) ms
-  | "pagerank", "native" ->
-    let (r, iters), ms = time (fun () -> Algorithms.Pagerank.native m) in
-    vec ~iters (by_rank (svec_entries r)) ms
-  | "pagerank", "dsl" ->
-    let (r, iters), ms = time (fun () -> Algorithms.Pagerank.dsl (cont ())) in
-    vec ~iters (by_rank (Algorithms.Pagerank.ranks_of_container r)) ms
-  | "pagerank", "nonblocking" ->
-    let (r, iters), ms =
-      time (fun () -> Algorithms.Pagerank.nonblocking (cont ()))
-    in
-    vec ~iters (by_rank (Algorithms.Pagerank.ranks_of_container r)) ms
-  | "pagerank", "vm" ->
-    let r, ms = time (fun () -> Algorithms.Pagerank.vm_loops (cont ())) in
-    vec (by_rank (Algorithms.Pagerank.ranks_of_container r)) ms
-  | "tc", ("native" | "dsl" | "nonblocking" | "vm") ->
-    let l = Algorithms.Triangle.of_undirected (bool_m ()) in
-    let t, ms =
-      time (fun () ->
-          match tier with
-          | "native" -> float_of_int (Algorithms.Triangle.native l)
-          | "dsl" -> Algorithms.Triangle.dsl (Ogb.Container.of_smatrix l)
-          | "nonblocking" ->
-            Algorithms.Triangle.nonblocking (Ogb.Container.of_smatrix l)
-          | _ -> Algorithms.Triangle.vm_loops (Ogb.Container.of_smatrix l))
-    in
-    scalar t ms
-  | _ ->
-    err id (Printf.sprintf "unsupported algorithm/tier %s/%s" algo tier)
+  match W.lookup ~algo ~tier with
+  | None -> err id (Printf.sprintf "unsupported algorithm/tier %s/%s" algo tier)
+  | Some (e, t) -> (
+    let o = e.run t m ~src in
+    let ms = ("ms", Json.Num o.ms) in
+    match o.result with
+    | W.Entries { entries; iters } ->
+      ok id
+        ((ms
+         :: (match iters with
+            | Some k -> [ ("iters", Json.Num (float_of_int k)) ]
+            | None -> []))
+        @ [ ("result", entries_json (truncate_top req entries)) ])
+    | W.Count c -> ok id [ ms; ("value", Json.Num (float_of_int c)) ])
 
 let context_entry_of_json req =
   match Json.str_field "kind" req with

@@ -1,6 +1,6 @@
-(** Dependency-free JSON for the wire protocol: the same minimal value
-    model the bench regression gate reads, plus a printer and the
-    accessors the request handlers need.  One request or response is
+(** Dependency-free JSON for the wire protocol, also the reader of the
+    bench artifacts ([check_regress] and the perf history): a minimal
+    value model, a printer and the accessors the request handlers need.  One request or response is
     one JSON object on one line (LF-terminated), so the printer never
     emits newlines. *)
 

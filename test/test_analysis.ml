@@ -214,12 +214,26 @@ let test_abstract_pagerank () =
     (has "reduce_v_scalar|T:double")
 
 let test_abstract_triangle () =
-  let ks = keys (find_entry "triangle") 32 in
+  let ks = keys (find_entry "tc") 32 in
   let has sub = List.exists (fun k -> Helpers.contains_substring k sub) ks in
   Alcotest.(check bool) "masked mxm" true (has "mxm|T:int64_t");
   Alcotest.(check bool) "mask+transpose_b flags" true
     (has "mask,transpose_b");
   Alcotest.(check bool) "scalar reduce" true (has "reduce_m_scalar|T:int64_t")
+
+(* [ogb analyze], [ogb run] and the wire share one name per algorithm:
+   the tier-1 encodings are exactly the registry entries with a vm tier. *)
+let test_tier1_names_match_registry () =
+  let module R = Algorithms.Registry in
+  let vm_names =
+    List.filter_map
+      (fun (e : R.entry) -> if List.mem R.Vm e.tiers then Some e.name else None)
+      R.all
+  in
+  Alcotest.(check (list string)) "tier-1 names"
+    (List.sort compare vm_names)
+    (List.sort compare
+       (List.map (fun (e : Analysis.Tier1.entry) -> e.name) Analysis.Tier1.all))
 
 (* -- ahead-of-time warm-up: the acceptance criterion -- *)
 
@@ -303,6 +317,8 @@ let suite =
       test_abstract_pagerank;
     Alcotest.test_case "abstract: triangle kernel set" `Quick
       test_abstract_triangle;
+    Alcotest.test_case "tier-1 names are the registry's vm entries" `Quick
+      test_tier1_names_match_registry;
     Alcotest.test_case "warm-up: zero first-iteration compiles" `Quick
       test_warm_zero_first_iteration_compiles;
     Helpers.to_alcotest qcheck_verifier_preserved;

@@ -347,6 +347,77 @@ let test_update_rejects_fractional_coords () =
     (handle st sess
        "{\"op\": \"update\", \"name\": \"g\", \"edges\": [[1, 3, 1.0]]}")
 
+(* ---- run: every algorithm the registry lists, at every tier ---- *)
+
+(* What the daemon must answer for [e] at [t]: the registry's own run
+   on the same graph, in the response's field layout. *)
+let expected_fields (e : Algorithms.Registry.entry) t m =
+  let num x = J.Num x in
+  match (e.run t m ~src:0).result with
+  | Algorithms.Registry.Entries { entries; iters } ->
+    (match iters with
+    | Some k -> [ ("iters", num (float_of_int k)) ]
+    | None -> [])
+    @ [ ( "result",
+          J.Arr
+            (List.map
+               (fun (i, x) -> J.Arr [ num (float_of_int i); num x ])
+               entries) ) ]
+  | Algorithms.Registry.Count c -> [ ("value", num (float_of_int c)) ]
+
+let test_run_every_registered_tier () =
+  with_fresh_jit @@ fun () ->
+  let st = mk_state () in
+  let sess = Server.Session.create () in
+  let spec = "er:n=64" in
+  check_ok "load"
+    (handle st sess
+       (Printf.sprintf
+          "{\"op\": \"load\", \"name\": \"g\", \"graph\": %S, \
+           \"symmetrize\": true}"
+          spec));
+  let m =
+    match Server.Graph_spec.load_fp64 spec ~symmetrize:true with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  let run algo tier =
+    handle st sess
+      (Printf.sprintf
+         "{\"op\": \"run\", \"algo\": %S, \"tier\": %S, \"graph\": \"g\", \
+          \"top\": 0}"
+         algo tier)
+  in
+  List.iter
+    (fun (e : Algorithms.Registry.entry) ->
+      List.iter
+        (fun t ->
+          let tier = Algorithms.Registry.tier_name t in
+          let what = Printf.sprintf "%s/%s" e.name tier in
+          let resp = run e.name tier in
+          check_ok what resp;
+          let fields =
+            match resp with
+            | J.Obj kvs ->
+              List.filter
+                (fun (k, _) -> not (List.mem k [ "id"; "status"; "ms" ]))
+                kvs
+            | _ -> []
+          in
+          Alcotest.(check string) what
+            (J.to_string (J.Obj (expected_fields e t m)))
+            (J.to_string (J.Obj fields)))
+        e.tiers)
+    Algorithms.Registry.all;
+  List.iter
+    (fun (algo, tier) ->
+      let resp = run algo tier in
+      Alcotest.(check string) (algo ^ "/" ^ tier) "error" (status resp);
+      Alcotest.(check (option string)) (algo ^ "/" ^ tier ^ " message")
+        (Some (Printf.sprintf "unsupported algorithm/tier %s/%s" algo tier))
+        (J.str_field "error" resp))
+    [ ("mis", "dsl"); ("pagerrank", "vm"); ("bfs", "jit") ]
+
 (* ---- mxv: malformed vector indices are rejected, located ---- *)
 
 let test_mxv_rejects_bad_indices () =
@@ -570,5 +641,7 @@ let suite =
       test_session_exn_containment;
     Alcotest.test_case "serve.batch.partial containment" `Quick
       test_batch_partial_containment;
+    Alcotest.test_case "run: every registered algorithm and tier" `Quick
+      test_run_every_registered_tier;
     Alcotest.test_case "doctor/health json" `Quick test_health_json;
     Alcotest.test_case "socket end-to-end" `Slow test_socket_end_to_end ]

@@ -516,6 +516,64 @@ let test_bc_chaos () =
   Alcotest.(check bool) "centrality identical under pool faults" true
     (C.equal clean chaos)
 
+(* ---- the algorithm × tier registry ---- *)
+
+module R = Algorithms.Registry
+
+let load spec =
+  match Server.Graph_spec.load_fp64 spec ~symmetrize:true with
+  | Ok m -> m
+  | Error e -> Alcotest.failf "%s: %s" spec e
+
+(* Entries in vertex order, so ranked tiers compare by value; pagerank's
+   vm tier reports no iteration count, so iters compare only where both
+   tiers report one. *)
+let same_result a b =
+  match (a, b) with
+  | R.Count x, R.Count y -> x = y
+  | R.Entries a, R.Entries b ->
+    let by_vertex l = List.sort compare l in
+    by_vertex a.entries = by_vertex b.entries
+    && (match (a.iters, b.iters) with Some x, Some y -> x = y | _ -> true)
+  | _ -> false
+
+let show_result = function
+  | R.Count n -> string_of_int n
+  | R.Entries { entries; iters } ->
+    Printf.sprintf "%d entries%s" (List.length entries)
+      (match iters with Some k -> Printf.sprintf ", %d iters" k | None -> "")
+
+let test_registry_tiers_agree () =
+  List.iter
+    (fun spec ->
+      let m = load spec in
+      List.iter
+        (fun (e : R.entry) ->
+          match e.tiers with
+          | [] -> Alcotest.failf "%s lists no tier" e.name
+          | first :: rest ->
+            let expected = (e.run first m ~src:0).result in
+            List.iter
+              (fun t ->
+                let got = (e.run t m ~src:0).result in
+                if not (same_result expected got) then
+                  Alcotest.failf "%s on %s: %s gives %s, %s gives %s" e.name
+                    spec (R.tier_name first) (show_result expected)
+                    (R.tier_name t) (show_result got))
+              rest)
+        R.all)
+    [ "er:n=128"; "rmat:scale=8" ];
+  List.iter
+    (fun (e : R.entry) ->
+      let want = if e.name = "mis" then 1 else 4 in
+      Alcotest.(check int) (e.name ^ " tier count") want (List.length e.tiers))
+    R.all
+
+let test_registry_count_renders_integer () =
+  let tc = Option.get (R.find "tc") in
+  Alcotest.(check string) "integer count" "triangles: 1234567"
+    (R.summary tc (R.Count 1_234_567))
+
 let suite =
   [ Alcotest.test_case "labelprop: tiers agree" `Quick
       test_labelprop_tiers_agree;
@@ -548,4 +606,8 @@ let suite =
       test_labelprop_chaos;
     Alcotest.test_case "chaos: ktruss under sched.worker.slow" `Quick
       test_ktruss_chaos;
-    Alcotest.test_case "chaos: bc under par.worker.exn" `Quick test_bc_chaos ]
+    Alcotest.test_case "chaos: bc under par.worker.exn" `Quick test_bc_chaos;
+    Alcotest.test_case "registry: every tier of every entry agrees" `Quick
+      test_registry_tiers_agree;
+    Alcotest.test_case "registry: counts render as integers" `Quick
+      test_registry_count_renders_integer ]
