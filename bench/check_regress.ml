@@ -1,6 +1,6 @@
 (* Perf-regression gate over the BENCH_*.json artifacts.
 
-     dune exec bench/check_regress.exe -- BENCH_parallel.json ...
+     dune exec bench/check_regress.exe -- BENCH_warmup.json ...
        [--baseline-dir bench/baselines] [--tolerance 0.15]
        [--absolute] [--update-baselines]
 

@@ -15,8 +15,6 @@
               emits BENCH_exec.json
      formats  CSR-only vs format-aware dispatch (PageRank, BFS),
               emits BENCH_formats.json
-     parallel strong scaling of the domain-pool kernels (PageRank, BFS,
-              triangles at 1/2/4 domains), emits BENCH_parallel.json
      faults   resilience: warm-path overhead of the hardening and chaos
               equivalence under injected faults, emits BENCH_faults.json
      serve    daemon mode: cold one-shot CLI vs resident warm daemon
@@ -823,141 +821,6 @@ let formats_bench sizes =
   print_endline "wrote BENCH_formats.json"
 
 (* ---------------------------------------------------------------- *)
-(* Parallel kernels: strong scaling over the shared domain pool       *)
-(* ---------------------------------------------------------------- *)
-
-(* Tier-3 algorithms at pinned pool sizes (1 / 2 / 4 domains), on the
-   same RMAT workload as the formats experiment so the hot kernels see
-   the skewed degree distributions they were parallelized for.  Every
-   configuration must be bit-identical to the single-domain run:
-   parallel variants either partition the output space or combine
-   chunk partials with an exactly associative monoid, so the domain
-   count must never show up in the results themselves — only in the
-   times.  The JSON records the machine's core count: on a single-core
-   runner the pool inlines chunks sequentially and speedups
-   legitimately sit near 1.0, so downstream tooling must read
-   [cores] before judging the scaling rows. *)
-
-type par_res =
-  | R_ranks of (int * float) list * int
-  | R_levels of (int * int) list
-  | R_count of int
-
-type par_row = { pd : int; par_ms : float; pagree : bool }
-
-let parallel_bench n =
-  print_endline "== Parallel kernels: strong scaling over the domain pool ==";
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "machine cores (recommended domains): %d\n" cores;
-  Printf.printf "par threshold: %d, |V|=%d\n" (Parallel.Pool.threshold ()) n;
-  let rng = Graphs.Rng.create ~seed:(2018 + n) in
-  let g = Graphs.Generators.rmat rng ~scale:(log2i n) ~edge_factor:16 in
-  let adjf = Graphs.Convert.matrix_of_edges Dtype.FP64 g in
-  let adjb = Graphs.Convert.bool_adjacency g in
-  let tri_l =
-    Algorithms.Triangle.of_undirected
-      (Graphs.Convert.bool_adjacency (Graphs.Edge_list.symmetrize g))
-  in
-  let algos =
-    [ ( "pagerank",
-        fun () ->
-          let r, i =
-            Algorithms.Pagerank.native ~threshold:0.0 ~max_iters:30 adjf
-          in
-          R_ranks (Svector.to_alist r, i) );
-      ( "bfs",
-        fun () ->
-          R_levels
-            (Algorithms.Bfs.levels_of_svector
-               (Algorithms.Bfs.native adjb ~src:0)) );
-      ("triangles", fun () -> R_count (Algorithms.Triangle.native tri_l)) ]
-  in
-  let domain_counts = [ 1; 2; 4 ] in
-  let at_domains d f =
-    Parallel.Pool.set_domains d;
-    Fun.protect ~finally:Parallel.Pool.clear_domains_override f
-  in
-  Parallel.Pool.reset_counters ();
-  let results =
-    List.map
-      (fun (name, run) ->
-        let base = at_domains 1 (fun () -> run ()) in
-        let rows =
-          List.map
-            (fun d ->
-              at_domains d (fun () ->
-                  let res = run () in
-                  { pd = d; par_ms = ms (best_of run); pagree = res = base }))
-            domain_counts
-        in
-        (name, rows))
-      algos
-  in
-  let speedup rows r =
-    match List.find_opt (fun x -> x.pd = 1) rows with
-    | Some base -> base.par_ms /. r.par_ms
-    | None -> 1.0
-  in
-  List.iter
-    (fun (name, rows) ->
-      Printf.printf "\n-- %s --\n" name;
-      Printf.printf "%8s %12s %8s %7s\n" "domains" "time(ms)" "speedup"
-        "agree";
-      List.iter
-        (fun r ->
-          Printf.printf "%8d %12.3f %8.2f %7s\n" r.pd r.par_ms
-            (speedup rows r)
-            (if r.pagree then "yes" else "NO"))
-        rows)
-    results;
-  let counters = Parallel.Pool.counters () in
-  Printf.printf "\npool counters:";
-  List.iter (fun (name, c) -> Printf.printf " %s=%d" name c) counters;
-  Printf.printf " busy=%.3fs\n" (Parallel.Pool.busy_seconds ());
-  let all_agree =
-    List.for_all (fun (_, rows) -> List.for_all (fun r -> r.pagree) rows)
-      results
-  in
-  Printf.printf "bit-identical across domain counts: %s\n"
-    (if all_agree then "yes" else "NO");
-  let oc = open_out "BENCH_parallel.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"experiment\": \"parallel\",\n";
-  out "  \"cores\": %d,\n" cores;
-  out "  \"n\": %d,\n" n;
-  out "  \"par_threshold\": %d,\n" (Parallel.Pool.threshold ());
-  out "  \"algorithms\": [\n%s\n  ],\n"
-    (String.concat ",\n"
-       (List.map
-          (fun (name, rows) ->
-            Printf.sprintf "    { \"name\": %S,\n      \"rows\": [\n%s\n      ] }"
-              name
-              (String.concat ",\n"
-                 (List.map
-                    (fun r ->
-                      Printf.sprintf
-                        "        { \"domains\": %d, \"ms\": %.3f, \
-                         \"speedup\": %.3f, \"agree\": %b }"
-                        r.pd r.par_ms (speedup rows r) r.pagree)
-                    rows)))
-          results));
-  out "  \"speedup_at_4_domains\": {\n%s\n  },\n"
-    (String.concat ",\n"
-       (List.map
-          (fun (name, rows) ->
-            let r = List.find (fun x -> x.pd = 4) rows in
-            Printf.sprintf "    %S: %.3f" name (speedup rows r))
-          results));
-  out "  \"pool_counters\": {\n%s\n  },\n"
-    (String.concat ",\n"
-       (List.map (fun (name, c) -> Printf.sprintf "    %S: %d" name c) counters));
-  out "  \"agree\": %b\n" all_agree;
-  out "}\n";
-  close_out oc;
-  print_endline "wrote BENCH_parallel.json"
-
-(* ---------------------------------------------------------------- *)
 (* Warm-up: cold vs analyzer-pre-warmed first iteration               *)
 (* ---------------------------------------------------------------- *)
 
@@ -1232,7 +1095,6 @@ let serve_bench () =
       tcp_addr = None;
       workers = 2;
       queue_cap = 16;
-      session_budget = Parallel.Pool.domains ();
       batch_window = 0.0005;
       warm_n = n;
       warm = true }
@@ -1565,7 +1427,6 @@ let cost_bench max_n =
   (* -- phase 1: observe under pinned schedules, then calibrate -- *)
   print_endline "\n-- phase 1: calibration passes (pinned pull/push) --";
   Jit.Jit_stats.reset ();
-  Parallel.Pool.reset_counters ();
   List.iter
     (fun fill ->
       let u = sweep_vec fill in
@@ -1857,7 +1718,7 @@ let () =
          (fun a ->
            List.mem a
              [ "fig10"; "fig11"; "compile"; "table1"; "ablation"; "exec";
-               "formats"; "parallel"; "warmup"; "faults"; "serve"; "cost";
+               "formats"; "warmup"; "faults"; "serve"; "cost";
                "oocore"; "workloads"; "micro" ])
          args)
   in
@@ -1878,7 +1739,6 @@ let () =
          (* keep the artifact at three sizes: the last three *)
          List.filteri (fun i _ -> i >= List.length s - 3) s
        else s);
-  if all || has "parallel" then parallel_bench max_n;
   if all || has "warmup" then warmup_bench ();
   if all || has "faults" then faults_bench ();
   if all || has "serve" then serve_bench ();

@@ -11,9 +11,9 @@ let load_float_matrix spec symmetrize =
   Server.Graph_spec.load_fp64 spec ~symmetrize
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9)
 
 (* -- run subcommand -- *)
 
@@ -418,7 +418,7 @@ let doctor_cmd =
 
 (* -- serve subcommand: the multi-tenant graph-service daemon -- *)
 
-let serve sock addr workers queue session_domains batch_window warm_n no_warm =
+let serve sock addr workers queue batch_window warm_n no_warm =
   let base = Server.Daemon.default_config () in
   let cfg =
     { Server.Daemon.sock_path =
@@ -438,9 +438,6 @@ let serve sock addr workers queue session_domains batch_window warm_n no_warm =
       workers =
         (if workers > 0 then workers else base.Server.Daemon.workers);
       queue_cap = (if queue > 0 then queue else base.Server.Daemon.queue_cap);
-      session_budget =
-        (if session_domains > 0 then session_domains
-         else base.Server.Daemon.session_budget);
       batch_window =
         (if batch_window >= 0.0 then batch_window
          else base.Server.Daemon.batch_window);
@@ -470,14 +467,12 @@ let serve sock addr workers queue session_domains batch_window warm_n no_warm =
           Server.Daemon.stop running)
         ()
     in
-    Printf.printf "ogb serve: listening on %s%s (%d workers, queue %d, \
-                   session budget %d)\n%!"
+    Printf.printf "ogb serve: listening on %s%s (%d workers, queue %d)\n%!"
       cfg.Server.Daemon.sock_path
       (match cfg.Server.Daemon.tcp_addr with
       | Some (h, p) -> Printf.sprintf " and tcp %s:%d" h p
       | None -> "")
-      cfg.Server.Daemon.workers cfg.Server.Daemon.queue_cap
-      cfg.Server.Daemon.session_budget;
+      cfg.Server.Daemon.workers cfg.Server.Daemon.queue_cap;
     Server.Daemon.wait running;
     Printf.printf "ogb serve: stopped\n%!";
     0
@@ -508,12 +503,6 @@ let serve_cmd =
       & info [ "queue" ]
           ~doc:"Admission-queue bound; overflow is shed (0 = env/default).")
   in
-  let session_domains =
-    Arg.(
-      value & opt int 0
-      & info [ "session-domains" ]
-          ~doc:"Pool-domain budget per session request (0 = whole pool).")
-  in
   let batch_window =
     Arg.(
       value & opt float (-1.0)
@@ -537,8 +526,8 @@ let serve_cmd =
           contexts, admission control and same-signature request batching. \
           SIGTERM/SIGINT shut it down cleanly.")
     Term.(
-      const serve $ sock $ addr $ workers $ queue $ session_domains
-      $ batch_window $ warm_n $ no_warm)
+      const serve $ sock $ addr $ workers $ queue $ batch_window $ warm_n
+      $ no_warm)
 
 (* -- client subcommand -- *)
 
@@ -808,23 +797,19 @@ let analyze_cmd =
           optionally pre-warm the JIT")
     Term.(const analyze $ algo $ n $ warm $ effects $ schedule_arg)
 
-(* -- lint subcommand: effect-analysis self-tests, parallel-kernel
-   certification, and the daemon shared-state audit -- *)
+(* -- lint subcommand: effect-analysis self-tests and the daemon
+   shared-state audit -- *)
 
 let lint () =
-  Analysis.Lint.apply_env_tamper ();
   let findings =
     List.map Analysis.Lint.describe (Analysis.Lint.run ())
     @ List.map Server.Audit.describe (Server.Audit.run ())
   in
-  Printf.printf
-    "lint: %d parallel kernel descriptor(s), %d audited handler state(s)\n"
-    (List.length (Jit.Par_kernels.Certify.registry ()))
+  Printf.printf "lint: %d audited handler state(s)\n"
     (List.length Server.Audit.manifest);
   match findings with
   | [] ->
-    Printf.printf "lint: ok (effects self-tests, parallel-safety \
-                   certification, daemon audit)\n";
+    Printf.printf "lint: ok (effects self-tests, daemon audit)\n";
     0
   | fs ->
     List.iter (fun f -> Printf.printf "lint: FINDING %s\n" f) fs;
@@ -837,9 +822,7 @@ let lint_cmd =
        ~doc:
          "Re-prove the static safety arguments: the effect analysis still \
           flags every seeded hazard class (and passes hazard-free plans), \
-          every parallel kernel's chunk decomposition is disjoint and \
-          covering with chunk-combined kernels gated on exact \
-          associativity, and the serve daemon's handlers touch no shared \
+          and the serve daemon's handlers touch no shared \
           mutable state outside the immutable registry and per-session \
           context.  Exits nonzero on any finding.")
     Term.(const lint $ const ())

@@ -1,54 +1,15 @@
 (* [ogb lint]'s analysis side: prove the effect system still catches the
-   hazards it exists for (self-tests over seeded fixture plans), then
-   certify the parallel kernel decompositions ({!Certify}).
+   hazards it exists for (self-tests over seeded fixture plans).
 
    The self-tests run the real pipeline — expressions lowered, rewritten
    and planned by [Exec.plan_force] — so a rewrite or planner change
-   that hides a hazard class from the analysis fails lint, not a user.
-
-   [OGB_CERT_TAMPER] seeds defects for the CI regression tests:
-   ["chunks=<kernel>"] hands the certifier an overlapping chunk
-   decomposition for one kernel, ["assoc"] widens the exact_assoc gate
-   to every operator.  Both must turn lint's exit nonzero. *)
+   that hides a hazard class from the analysis fails lint, not a user. *)
 
 type finding = { area : string; detail : string }
 
 let describe f = Printf.sprintf "%s: %s" f.area f.detail
 
-let apply_env_tamper () =
-  match Sys.getenv_opt "OGB_CERT_TAMPER" with
-  | None | Some "" -> ()
-  | Some spec ->
-    List.iter
-      (fun item ->
-        match String.index_opt item '=' with
-        | Some i when String.sub item 0 i = "chunks" ->
-          let victim =
-            String.sub item (i + 1) (String.length item - i - 1)
-          in
-          Jit.Par_kernels.Certify.set_tamper
-            (Some
-               (fun d ->
-                 if d.Jit.Par_kernels.Certify.name = victim then
-                   { d with
-                     Jit.Par_kernels.Certify.chunks =
-                       (fun ~n ~grain ->
-                         (* widen every chunk one slot to the right: the
-                            classic off-by-one that makes neighbours
-                            share an output index *)
-                         Array.map
-                           (fun (lo, hi) -> (lo, min n (hi + 1)))
-                           (Jit.Par_kernels.Certify.pool_chunks ~n ~grain))
-                   }
-                 else d))
-        | _ when item = "assoc" ->
-          Jit.Kernels.set_assoc_override
-            (Some (fun ~dtype:_ ~op:_ -> true))
-        | _ ->
-          Printf.eprintf "ogb lint: unknown OGB_CERT_TAMPER item %S\n%!" item)
-      (String.split_on_char ',' spec)
-
-let effects_self_tests () =
+let run () =
   Gbtl.Format_stats.with_enabled true (fun () ->
       let fs = ref [] in
       let add detail = fs := { area = "effects"; detail } :: !fs in
@@ -127,8 +88,3 @@ let effects_self_tests () =
       then add "aliased operands (two containers, one vector) were not flagged";
       List.rev !fs)
 
-let run () =
-  effects_self_tests ()
-  @ List.map
-      (fun f -> { area = "certify"; detail = Certify.describe f })
-      (Certify.run ())

@@ -16,7 +16,6 @@
    calibration must never silently steer the planner. *)
 
 let file_version = 1
-let chunk_target_ns = 200_000.0 (* ~200µs per pool chunk *)
 
 type coef = { mutable ns : float; mutable samples : int }
 
@@ -196,14 +195,6 @@ let absorb () =
         let ns = seconds *. 1e9 /. items in
         if merge st family ~ns ~samples then incr updated)
     (Jit.Jit_stats.kernel_times ());
-  (* pool chunks: busy seconds over covered iterations *)
-  let pc = Parallel.Pool.counters () in
-  let items = Option.value ~default:0 (List.assoc_opt "items" pc) in
-  let chunks = Option.value ~default:0 (List.assoc_opt "chunks" pc) in
-  if items > 0 && chunks > 0 then begin
-    let ns = Parallel.Pool.busy_seconds () *. 1e9 /. float_of_int items in
-    if merge st "pool.chunk" ~ns ~samples:chunks then incr updated
-  end;
   (* compile amortization: mean wall time of one fresh compile *)
   let js = Jit.Jit_stats.snapshot () in
   if js.Jit.Jit_stats.compiles > 0 then begin
@@ -228,17 +219,3 @@ let save () =
     Error e
 
 let reload () = Mutex.protect lock (fun () -> state := None)
-
-(* -- pool grain hook: coarsen chunks toward chunk_target_ns -- *)
-
-let () =
-  Parallel.Pool.set_grain_hook (fun ~n ~base ->
-      if n <= base then None
-      else
-        match ns_per_item "pool.chunk" with
-        | None -> None
-        | Some ns when ns <= 0.0 -> None
-        | Some ns ->
-          let target = chunk_target_ns /. ns in
-          if target <= float_of_int base || target > 1e9 then None
-          else Some (int_of_float target))

@@ -1,21 +1,14 @@
 (** Persisted cost-model coefficients, calibrated from measured kernel
     timings.
 
-    The scheduler and the pool record per-family execution timings
-    ({!Jit.Jit_stats.record_kernel_time}, [Parallel.Pool.counters]);
-    {!absorb} normalizes them into ns/item coefficients, and {!save}
-    persists them as a versioned, checksummed file next to the JIT disk
-    cache.  {!load} runs lazily on first query: a missing file means
+    The scheduler records per-family execution timings
+    ({!Jit.Jit_stats.record_kernel_time}); {!absorb} normalizes them
+    into ns/item coefficients, and {!save} persists them as a
+    versioned, checksummed file next to the JIT disk cache.  {!load} runs lazily on first query: a missing file means
     uncalibrated defaults, and a corrupt file (bad header, bad
     checksum, or the [cost.calib.corrupt] injection point) is loudly
     quarantined to [.bad] — mirroring the JIT cache quarantine — and
-    falls back to the defaults, never to garbage coefficients.
-
-    At module initialization this installs the pool's calibration-aware
-    grain hook ({!Parallel.Pool.set_grain_hook}): when a [pool.chunk]
-    coefficient is known, chunk grains are coarsened so one chunk costs
-    roughly [chunk_target_ns]; without data the pool keeps its fixed
-    power-of-two formula. *)
+    falls back to the defaults, never to garbage coefficients. *)
 
 val path : unit -> string
 (** Calibration file ([calibration.v1] inside {!Jit.Disk_cache.dir}). *)
@@ -29,14 +22,13 @@ val calibrated : unit -> bool
 
 val ns_per_item : string -> float option
 (** Calibrated coefficient for a kernel family ("mxv_pull",
-    "pool.chunk", …), in nanoseconds per item; [None] when the family
+    "compile", …), in nanoseconds per item; [None] when the family
     has no measured data. *)
 
 val absorb : unit -> int
-(** Fold the timing tallies currently in [Jit_stats] (and the pool's
-    busy-time counters) into the in-memory coefficient table, averaging
-    with previously loaded values.  Returns the number of families
-    updated. *)
+(** Fold the timing tallies currently in [Jit_stats] into the
+    in-memory coefficient table, averaging with previously loaded
+    values.  Returns the number of families updated. *)
 
 val save : unit -> (string, string) result
 (** {!absorb}, bump the generation and atomically persist.  [Ok path]
@@ -48,9 +40,6 @@ val reload : unit -> unit
 
 val quarantines : unit -> int
 (** Corrupt calibration files moved aside since startup. *)
-
-val chunk_target_ns : float
-(** Per-chunk duration the grain hook aims for. *)
 
 val summary : unit -> (string * float * int) list
 (** [(family, ns/item, samples)] for every loaded/absorbed coefficient,

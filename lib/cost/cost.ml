@@ -3,7 +3,7 @@
    the serialized schedule values the planner searches and OGB_SCHEDULE
    pins (Schedule).  The planner itself lives in lib/exec (it needs the
    plan representation); this layer is deliberately below exec so the
-   JIT, the pool and the bench can share it. *)
+   JIT and the bench can share it. *)
 
 module Calibration = Calibration
 module Model = Model

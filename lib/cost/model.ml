@@ -30,7 +30,6 @@ let defaults =
     ("transpose", 6.0);
     ("leaf", 0.0);
     ("csc.build", 10.0);
-    ("pool.chunk", 5.0);
     ("compile", 15e6) ]
 
 let families = List.map fst defaults

@@ -24,11 +24,12 @@ let () =
            (Printexc.to_string error))
     | _ -> None)
 
-let now () = Unix.gettimeofday ()
+(* Monotonic: node timings feed the calibration store, and a wall-clock
+   step must not write a negative or huge ns/item into it. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-(* Domain budget lives in the shared pool (lib/parallel): the scheduler
-   and the chunked kernels draw from the same OGB_DOMAINS allotment
-   instead of oversubscribing each other. *)
+(* Domain budget lives in the shared pool (lib/parallel), whose helper
+   domains run this scheduler's inter-op workers. *)
 let set_domains n = Parallel.Pool.set_domains n
 let clear_domains_override () = Parallel.Pool.clear_domains_override ()
 
@@ -65,11 +66,6 @@ let observe plan n vals seconds =
    too: under a persistent fault the sequential re-run fails the same
    way and the degradation ladder continues to the blocking evaluator. *)
 let exec_node plan id n vals =
-  (* Bracket the node so Parallel.Pool.budget can split the chunk-level
-     domain budget between concurrently running nodes: a lone node's
-     kernels get the whole pool, siblings share it. *)
-  Parallel.Pool.enter_node ();
-  Fun.protect ~finally:Parallel.Pool.leave_node @@ fun () ->
   try
     if Fault.fire "sched.worker.slow" then Unix.sleepf 0.02;
     if Fault.fire "sched.worker.exn" then raise (Fault.Injected "sched.worker.exn");

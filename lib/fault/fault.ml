@@ -21,8 +21,6 @@ let points =
     "cache.mkdir.race";  (* concurrent mkdir wins the TOCTOU window *)
     "sched.worker.exn";  (* worker domain raises mid-plan *)
     "sched.worker.slow";  (* worker domain stalls on a node *)
-    "par.worker.exn";  (* pool worker raises mid-chunk (degrade to seq) *)
-    "par.worker.slow";  (* pool worker stalls on a chunk *)
     "serve.accept.exn";  (* daemon accept loop raises on a connection *)
     "serve.session.exn";  (* session handler dies mid-request *)
     "serve.batch.partial";  (* one member of a coalesced batch fails *)

@@ -68,40 +68,6 @@ let mxv ~add ~mul ~dummy ~nrows ~ncols ~transpose (arp, aci, avs)
     (out_idx, out_vls)
   end
 
-(* Pull form of the transposed product, reading the CSC side of A:
-   (Aᵀu)_c = ⊕_j A(j,c) ⊗ u(j), one gather per output position instead
-   of one scatter per frontier entry.  Rows ascend within each column,
-   so contributions accumulate in the same order as the scatter form
-   and the results are bit-identical. *)
-let mxv_pull ~add ~mul ~dummy ~nrows ~ncols ((acp, ari, avs) : 'a csr)
-    ((uidx, uvls, un) : 'a ventry) =
-  let u_dense = Array.make (max nrows 1) dummy in
-  let u_occ = Array.make (max nrows 1) false in
-  for k = 0 to un - 1 do
-    u_dense.(uidx.(k)) <- uvls.(k);
-    u_occ.(uidx.(k)) <- true
-  done;
-  let out_idx = Array.make (max ncols 1) 0 in
-  let out_vls = Array.make (max ncols 1) dummy in
-  let n = ref 0 in
-  for c = 0 to ncols - 1 do
-    let acc = ref dummy and hit = ref false in
-    for p = acp.(c) to acp.(c + 1) - 1 do
-      let j = ari.(p) in
-      if u_occ.(j) then begin
-        let v = mul avs.(p) u_dense.(j) in
-        acc := (if !hit then add !acc v else v);
-        hit := true
-      end
-    done;
-    if !hit then begin
-      out_idx.(!n) <- c;
-      out_vls.(!n) <- !acc;
-      incr n
-    end
-  done;
-  trim out_idx out_vls !n
-
 (* Direction-optimized pull for masked transposed products (the BFS
    bottom-up step): only [allowed] output positions are gathered, the
    frontier arrives dense, and a column's gather stops as soon as [stop]

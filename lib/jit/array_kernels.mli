@@ -24,19 +24,6 @@ val mxv :
 (** [w = A ⊕.⊗ u] (or [Aᵀ ⊕.⊗ u]); output size is [nrows] ([ncols] when
     transposed). *)
 
-val mxv_pull :
-  add:('a -> 'a -> 'a) ->
-  mul:('a -> 'a -> 'a) ->
-  dummy:'a ->
-  nrows:int ->
-  ncols:int ->
-  'a csr ->
-  'a ventry ->
-  int array * 'a array
-(** [w = Aᵀ ⊕.⊗ u] in pull form over the CSC arrays of [A] (passed as
-    [(colptr, rowidx, cvals)]); [nrows]/[ncols] are A's.  Bit-identical
-    to [mxv ~transpose:true]. *)
-
 val mxv_pull_masked :
   add:('a -> 'a -> 'a) ->
   mul:('a -> 'a -> 'a) ->

@@ -835,363 +835,3 @@ let reduce_source ~dtype ~op ~identity ~key =
              ])
       | _, _ -> None)
 
-(* {2 Parallel variants}
-
-   Chunked over [!Jit_plugin_api.par_for] — the host installs its shared
-   domain pool there at startup; the default runs the same chunk
-   decomposition sequentially, so a module loaded without the pool still
-   computes the identical result.  The chunk grain is a compile-time
-   literal (it is part of the cache key), so the decomposition — and for
-   the chunk-merged kernels the exact regrouping of ⊕ — is frozen into
-   the module and independent of the domain count.  Loop bodies are the
-   monomorphized text of the Par_kernels algorithms; keep them in
-   sync. *)
-
-let grain_def grain = Printf.sprintf "let grain_ = %d\n" grain
-
-(* Row-blocked gather branch; the scatter branch (reached only when the
-   wrapper passes the transpose flag, which the parallel dispatch never
-   does) stays sequential verbatim. *)
-let matvec_par_body ~t ~gather_term ~scatter_term =
-  Printf.sprintf
-    {|let kernel (arg : Obj.t) : Obj.t =
-  let (arp, aci, avs, uidx, uvls, un, nrows, ncols, transpose) =
-    (Obj.obj arg
-      : int array * int array * %s array * int array * %s array * int * int
-        * int * bool)
-  in
-  if not transpose then begin
-    let u_dense = Array.make ncols identity_ in
-    let u_occ = Array.make ncols false in
-    for k = 0 to un - 1 do
-      u_dense.(uidx.(k)) <- uvls.(k);
-      u_occ.(uidx.(k)) <- true
-    done;
-    let nchunks = (nrows + grain_ - 1) / grain_ in
-    let parts_idx = Array.make (max nchunks 1) ([||] : int array) in
-    let parts_vls = Array.make (max nchunks 1) ([||] : %s array) in
-    !Jit_plugin_api.par_for ~n:nrows ~grain:grain_ (fun clo chi ->
-        let ci = clo / grain_ in
-        let idx = Array.make (chi - clo) 0 in
-        let vls = Array.make (chi - clo) identity_ in
-        let k = ref 0 in
-        for i = clo to chi - 1 do
-          let acc = ref identity_ and hit = ref false in
-          for p = arp.(i) to arp.(i + 1) - 1 do
-            let j = aci.(p) in
-            if u_occ.(j) then begin
-              let v = %s in
-              acc := (if !hit then add_ !acc v else v);
-              hit := true
-            end
-          done;
-          if !hit then begin
-            idx.(!k) <- i;
-            vls.(!k) <- !acc;
-            incr k
-          end
-        done;
-        parts_idx.(ci) <- Array.sub idx 0 !k;
-        parts_vls.(ci) <- Array.sub vls 0 !k);
-    let total = Array.fold_left (fun a p -> a + Array.length p) 0 parts_idx in
-    let out_idx = Array.make (max total 1) 0 in
-    let out_vls = Array.make (max total 1) identity_ in
-    let off = ref 0 in
-    for ci = 0 to nchunks - 1 do
-      let len = Array.length parts_idx.(ci) in
-      Array.blit parts_idx.(ci) 0 out_idx !off len;
-      Array.blit parts_vls.(ci) 0 out_vls !off len;
-      off := !off + len
-    done;
-    Obj.repr (Array.sub out_idx 0 total, Array.sub out_vls 0 total)
-  end
-  else begin
-    let acc = Array.make (max ncols 1) identity_ in
-    let occ = Array.make (max ncols 1) false in
-    for k = 0 to un - 1 do
-      let j = uidx.(k) in
-      let uj = uvls.(k) in
-      for p = arp.(j) to arp.(j + 1) - 1 do
-        let c = aci.(p) in
-        let v = %s in
-        if occ.(c) then acc.(c) <- add_ acc.(c) v
-        else begin
-          acc.(c) <- v;
-          occ.(c) <- true
-        end
-      done
-    done;
-    let n = ref 0 in
-    for c = 0 to ncols - 1 do
-      if occ.(c) then incr n
-    done;
-    let out_idx = Array.make (max !n 1) 0
-    and out_vls = Array.make (max !n 1) identity_ in
-    let k = ref 0 in
-    for c = 0 to ncols - 1 do
-      if occ.(c) then begin
-        out_idx.(!k) <- c;
-        out_vls.(!k) <- acc.(c);
-        incr k
-      end
-    done;
-    Obj.repr (Array.sub out_idx 0 !n, Array.sub out_vls 0 !n)
-  end
-|}
-    t t t gather_term scatter_term
-
-let matvec_par_source ~orientation ~dtype ~(sr : Op_spec.semiring) ~grain ~key =
-  with_cls dtype (fun cls ->
-      match
-        ( binop_expr_cls cls sr.Op_spec.add_op,
-          binop_expr_cls cls sr.Op_spec.mul_op,
-          identity_expr_cls cls sr.Op_spec.add_identity )
-      with
-      | Some add, Some mul, Some ident ->
-        let t = ty cls in
-        let gather_term, scatter_term =
-          match orientation with
-          | `Mxv -> ("mul_ avs.(p) u_dense.(j)", "mul_ avs.(p) uj")
-          | `Vxm -> ("mul_ u_dense.(j) avs.(p)", "mul_ uj avs.(p)")
-        in
-        Some
-          (String.concat ""
-             [ header key;
-               Printf.sprintf "let add_ = %s\n" add;
-               Printf.sprintf "let mul_ = %s\n" mul;
-               Printf.sprintf "let identity_ : %s = %s\n" t ident;
-               grain_def grain;
-               matvec_par_body ~t ~gather_term ~scatter_term;
-               register key;
-             ])
-      | _, _, _ -> None)
-
-let mxv_par_source ~dtype ~sr ~grain ~key =
-  matvec_par_source ~orientation:`Mxv ~dtype ~sr ~grain ~key
-
-let vxm_par_source ~dtype ~sr ~grain ~key =
-  matvec_par_source ~orientation:`Vxm ~dtype ~sr ~grain ~key
-
-let mxv_pull_par_source ~dtype ~sr ~grain ~key =
-  matvec_par_source ~orientation:`Mxv ~dtype ~sr ~grain ~key
-
-(* Column-blocked pull product: disjoint in-place writes, exact for every
-   operator. *)
-let vxm_pull_dense_par_source ~dtype ~(sr : Op_spec.semiring) ~grain ~key =
-  with_cls dtype (fun cls ->
-      match
-        ( binop_expr_cls cls sr.Op_spec.add_op,
-          binop_expr_cls cls sr.Op_spec.mul_op,
-          identity_expr_cls cls sr.Op_spec.add_identity )
-      with
-      | Some add, Some mul, Some ident ->
-        let t = ty cls in
-        Some
-          (String.concat ""
-             [ header key;
-               Printf.sprintf "let add_ = %s\n" add;
-               Printf.sprintf "let mul_ = %s\n" mul;
-               Printf.sprintf "let identity_ : %s = %s\n" t ident;
-               grain_def grain;
-               Printf.sprintf
-                 {|let kernel (arg : Obj.t) : Obj.t =
-  let (uvls, uocc, acp, ari, avs, ncols) =
-    (Obj.obj arg
-      : %s array * bool array * int array * int array * %s array * int)
-  in
-  let acc = Array.make (max ncols 1) identity_ in
-  let occ = Array.make (max ncols 1) false in
-  let full = ref true in
-  for i = 0 to Array.length uocc - 1 do
-    if not uocc.(i) then full := false
-  done;
-  if !full then
-    !Jit_plugin_api.par_for ~n:ncols ~grain:grain_ (fun clo chi ->
-        for c = clo to chi - 1 do
-          let lo = acp.(c) and hi = acp.(c + 1) in
-          if hi > lo then begin
-            let a = ref (mul_ uvls.(ari.(lo)) avs.(lo)) in
-            for p = lo + 1 to hi - 1 do
-              a := add_ !a (mul_ uvls.(ari.(p)) avs.(p))
-            done;
-            acc.(c) <- !a;
-            occ.(c) <- true
-          end
-        done)
-  else
-    !Jit_plugin_api.par_for ~n:ncols ~grain:grain_ (fun clo chi ->
-        for c = clo to chi - 1 do
-          let a = ref identity_ and hit = ref false in
-          for p = acp.(c) to acp.(c + 1) - 1 do
-            let i = ari.(p) in
-            if uocc.(i) then begin
-              let v = mul_ uvls.(i) avs.(p) in
-              a := (if !hit then add_ !a v else v);
-              hit := true
-            end
-          done;
-          if !hit then begin
-            acc.(c) <- !a;
-            occ.(c) <- true
-          end
-        done);
-  Obj.repr (acc, occ)
-|}
-                 t t;
-               register key;
-             ])
-      | _, _, _ -> None)
-
-(* Index-blocked dense elementwise: disjoint in-place writes. *)
-let ewise_dense_par_source ~kind ~dtype ~op ~grain ~key =
-  with_cls dtype (fun cls ->
-      match binop_expr_cls cls op with
-      | Some op_expr ->
-        let t = ty cls in
-        let body =
-          match kind with
-          | `Add ->
-            {|      if aocc.(i) then begin
-        out.(i) <- (if bocc.(i) then op_ avls.(i) bvls.(i) else avls.(i));
-        occ.(i) <- true
-      end
-      else if bocc.(i) then begin
-        out.(i) <- bvls.(i);
-        occ.(i) <- true
-      end|}
-          | `Mult ->
-            {|      if aocc.(i) && bocc.(i) then begin
-        out.(i) <- op_ avls.(i) bvls.(i);
-        occ.(i) <- true
-      end|}
-        in
-        Some
-          (String.concat ""
-             [ header key;
-               Printf.sprintf "let op_ = %s\n" op_expr;
-               Printf.sprintf "let zero_ : %s = %s\n" t (const_lit cls 0.0);
-               grain_def grain;
-               Printf.sprintf
-                 {|let kernel (arg : Obj.t) : Obj.t =
-  let (avls, aocc, bvls, bocc) =
-    (Obj.obj arg : %s array * bool array * %s array * bool array)
-  in
-  let len = Array.length avls in
-  let out = Array.make (max len 1) zero_ in
-  let occ = Array.make (max len 1) false in
-  !Jit_plugin_api.par_for ~n:len ~grain:grain_ (fun clo chi ->
-    for i = clo to chi - 1 do
-%s
-    done);
-  Obj.repr (out, occ)
-|}
-                 t t body;
-               register key;
-             ])
-      | None -> None)
-
-let apply_dense_par_source ~dtype ~f ~grain ~key =
-  with_cls dtype (fun cls ->
-      match unary_expr_cls cls f with
-      | Some f_expr ->
-        let t = ty cls in
-        Some
-          (String.concat ""
-             [ header key;
-               Printf.sprintf "let f_ = %s\n" f_expr;
-               Printf.sprintf "let zero_ : %s = %s\n" t (const_lit cls 0.0);
-               grain_def grain;
-               Printf.sprintf
-                 {|let kernel (arg : Obj.t) : Obj.t =
-  let (avls, aocc) = (Obj.obj arg : %s array * bool array) in
-  let len = Array.length avls in
-  let out = Array.make (max len 1) zero_ in
-  !Jit_plugin_api.par_for ~n:len ~grain:grain_ (fun clo chi ->
-      for i = clo to chi - 1 do
-        if aocc.(i) then out.(i) <- f_ avls.(i)
-      done);
-  Obj.repr (out, Array.copy aocc)
-|}
-                 t;
-               register key;
-             ])
-      | None -> None)
-
-(* Chunk-combined reduces: per-chunk partials fold without the identity
-   seed, combine in ascending chunk order, then seed with the identity
-   exactly as the sequential left fold does.  The dispatcher gates these
-   to exactly associative ⊕ (Kernels.exact_assoc). *)
-let reduce_dense_par_source ~dtype ~op ~identity ~grain ~key =
-  with_cls dtype (fun cls ->
-      match binop_expr_cls cls op, identity_expr_cls cls identity with
-      | Some op_expr, Some ident ->
-        Some
-          (String.concat ""
-             [ header key;
-               Printf.sprintf "let op_ = %s\n" op_expr;
-               Printf.sprintf "let identity_ : %s = %s\n" (ty cls) ident;
-               grain_def grain;
-               Printf.sprintf
-                 {|let kernel (arg : Obj.t) : Obj.t =
-  let (avls, aocc) = (Obj.obj arg : %s array * bool array) in
-  let len = Array.length avls in
-  let nchunks = (len + grain_ - 1) / grain_ in
-  let hitp = Array.make (max nchunks 1) false in
-  let accp = Array.make (max nchunks 1) identity_ in
-  !Jit_plugin_api.par_for ~n:len ~grain:grain_ (fun clo chi ->
-      let ci = clo / grain_ in
-      let acc = ref identity_ and hit = ref false in
-      for i = clo to chi - 1 do
-        if aocc.(i) then begin
-          acc := (if !hit then op_ !acc avls.(i) else avls.(i));
-          hit := true
-        end
-      done;
-      hitp.(ci) <- !hit;
-      accp.(ci) <- !acc);
-  let acc = ref identity_ and any = ref false in
-  for ci = 0 to nchunks - 1 do
-    if hitp.(ci) then begin
-      acc := (if !any then op_ !acc accp.(ci) else accp.(ci));
-      any := true
-    end
-  done;
-  Obj.repr (if !any then op_ identity_ !acc else identity_)
-|}
-                 (ty cls);
-               register key;
-             ])
-      | _, _ -> None)
-
-let reduce_par_source ~dtype ~op ~identity ~grain ~key =
-  with_cls dtype (fun cls ->
-      match binop_expr_cls cls op, identity_expr_cls cls identity with
-      | Some op_expr, Some ident ->
-        Some
-          (String.concat ""
-             [ header key;
-               Printf.sprintf "let op_ = %s\n" op_expr;
-               Printf.sprintf "let identity_ : %s = %s\n" (ty cls) ident;
-               grain_def grain;
-               Printf.sprintf
-                 {|let kernel (arg : Obj.t) : Obj.t =
-  let (avls, an) = (Obj.obj arg : %s array * int) in
-  let nchunks = (an + grain_ - 1) / grain_ in
-  let accp = Array.make (max nchunks 1) identity_ in
-  !Jit_plugin_api.par_for ~n:an ~grain:grain_ (fun clo chi ->
-      let ci = clo / grain_ in
-      let acc = ref avls.(clo) in
-      for k = clo + 1 to chi - 1 do
-        acc := op_ !acc avls.(k)
-      done;
-      accp.(ci) <- !acc);
-  let acc = ref identity_ in
-  for ci = 0 to nchunks - 1 do
-    acc := op_ !acc accp.(ci)
-  done;
-  Obj.repr !acc
-|}
-                 (ty cls);
-               register key;
-             ])
-      | _, _ -> None)

@@ -92,41 +92,3 @@ val apply_dense_source :
 val reduce_dense_source :
   dtype:string -> op:string -> identity:string -> key:string -> string option
 
-(** {2 Parallel variants} — chunked over [!Jit_plugin_api.par_for] with
-    the grain embedded as a compile-time literal (it is part of the
-    cache key), so the decomposition is frozen into the module and
-    independent of the domain count.  Gather/dense kernels partition
-    the output space and are bit-identical to their sequential twins
-    for every operator; the chunk-combined reduces are gated by the
-    dispatcher to exactly associative ⊕. *)
-
-val mxv_par_source :
-  dtype:string -> sr:Op_spec.semiring -> grain:int -> key:string ->
-  string option
-
-val vxm_par_source :
-  dtype:string -> sr:Op_spec.semiring -> grain:int -> key:string ->
-  string option
-
-val mxv_pull_par_source :
-  dtype:string -> sr:Op_spec.semiring -> grain:int -> key:string ->
-  string option
-
-val vxm_pull_dense_par_source :
-  dtype:string -> sr:Op_spec.semiring -> grain:int -> key:string ->
-  string option
-
-val ewise_dense_par_source :
-  kind:[ `Add | `Mult ] -> dtype:string -> op:string -> grain:int ->
-  key:string -> string option
-
-val apply_dense_par_source :
-  dtype:string -> f:Op_spec.unary -> grain:int -> key:string -> string option
-
-val reduce_dense_par_source :
-  dtype:string -> op:string -> identity:string -> grain:int -> key:string ->
-  string option
-
-val reduce_par_source :
-  dtype:string -> op:string -> identity:string -> grain:int -> key:string ->
-  string option

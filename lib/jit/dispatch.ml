@@ -30,7 +30,9 @@ type inflight_entry = {
 
 let inflight : (string, inflight_entry) Hashtbl.t = Hashtbl.create 16
 
-let now () = Unix.gettimeofday ()
+(* Monotonic: compile times feed Jit_stats and from there the cost
+   calibration, which a wall-clock step must not corrupt. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let closure_compile ~key ~hash ~build ~source =
   (* The closure backend still runs codegen when available and persists

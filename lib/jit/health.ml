@@ -14,7 +14,6 @@ type t = {
   fault_counters : (string * int * int) list;
   stats : Jit_stats.snapshot;
   pool_domains : int;
-  pool_threshold : int;
   pool_counters : (string * int) list;
   pool_busy_seconds : float;
   tile_store_dir : string;
@@ -54,7 +53,6 @@ let collect ?(probe = true) () =
     fault_counters = Fault.counters ();
     stats = Jit_stats.snapshot ();
     pool_domains = Parallel.Pool.domains ();
-    pool_threshold = Parallel.Pool.threshold ();
     pool_counters = Jit_stats.pool ();
     pool_busy_seconds = Jit_stats.pool_busy_seconds ();
     tile_store_dir = Gbtl.Tile_store.root_dir ();
@@ -126,8 +124,8 @@ let to_json t =
     s.Jit_stats.blocking_fallbacks s.Jit_stats.effects_checks
     s.Jit_stats.effects_hazards s.Jit_stats.effects_rejections
     s.Jit_stats.effects_degraded;
-  out "\"pool\": { \"domains\": %d, \"threshold\": %d, \"busy_seconds\": %.6f%s }, "
-    t.pool_domains t.pool_threshold t.pool_busy_seconds
+  out "\"pool\": { \"domains\": %d, \"busy_seconds\": %.6f%s }, "
+    t.pool_domains t.pool_busy_seconds
     (String.concat ""
        (List.map
           (fun (k, v) -> Printf.sprintf ", %s: %d" (Printf.sprintf "%S" k) v)
@@ -164,8 +162,7 @@ let pp fmt t =
         fired)
     t.fault_counters;
   Format.fprintf fmt "stats: %a@\n" Jit_stats.pp t.stats;
-  Format.fprintf fmt "domain pool:      %d domains, par threshold %d@\n"
-    t.pool_domains t.pool_threshold;
+  Format.fprintf fmt "domain pool:      %d domains@\n" t.pool_domains;
   Format.fprintf fmt "pool stats:       %s busy=%.6fs@\n"
     (String.concat " "
        (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) t.pool_counters))

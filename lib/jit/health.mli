@@ -19,9 +19,8 @@ type t = {
   fault_counters : (string * int * int) list;  (** point, attempts, fired *)
   stats : Jit_stats.snapshot;
   pool_domains : int;  (** resolved domain budget *)
-  pool_threshold : int;  (** parallel-dispatch work threshold *)
-  pool_counters : (string * int) list;  (** jobs/chunks/tasks/degrades *)
-  pool_busy_seconds : float;  (** wall time inside chunk bodies *)
+  pool_counters : (string * int) list;  (** helper jobs/tasks *)
+  pool_busy_seconds : float;  (** wall time inside helper tasks *)
   tile_store_dir : string;  (** root of the out-of-core tile stores *)
   tile_disk_blobs : int;  (** tile/checkpoint blobs on disk *)
   tile_disk_bytes : int;  (** on-disk footprint of the tile stores *)

@@ -26,8 +26,8 @@ type snapshot = {
   effects_degraded : int;
 }
 
-(* Counters are atomics: the scheduler's worker domains and the pool's
-   chunk tasks record events concurrently, and a plain [int ref]
+(* Counters are atomics: the scheduler's worker domains and the serve
+   daemon's workers record events concurrently, and a plain [int ref]
    increment is a load + store that loses updates under contention (the
    counter-race test in test_parallel pins this down). *)
 let lookups = Atomic.make 0
@@ -145,7 +145,7 @@ let fusions () =
 let formats = Gbtl.Format_stats.counters
 
 (* Domain-pool counters live in Parallel.Pool (the pool records its own
-   jobs/chunks/degrades); re-exported for the same one-stop reason. *)
+   helper jobs and tasks); re-exported for the same one-stop reason. *)
 let pool = Parallel.Pool.counters
 let pool_busy_seconds = Parallel.Pool.busy_seconds
 

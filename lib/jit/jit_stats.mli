@@ -89,8 +89,8 @@ val formats : unit -> (string * int) list
     from [Gbtl.Format_stats]. *)
 
 val pool : unit -> (string * int) list
-(** Domain-pool counters (parallel/sequential jobs, chunks, tasks,
-    sequential degrades) — re-exported from [Parallel.Pool]. *)
+(** Domain-pool counters (helper jobs granted or refused, helper tasks
+    run) — re-exported from [Parallel.Pool]. *)
 
 val tiles : unit -> (string * int) list
 (** Out-of-core tile counters (loads, stores, evictions, quarantines,
@@ -98,7 +98,7 @@ val tiles : unit -> (string * int) list
     re-exported from [Gbtl.Tile_stats]. *)
 
 val pool_busy_seconds : unit -> float
-(** Cumulative wall time pool domains spent inside chunk bodies —
+(** Cumulative wall time pool domains spent inside helper tasks —
     re-exported from [Parallel.Pool]. *)
 
 val snapshot : unit -> snapshot

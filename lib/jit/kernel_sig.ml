@@ -4,31 +4,23 @@ type t = {
   operators : (string * string) list;
   formats : (string * string) list;
   flags : string list;
-  par : string;
 }
 
 let sort_pairs = List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let make ~op ?(dtypes = []) ?(operators = []) ?(formats = []) ?(flags = [])
-    ?(par = "") () =
+let make ~op ?(dtypes = []) ?(operators = []) ?(formats = []) ?(flags = []) ()
+    =
   { op;
     dtypes = sort_pairs dtypes;
     operators = sort_pairs operators;
     formats = sort_pairs formats;
-    flags = List.sort_uniq String.compare flags;
-    par }
+    flags = List.sort_uniq String.compare flags }
 
 let key t =
   let pairs l = String.concat "," (List.map (fun (k, v) -> k ^ ":" ^ v) l) in
-  let base =
-    Printf.sprintf "%s|%s|%s|%s|%s" t.op (pairs t.dtypes) (pairs t.operators)
-      (pairs t.formats)
-      (String.concat "," t.flags)
-  in
-  (* Sequential signatures keep the five-field key (stable disk hashes
-     across this revision's warm caches); parallel variants append the
-     grain as a sixth field. *)
-  if t.par = "" then base else base ^ "|" ^ t.par
+  Printf.sprintf "%s|%s|%s|%s|%s" t.op (pairs t.dtypes) (pairs t.operators)
+    (pairs t.formats)
+    (String.concat "," t.flags)
 
 (* Field 4 of a [key] string — the per-signature format column the CLI
    cache table shows. *)
@@ -58,7 +50,7 @@ let sanitize op =
 (* Bump whenever the generated source for an existing key changes shape:
    disk artifacts are addressed by hash, so without the salt a warm
    cache would keep loading the stale module. *)
-let codegen_rev = 3
+let codegen_rev = 4
 
 let hash_key t =
   Printf.sprintf "%s_%016Lx" (sanitize t.op)

@@ -11,10 +11,6 @@ type t = private {
           [("u", "dense")].  Empty means the default layout (CSR
           matrices, sparse vectors). *)
   flags : string list;  (** set flags, sorted, e.g. ["transpose_a"] *)
-  par : string;
-      (** parallelism descriptor, e.g. ["g4096"] (chunk grain) — empty
-          for the sequential variant.  Part of the cache key, so native
-          kernels are generated and cached per grain. *)
 }
 
 val make :
@@ -23,7 +19,6 @@ val make :
   ?operators:(string * string) list ->
   ?formats:(string * string) list ->
   ?flags:string list ->
-  ?par:string ->
   unit ->
   t
 
@@ -31,8 +26,7 @@ val key : t -> string
 (** Canonical human-readable key, stable across runs.  Five
     [|]-separated fields: op, dtypes, operators, formats, flags — keys
     (and thus disk-cache hashes) from the four-field era do not
-    collide with these.  Parallel variants ([par <> ""]) append the
-    parallelism descriptor as a sixth field. *)
+    collide with these. *)
 
 val formats_of_key : string -> string
 (** The formats field of a {!key} string, or ["-"] when empty /

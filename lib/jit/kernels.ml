@@ -8,62 +8,6 @@ let semiring_ops (sr : Op_spec.semiring) =
 let entries_of_pair (type a) ((idx, vals) : int array * a array) =
   Entries.of_arrays_unsafe idx vals ~len:(Array.length idx)
 
-module Pool = Parallel.Pool
-
-(* Gate for the chunk-merged parallel kernels (scatter push, reduce):
-   regrouping a left fold of ⊕ is bit-identical only when ⊕ is exactly
-   associative on the machine representation.  Min/Max/LogicalOr/
-   LogicalAnd always are; Plus/Times are for the wrapping integer and
-   bool dtypes but not for floats.  Output-partitioned kernels (gather,
-   dense elementwise/apply) never regroup and are not gated. *)
-let float_dtype = function
-  | "float" | "double" | "f32" | "f64" -> true
-  | _ -> false
-
-(* Test hook: the seeded-defect suite replaces the associativity
-   judgment to prove the parallel-safety certifier notices a broken
-   gate; the dispatch sites below consult it too, so the defect is the
-   real thing, not a simulation. *)
-let assoc_override : (dtype:string -> op:string -> bool) option ref = ref None
-let set_assoc_override f = assoc_override := f
-
-let exact_assoc ~dtype ~op =
-  match !assoc_override with
-  | Some f -> f ~dtype ~op
-  | None -> (
-    match op with
-    | "Min" | "Max" | "LogicalOr" | "LogicalAnd" -> true
-    | "Plus" | "Times" -> not (float_dtype dtype)
-    | _ -> false)
-
-(* Which safety argument licenses each parallel twin's dispatch: the
-   chunk-combined kernels are reachable only behind an [exact_assoc]
-   test at their dispatch site (mxv_plan's transposed scatter,
-   vxm_plan's, vxm_dense's, and both scalar reduces below); the
-   output-partitioned ones dispatch unconditionally.  The certifier
-   cross-checks this table against [Par_kernels.Certify.registry]. *)
-type par_gate = Ungated | Gated_exact_assoc
-
-let par_gates =
-  [ ("mxv_gather", Ungated);
-    ("vxm_gather", Ungated);
-    ("mxv_pull_masked", Ungated);
-    ("vxm_pull_dense", Ungated);
-    ("mxm_gustavson", Ungated);
-    ("ewise_add_dense", Ungated);
-    ("ewise_mult_dense", Ungated);
-    ("apply_dense", Ungated);
-    ("apply_v", Ungated);
-    ("mxv_scatter", Gated_exact_assoc);
-    ("vxm_scatter", Gated_exact_assoc);
-    ("vxm_dense", Gated_exact_assoc);
-    ("reduce_dense", Gated_exact_assoc);
-    ("reduce_v", Gated_exact_assoc) ]
-
-let par_tag = function
-  | Some grain -> "g" ^ string_of_int grain
-  | None -> ""
-
 (* -- vector family: array ABI with native codegen -- *)
 
 type 'a matvec_arg =
@@ -85,7 +29,7 @@ let matvec_arg (type a) (m : a Smatrix.t) (u : a Svector.t) flag : a matvec_arg
 (* The dispatch half of [mxv], factored out so a coalesced batch of
    same-signature products (the server's request batcher) pays for one
    cache lookup and shares one fetched kernel across every member.
-   Layout and grain decisions come from the representative operand
+   The layout decision comes from the representative operand
    [u0]; the returned [run] is correct for any conformant vector (both
    the pull and the scatter loop accept arbitrary fills), so batch
    members keyed to the same signature stay bit-identical to their
@@ -109,62 +53,29 @@ let mxv_plan (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
     | `Push -> false
     | `Auto -> Svector.size u0 >= 32 && 4 * Svector.nvals u0 >= Svector.size u0
   in
-  (* Row blocks for the gather/pull loops (exact for every operator);
-     frontier blocks for the scatter push, gated to exactly associative
-     ⊕ because the merge regroups each output's fold. *)
-  let nnz = Array.length (Smatrix.unsafe_values m) in
-  let par_plan =
-    if use_pull then Pool.plan ~work:nnz ~n:(Smatrix.ncols m) ()
-    else if transpose then
-      if exact_assoc ~dtype:(Dtype.name dt) ~op:sr.Op_spec.add_op then
-        Pool.plan ~divisor:4 ~work:nnz ~n:(Svector.nvals u0) ()
-      else None
-    else Pool.plan ~work:nnz ~n:(Smatrix.nrows m) ()
-  in
   let sig_ =
     Kernel_sig.make ~op:"mxv"
       ~dtypes:[ ("T", Dtype.name dt) ]
       ~operators:(semiring_ops sr)
       ~formats:(if use_pull then [ ("a", "csc") ] else [])
       ~flags:(if transpose then [ "transpose_a" ] else [])
-      ~par:(par_tag par_plan) ()
+      ()
   in
   let build () =
     let s = Op_spec.instantiate_semiring dt sr in
     let add = Semiring.add s and mul = Semiring.mul s in
     let dummy = Semiring.zero s in
-    match par_plan with
-    | Some grain ->
-      Obj.repr (fun (arg : Obj.t) ->
-          let arp, aci, avs, uidx, uvls, un, nrows, ncols, tr =
-            (Obj.obj arg : a matvec_arg)
-          in
-          Obj.repr
-            (if tr then
-               Par_kernels.mxv_scatter ~grain ~add ~mul ~dummy ~ncols
-                 (arp, aci, avs) (uidx, uvls, un)
-             else
-               Par_kernels.mxv_gather ~grain ~add ~mul ~dummy ~nrows ~ncols
-                 (arp, aci, avs) (uidx, uvls, un)))
-    | None ->
-      Obj.repr (fun (arg : Obj.t) ->
-          let arp, aci, avs, uidx, uvls, un, nrows, ncols, tr =
-            (Obj.obj arg : a matvec_arg)
-          in
-          Obj.repr
-            (Array_kernels.mxv ~add ~mul ~dummy ~nrows ~ncols ~transpose:tr
-               (arp, aci, avs) (uidx, uvls, un)))
+    Obj.repr (fun (arg : Obj.t) ->
+        let arp, aci, avs, uidx, uvls, un, nrows, ncols, tr =
+          (Obj.obj arg : a matvec_arg)
+        in
+        Obj.repr
+          (Array_kernels.mxv ~add ~mul ~dummy ~nrows ~ncols ~transpose:tr
+             (arp, aci, avs) (uidx, uvls, un)))
   in
   let native_source ~key =
-    match par_plan with
-    | Some grain ->
-      if use_pull then
-        Codegen.mxv_pull_par_source ~dtype:(Dtype.name dt) ~sr ~grain ~key
-      else if transpose then None (* chunk-merged scatter: closure backend *)
-      else Codegen.mxv_par_source ~dtype:(Dtype.name dt) ~sr ~grain ~key
-    | None ->
-      if use_pull then Codegen.mxv_pull_source ~dtype:(Dtype.name dt) ~sr ~key
-      else Codegen.mxv_source ~dtype:(Dtype.name dt) ~sr ~key
+    if use_pull then Codegen.mxv_pull_source ~dtype:(Dtype.name dt) ~sr ~key
+    else Codegen.mxv_source ~dtype:(Dtype.name dt) ~sr ~key
   in
   let kernel : Obj.t -> Obj.t =
     Obj.obj (Dispatch.get sig_ ~build ~native_source ())
@@ -224,20 +135,13 @@ let mxv_pull_masked (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
      itself (complemented) and the exit predicate comes from the
      semiring, so the whole ABI is concrete arrays and the kernel
      compiles natively. *)
-  (* Column blocks: each output column folds its contributions in the
-     sequential order, so parallelization is exact for every operator. *)
-  let par_plan =
-    Pool.plan
-      ~work:(Array.length (Smatrix.unsafe_cvals m))
-      ~n:(Smatrix.ncols m) ()
-  in
   let sig_ =
     Kernel_sig.make ~op:"mxv"
       ~dtypes:[ ("T", Dtype.name dt) ]
       ~operators:(semiring_ops sr)
       ~formats:[ ("a", "csc"); ("u", "dense") ]
       ~flags:[ "masked_pull"; "transpose_a" ]
-      ~par:(par_tag par_plan) ()
+      ()
   in
   let build () =
     let s = Op_spec.instantiate_semiring dt sr in
@@ -251,18 +155,11 @@ let mxv_pull_masked (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
               * bool array * int)
         in
         Obj.repr
-          (match par_plan with
-          | Some grain ->
-            Par_kernels.mxv_pull_masked ~grain ~add ~mul ~dummy ~stop ~ncols
-              ~visited (acp, ari, avs) (uvls, uocc)
-          | None ->
-            Array_kernels.mxv_pull_masked ~add ~mul ~dummy ~stop ~ncols
-              ~visited (acp, ari, avs) (uvls, uocc)))
+          (Array_kernels.mxv_pull_masked ~add ~mul ~dummy ~stop ~ncols ~visited
+             (acp, ari, avs) (uvls, uocc)))
   in
   let native_source ~key =
-    match par_plan with
-    | Some _ -> None (* parallel masked pull: closure backend *)
-    | None -> Codegen.mxv_pull_masked_source ~dtype:(Dtype.name dt) ~sr ~key
+    Codegen.mxv_pull_masked_source ~dtype:(Dtype.name dt) ~sr ~key
   in
   let kernel : Obj.t -> Obj.t =
     Obj.obj (Dispatch.get sig_ ~build ~native_source ())
@@ -280,59 +177,30 @@ let mxv_pull_masked (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
 
 (* Batch seam for [vxm], mirroring {!mxv_plan}. *)
 let vxm_plan (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose
-    (u0 : a Svector.t) m =
-  (* Semantic transpose runs the gather loop (row blocks, exact for
-     every operator); the plain product is the scatter push, gated to
-     exactly associative ⊕. *)
-  let nnz = Array.length (Smatrix.unsafe_values m) in
-  let par_plan =
-    if transpose then Pool.plan ~work:nnz ~n:(Smatrix.nrows m) ()
-    else if exact_assoc ~dtype:(Dtype.name dt) ~op:sr.Op_spec.add_op then
-      Pool.plan ~divisor:4 ~work:nnz ~n:(Svector.nvals u0) ()
-    else None
-  in
+    (m : a Smatrix.t) =
   let sig_ =
     Kernel_sig.make ~op:"vxm"
       ~dtypes:[ ("T", Dtype.name dt) ]
       ~operators:(semiring_ops sr)
       ~flags:(if transpose then [ "transpose_a" ] else [])
-      ~par:(par_tag par_plan) ()
+      ()
   in
   let build () =
     let s = Op_spec.instantiate_semiring dt sr in
     let add = Semiring.add s and mul = Semiring.mul s in
     let dummy = Semiring.zero s in
-    match par_plan with
-    | Some grain ->
-      Obj.repr (fun (arg : Obj.t) ->
-          let arp, aci, avs, uidx, uvls, un, nrows, ncols, flag =
-            (Obj.obj arg : a matvec_arg)
-          in
-          Obj.repr
-            (if flag then
-               Par_kernels.vxm_scatter ~grain ~add ~mul ~dummy ~ncols
-                 (arp, aci, avs) (uidx, uvls, un)
-             else
-               Par_kernels.vxm_gather ~grain ~add ~mul ~dummy ~nrows ~ncols
-                 (arp, aci, avs) (uidx, uvls, un)))
-    | None ->
-      Obj.repr (fun (arg : Obj.t) ->
-          let arp, aci, avs, uidx, uvls, un, nrows, ncols, flag =
-            (Obj.obj arg : a matvec_arg)
-          in
-          (* ABI flag false = gather loop; Array_kernels.vxm gathers when
-             its [transpose] is true. *)
-          Obj.repr
-            (Array_kernels.vxm ~add ~mul ~dummy ~nrows ~ncols
-               ~transpose:(not flag) (uidx, uvls, un) (arp, aci, avs)))
+    Obj.repr (fun (arg : Obj.t) ->
+        let arp, aci, avs, uidx, uvls, un, nrows, ncols, flag =
+          (Obj.obj arg : a matvec_arg)
+        in
+        (* ABI flag false = gather loop; Array_kernels.vxm gathers when
+           its [transpose] is true. *)
+        Obj.repr
+          (Array_kernels.vxm ~add ~mul ~dummy ~nrows ~ncols
+             ~transpose:(not flag) (uidx, uvls, un) (arp, aci, avs)))
   in
   let native_source ~key =
-    match par_plan with
-    | Some grain ->
-      if transpose then
-        Codegen.vxm_par_source ~dtype:(Dtype.name dt) ~sr ~grain ~key
-      else None (* chunk-merged scatter: closure backend *)
-    | None -> Codegen.vxm_source ~dtype:(Dtype.name dt) ~sr ~key
+    Codegen.vxm_source ~dtype:(Dtype.name dt) ~sr ~key
   in
   let kernel : Obj.t -> Obj.t =
     Obj.obj (Dispatch.get sig_ ~build ~native_source ())
@@ -345,32 +213,23 @@ let vxm_plan (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose
   in
   (sig_, run)
 
-let vxm dt sr ~transpose u m = snd (vxm_plan dt sr ~transpose u m) u
+let vxm dt sr ~transpose u m = snd (vxm_plan dt sr ~transpose m) u
 
 let vxm_batch dt sr ~transpose m = function
   | [] -> []
-  | u0 :: _ as us ->
-    let _, run = vxm_plan dt sr ~transpose u0 m in
+  | us ->
+    let _, run = vxm_plan dt sr ~transpose m in
     List.map run us
 
 let vxm_dense (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
     ((uvls, uocc) : a array * bool array) (m : a Smatrix.t) :
     a array * bool array =
-  (* Row-blocked scatter push: chunk-merged, so gated to exactly
-     associative ⊕. *)
-  let par_plan =
-    if exact_assoc ~dtype:(Dtype.name dt) ~op:sr.Op_spec.add_op then
-      Pool.plan ~divisor:4
-        ~work:(Array.length (Smatrix.unsafe_values m))
-        ~n:(Smatrix.nrows m) ()
-    else None
-  in
   let sig_ =
     Kernel_sig.make ~op:"vxm"
       ~dtypes:[ ("T", Dtype.name dt) ]
       ~operators:(semiring_ops sr)
       ~formats:[ ("u", "dense"); ("w", "dense") ]
-      ~par:(par_tag par_plan) ()
+      ()
   in
   let build () =
     let s = Op_spec.instantiate_semiring dt sr in
@@ -383,18 +242,11 @@ let vxm_dense (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
               * int)
         in
         Obj.repr
-          (match par_plan with
-          | Some grain ->
-            Par_kernels.vxm_dense ~grain ~add ~mul ~dummy ~nrows ~ncols
-              (uvls, uocc) (arp, aci, avs)
-          | None ->
-            Array_kernels.vxm_dense ~add ~mul ~dummy ~nrows ~ncols (uvls, uocc)
-              (arp, aci, avs)))
+          (Array_kernels.vxm_dense ~add ~mul ~dummy ~nrows ~ncols (uvls, uocc)
+             (arp, aci, avs)))
   in
   let native_source ~key =
-    match par_plan with
-    | Some _ -> None (* chunk-merged scatter: closure backend *)
-    | None -> Codegen.vxm_dense_source ~dtype:(Dtype.name dt) ~sr ~key
+    Codegen.vxm_dense_source ~dtype:(Dtype.name dt) ~sr ~key
   in
   let kernel : Obj.t -> Obj.t =
     Obj.obj (Dispatch.get sig_ ~build ~native_source ())
@@ -419,20 +271,12 @@ let vxm_pull_dense (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
      such as PageRank, where building the CSC side once is amortized
      over every iteration.  Rows ascend within each column, so the fold
      order (and the result) is identical to the scatter. *)
-  (* Column blocks over the CSC side: each output folds its column in
-     the sequential order, so parallelization is exact for every
-     operator — the PageRank hot loop. *)
-  let par_plan =
-    Pool.plan
-      ~work:(Array.length (Smatrix.unsafe_cvals m))
-      ~n:(Smatrix.ncols m) ()
-  in
   let sig_ =
     Kernel_sig.make ~op:"vxm"
       ~dtypes:[ ("T", Dtype.name dt) ]
       ~operators:(semiring_ops sr)
       ~formats:[ ("a", "csc"); ("u", "dense"); ("w", "dense") ]
-      ~par:(par_tag par_plan) ()
+      ()
   in
   let build () =
     let s = Op_spec.instantiate_semiring dt sr in
@@ -444,19 +288,11 @@ let vxm_pull_dense (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
             : a array * bool array * int array * int array * a array * int)
         in
         Obj.repr
-          (match par_plan with
-          | Some grain ->
-            Par_kernels.vxm_pull_dense ~grain ~add ~mul ~dummy ~ncols
-              (acp, ari, avs) (uvls, uocc)
-          | None ->
-            Array_kernels.vxm_pull_dense ~add ~mul ~dummy ~ncols
-              (acp, ari, avs) (uvls, uocc)))
+          (Array_kernels.vxm_pull_dense ~add ~mul ~dummy ~ncols (acp, ari, avs)
+             (uvls, uocc)))
   in
   let native_source ~key =
-    match par_plan with
-    | Some grain ->
-      Codegen.vxm_pull_dense_par_source ~dtype:(Dtype.name dt) ~sr ~grain ~key
-    | None -> Codegen.vxm_pull_dense_source ~dtype:(Dtype.name dt) ~sr ~key
+    Codegen.vxm_pull_dense_source ~dtype:(Dtype.name dt) ~sr ~key
   in
   let kernel : Obj.t -> Obj.t =
     Obj.obj (Dispatch.get sig_ ~build ~native_source ())
@@ -478,10 +314,9 @@ let vxm_tile_acc (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
   (* Tile continuation of [vxm_pull_dense]: the tile shape rides in the
      signature's formats field, so each tiling compiles (and caches) its
      own module — the out-of-core analogue of the CSR/CSC format key.
-     Sequential on purpose: exactness of the streamed product rests on
-     folding each output column in ascending global row order across
-     tiles, which a per-tile continuation preserves and chunk merging
-     would not. *)
+     Exactness of the streamed product rests on folding each output
+     column in ascending global row order across tiles, which a per-tile
+     continuation preserves. *)
   let sig_ =
     Kernel_sig.make ~op:"vxm_tile"
       ~dtypes:[ ("T", Dtype.name dt) ]
@@ -533,16 +368,12 @@ let ewise_v_dense (type a) kind (dt : a Dtype.t) ~op
   let kind_name =
     match kind with `Add -> "ewise_add_v" | `Mult -> "ewise_mult_v"
   in
-  (* Index blocks with disjoint in-place writes: exact for every
-     operator. *)
-  let len = Array.length avls in
-  let par_plan = Pool.plan ~work:len ~n:len () in
   let sig_ =
     Kernel_sig.make ~op:kind_name
       ~dtypes:[ ("T", Dtype.name dt) ]
       ~operators:[ ("op", op) ]
       ~formats:[ ("u", "dense"); ("v", "dense") ]
-      ~par:(par_tag par_plan) ()
+      ()
   in
   let build () =
     let f = (Binop.of_name op dt).Binop.f in
@@ -550,28 +381,18 @@ let ewise_v_dense (type a) kind (dt : a Dtype.t) ~op
     Obj.repr (fun (arg : Obj.t) ->
         let avls, aocc, bvls, bocc = (Obj.obj arg : a dense_pair_arg) in
         let result =
-          match kind, par_plan with
-          | `Add, Some grain ->
-            Par_kernels.ewise_add_dense ~grain ~op:f ~dummy (avls, aocc)
-              (bvls, bocc)
-          | `Mult, Some grain ->
-            Par_kernels.ewise_mult_dense ~grain ~op:f ~dummy (avls, aocc)
-              (bvls, bocc)
-          | `Add, None ->
+          match kind with
+          | `Add ->
             Array_kernels.ewise_add_dense ~op:f ~dummy (avls, aocc)
               (bvls, bocc)
-          | `Mult, None ->
+          | `Mult ->
             Array_kernels.ewise_mult_dense ~op:f ~dummy (avls, aocc)
               (bvls, bocc)
         in
         Obj.repr result)
   in
   let native_source ~key =
-    match par_plan with
-    | Some grain ->
-      Codegen.ewise_dense_par_source ~kind ~dtype:(Dtype.name dt) ~op ~grain
-        ~key
-    | None -> Codegen.ewise_dense_source ~kind ~dtype:(Dtype.name dt) ~op ~key
+    Codegen.ewise_dense_source ~kind ~dtype:(Dtype.name dt) ~op ~key
   in
   let kernel : Obj.t -> Obj.t =
     Obj.obj (Dispatch.get sig_ ~build ~native_source ())
@@ -581,30 +402,22 @@ let ewise_v_dense (type a) kind (dt : a Dtype.t) ~op
 
 let apply_v_dense (type a) (dt : a Dtype.t) (f : Op_spec.unary)
     ((avls, aocc) : a array * bool array) : a array * bool array =
-  let len = Array.length avls in
-  let par_plan = Pool.plan ~work:len ~n:len () in
   let sig_ =
     Kernel_sig.make ~op:"apply_v"
       ~dtypes:[ ("T", Dtype.name dt) ]
       ~operators:[ ("f", Op_spec.unary_name f) ]
       ~formats:[ ("u", "dense") ]
-      ~par:(par_tag par_plan) ()
+      ()
   in
   let build () =
     let g = (Op_spec.instantiate_unary dt f).Unaryop.f in
     let dummy = Dtype.zero dt in
     Obj.repr (fun (arg : Obj.t) ->
         let avls, aocc = (Obj.obj arg : a array * bool array) in
-        Obj.repr
-          (match par_plan with
-          | Some grain -> Par_kernels.apply_dense ~grain ~f:g ~dummy (avls, aocc)
-          | None -> Array_kernels.apply_dense ~f:g ~dummy (avls, aocc)))
+        Obj.repr (Array_kernels.apply_dense ~f:g ~dummy (avls, aocc)))
   in
   let native_source ~key =
-    match par_plan with
-    | Some grain ->
-      Codegen.apply_dense_par_source ~dtype:(Dtype.name dt) ~f ~grain ~key
-    | None -> Codegen.apply_dense_source ~dtype:(Dtype.name dt) ~f ~key
+    Codegen.apply_dense_source ~dtype:(Dtype.name dt) ~f ~key
   in
   let kernel : Obj.t -> Obj.t =
     Obj.obj (Dispatch.get sig_ ~build ~native_source ())
@@ -613,39 +426,22 @@ let apply_v_dense (type a) (dt : a Dtype.t) (f : Op_spec.unary)
 
 let reduce_v_scalar_dense (type a) (dt : a Dtype.t) ~op ~identity
     ((avls, aocc) : a array * bool array) : a =
-  (* Chunk-combined reduce: gated to exactly associative ⊕ (float Plus
-     stays sequential, preserving exact PageRank norms). *)
-  let len = Array.length avls in
-  let par_plan =
-    if exact_assoc ~dtype:(Dtype.name dt) ~op then
-      Pool.plan ~work:len ~n:len ()
-    else None
-  in
   let sig_ =
     Kernel_sig.make ~op:"reduce_v_scalar"
       ~dtypes:[ ("T", Dtype.name dt) ]
       ~operators:[ ("op", op); ("identity", identity) ]
       ~formats:[ ("u", "dense") ]
-      ~par:(par_tag par_plan) ()
+      ()
   in
   let build () =
     let m = Op_spec.instantiate_monoid dt ~op ~identity in
     let f = m.Monoid.op.Binop.f and id = m.Monoid.identity in
     Obj.repr (fun (arg : Obj.t) ->
         let avls, aocc = (Obj.obj arg : a array * bool array) in
-        Obj.repr
-          (match par_plan with
-          | Some grain ->
-            Par_kernels.reduce_dense ~grain ~op:f ~identity:id (avls, aocc)
-          | None -> Array_kernels.reduce_dense ~op:f ~identity:id (avls, aocc)))
+        Obj.repr (Array_kernels.reduce_dense ~op:f ~identity:id (avls, aocc)))
   in
   let native_source ~key =
-    match par_plan with
-    | Some grain ->
-      Codegen.reduce_dense_par_source ~dtype:(Dtype.name dt) ~op ~identity
-        ~grain ~key
-    | None ->
-      Codegen.reduce_dense_source ~dtype:(Dtype.name dt) ~op ~identity ~key
+    Codegen.reduce_dense_source ~dtype:(Dtype.name dt) ~op ~identity ~key
   in
   let kernel : Obj.t -> Obj.t =
     Obj.obj (Dispatch.get sig_ ~build ~native_source ())
@@ -807,28 +603,19 @@ let ewise_mult_reduce_v (type a) (dt : a Dtype.t) ~op ~monoid_op ~identity
   (Obj.obj (kernel (Obj.repr arg)) : a)
 
 let apply_v (type a) (dt : a Dtype.t) (f : Op_spec.unary) (u : a Svector.t) =
-  let nvals = Svector.nvals u in
-  let par_plan = Pool.plan ~work:nvals ~n:nvals () in
   let sig_ =
     Kernel_sig.make ~op:"apply_v"
       ~dtypes:[ ("T", Dtype.name dt) ]
       ~operators:[ ("f", Op_spec.unary_name f) ]
-      ~par:(par_tag par_plan) ()
+      ()
   in
   let build () =
     let g = (Op_spec.instantiate_unary dt f).Unaryop.f in
     Obj.repr (fun (arg : Obj.t) ->
         let aidx, avls, an = (Obj.obj arg : int array * a array * int) in
-        Obj.repr
-          (match par_plan with
-          | Some grain -> Par_kernels.apply_v ~grain ~f:g (aidx, avls, an)
-          | None -> Array_kernels.apply_v ~f:g (aidx, avls, an)))
+        Obj.repr (Array_kernels.apply_v ~f:g (aidx, avls, an)))
   in
-  let native_source ~key =
-    match par_plan with
-    | Some _ -> None (* parallel sparse apply: closure backend *)
-    | None -> Codegen.apply_source ~dtype:(Dtype.name dt) ~f ~key
-  in
+  let native_source ~key = Codegen.apply_source ~dtype:(Dtype.name dt) ~f ~key in
   let kernel : Obj.t -> Obj.t =
     Obj.obj (Dispatch.get sig_ ~build ~native_source ())
   in
@@ -839,36 +626,21 @@ let apply_v (type a) (dt : a Dtype.t) (f : Op_spec.unary) (u : a Svector.t) =
 
 let reduce_v_scalar (type a) (dt : a Dtype.t) ~op ~identity (u : a Svector.t) :
     a =
-  (* Chunk-combined reduce, gated to exactly associative ⊕. *)
-  let nvals = Svector.nvals u in
-  let par_plan =
-    if exact_assoc ~dtype:(Dtype.name dt) ~op then
-      Pool.plan ~work:nvals ~n:nvals ()
-    else None
-  in
   let sig_ =
     Kernel_sig.make ~op:"reduce_v_scalar"
       ~dtypes:[ ("T", Dtype.name dt) ]
       ~operators:[ ("op", op); ("identity", identity) ]
-      ~par:(par_tag par_plan) ()
+      ()
   in
   let build () =
     let m = Op_spec.instantiate_monoid dt ~op ~identity in
     let f = m.Monoid.op.Binop.f and id = m.Monoid.identity in
     Obj.repr (fun (arg : Obj.t) ->
         let avls, an = (Obj.obj arg : a array * int) in
-        Obj.repr
-          (match par_plan with
-          | Some grain ->
-            Par_kernels.reduce_v ~grain ~op:f ~identity:id ([||], avls, an)
-          | None -> Array_kernels.reduce_v ~op:f ~identity:id ([||], avls, an)))
+        Obj.repr (Array_kernels.reduce_v ~op:f ~identity:id ([||], avls, an)))
   in
   let native_source ~key =
-    match par_plan with
-    | Some grain ->
-      Codegen.reduce_par_source ~dtype:(Dtype.name dt) ~op ~identity ~grain
-        ~key
-    | None -> Codegen.reduce_source ~dtype:(Dtype.name dt) ~op ~identity ~key
+    Codegen.reduce_source ~dtype:(Dtype.name dt) ~op ~identity ~key
   in
   let kernel : Obj.t -> Obj.t =
     Obj.obj (Dispatch.get sig_ ~build ~native_source ())
@@ -905,21 +677,11 @@ let mxm (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose_a
       Error.raise_dims ~op:"mxm"
         ~expected:(Printf.sprintf "inner dimension %d" (Smatrix.ncols a))
         ~actual:(string_of_int (Smatrix.nrows b));
-    (* Row-partitioned Gustavson: blocks concatenate in row order, exact
-       for every operator.  Work estimate is the combined nonzero count;
-       divisor 4 bounds the per-chunk SPA memory. *)
-    let par_plan =
-      Pool.plan ~divisor:4
-        ~work:
-          (Array.length (Smatrix.unsafe_values a)
-          + Array.length (Smatrix.unsafe_values b))
-        ~n:(Smatrix.nrows a) ()
-    in
     let sig_ =
       Kernel_sig.make ~op:"mxm"
         ~dtypes:[ ("T", Dtype.name dt) ]
         ~operators:(semiring_ops sr)
-        ~flags:[ "gustavson" ] ~par:(par_tag par_plan) ()
+        ~flags:[ "gustavson" ] ()
     in
     let build () =
       let s = Op_spec.instantiate_semiring dt sr in
@@ -930,19 +692,10 @@ let mxm (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose_a
             (Obj.obj arg : a mxm_arg)
           in
           Obj.repr
-            (match par_plan with
-            | Some grain ->
-              Par_kernels.mxm_gustavson ~grain ~add ~mul ~dummy ~nrows_a
-                ~ncols_b (arp, aci, avs) (brp, bci, bvs)
-            | None ->
-              Array_kernels.mxm_gustavson ~add ~mul ~dummy ~nrows_a ~ncols_b
-                (arp, aci, avs) (brp, bci, bvs)))
+            (Array_kernels.mxm_gustavson ~add ~mul ~dummy ~nrows_a ~ncols_b
+               (arp, aci, avs) (brp, bci, bvs)))
     in
-    let native_source ~key =
-      match par_plan with
-      | Some _ -> None (* row-partitioned Gustavson: closure backend *)
-      | None -> Codegen.mxm_source ~dtype:(Dtype.name dt) ~sr ~key
-    in
+    let native_source ~key = Codegen.mxm_source ~dtype:(Dtype.name dt) ~sr ~key in
     let kernel : Obj.t -> Obj.t =
       Obj.obj (Dispatch.get sig_ ~build ~native_source ())
     in

@@ -9,24 +9,6 @@
 
 open Gbtl
 
-val exact_assoc : dtype:string -> op:string -> bool
-(** Whether ⊕ is exactly associative on the machine representation of
-    [dtype] — the licence for dispatching a chunk-combined parallel
-    kernel (regrouping a left fold is bit-identical only then).
-    Min/Max/LogicalOr/LogicalAnd always; Plus/Times except on floats. *)
-
-val set_assoc_override : (dtype:string -> op:string -> bool) option -> unit
-(** Test hook: replace the {!exact_assoc} judgment (seeded-defect tests
-    break the gate for real and assert the certifier notices). *)
-
-type par_gate = Ungated | Gated_exact_assoc
-
-val par_gates : (string * par_gate) list
-(** Per parallel kernel (by [Par_kernels] name), whether its dispatch
-    sites gate on {!exact_assoc} ([Gated_exact_assoc], the
-    chunk-combined kernels) or dispatch for every operator ([Ungated],
-    the output-partitioned ones). *)
-
 val mxv :
   'a Dtype.t ->
   Op_spec.semiring ->

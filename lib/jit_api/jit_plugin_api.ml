@@ -5,21 +5,3 @@ let register key v = Hashtbl.replace table key v
 let lookup key = Hashtbl.find_opt table key
 
 let registered_keys () = Hashtbl.fold (fun k _ acc -> k :: acc) table []
-
-(* Chunked parallel-for for generated parallel kernels.  The default
-   runs the chunks sequentially in ascending order — exactly the
-   decomposition the host pool uses — so a plugin loaded into a host
-   without the pool (or with a single-domain budget) computes the same
-   result.  The host's Parallel.Pool installs its implementation at
-   startup. *)
-let seq_for ~n ~grain f =
-  let g = max 1 grain in
-  let lo = ref 0 in
-  while !lo < n do
-    let hi = min n (!lo + g) in
-    f !lo hi;
-    lo := hi
-  done
-
-let par_for : (n:int -> grain:int -> (int -> int -> unit) -> unit) ref =
-  ref seq_for

@@ -10,9 +10,3 @@
 val register : string -> Obj.t -> unit
 val lookup : string -> Obj.t option
 val registered_keys : unit -> string list
-
-val par_for : (n:int -> grain:int -> (int -> int -> unit) -> unit) ref
-(** Chunked parallel-for service for generated parallel kernels: the
-    host installs its shared domain pool here at startup (plugins link
-    only against this module).  The default runs chunks sequentially in
-    ascending order — the same decomposition, so results match. *)

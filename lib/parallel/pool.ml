@@ -1,24 +1,7 @@
 (* Shared, lazily-started domain pool: one set of helper domains sized
-   by OGB_DOMAINS, reused by both the exec scheduler (inter-op node
-   workers) and the kernels (intra-op chunked parallel-for), so the two
-   levels of parallelism cooperate over one budget instead of
-   oversubscribing the machine.
-
-   Determinism contract: {!parallel_for} splits [0, n) into fixed-size
-   chunks whose boundaries are a pure function of [n] and [grain] —
-   never of the domain count or of scheduling order.  Callers either
-   write disjoint output slices per chunk (gather/dense kernels) or
-   combine per-chunk partials with their monoid in ascending chunk
-   order (reduce/scatter kernels, gated to exactly-associative
-   operators by the callers), so results are bit-identical at every
-   OGB_DOMAINS value, including 1.
-
-   Failure containment: a chunk failure (including the par.worker.exn
-   injection point) marks the job failed, remaining chunks are
-   abandoned, in-flight chunks drain, and the caller re-executes every
-   chunk sequentially — chunk bodies are required to be idempotent
-   (pure writes into caller-owned buffers), which every kernel in this
-   repository satisfies. *)
+   by OGB_DOMAINS, lent to the exec scheduler's inter-op node workers.
+   Kernels themselves always run sequentially on whichever domain
+   executes their plan node. *)
 
 let env_int name =
   match Sys.getenv_opt name with
@@ -45,70 +28,6 @@ let domains () =
 
 let workers () = domains () - 1
 
-(* -- size threshold and grain planning -- *)
-
-let default_threshold = 4096
-let override_threshold = ref None
-let set_threshold n = override_threshold := Some (max 0 n)
-let clear_threshold_override () = override_threshold := None
-
-let threshold () =
-  match !override_threshold with
-  | Some n -> n
-  | None -> (
-    match env_int "OGB_PAR_THRESHOLD" with
-    | Some n when n >= 0 -> n
-    | _ -> default_threshold)
-
-let with_threshold n f =
-  let saved = !override_threshold in
-  override_threshold := Some (max 0 n);
-  Fun.protect ~finally:(fun () -> override_threshold := saved) f
-
-let pow2_ceil x =
-  let r = ref 1 in
-  while !r < x do
-    r := !r * 2
-  done;
-  !r
-
-(* Grain is a pure function of the loop length (power-of-two bucketed so
-   per-grain JIT keys stay few): at most [divisor] chunks, at least 64
-   iterations each.  The default divisor 16 over-decomposes a 4-domain
-   pool for load balance; merge-style kernels (scatter push) pass 4 to
-   bound the per-chunk accumulator memory.
-
-   A calibration hook (installed by lib/cost, which sits above this
-   library) may coarsen the grain from measured per-item chunk timings.
-   Coarsen only: the [divisor] bound exists so merge-style kernels cap
-   their per-chunk accumulator memory at [divisor] buffers, and a finer
-   grain would break that.  The result stays a power of two (bucketed
-   JIT keys) and never exceeds the loop, so determinism and the chunk
-   contract are unchanged — only chunk boundaries move, and kernels are
-   bit-identical across chunkings by construction. *)
-let grain_hook : (n:int -> base:int -> int option) ref =
-  ref (fun ~n:_ ~base:_ -> None)
-
-let set_grain_hook f = grain_hook := f
-let clear_grain_hook () = grain_hook := fun ~n:_ ~base:_ -> None
-
-let with_grain_hook f k =
-  let saved = !grain_hook in
-  grain_hook := f;
-  Fun.protect ~finally:(fun () -> grain_hook := saved) k
-
-let grain_for ?(divisor = 16) n =
-  let base = max 64 (pow2_ceil ((n + divisor - 1) / divisor)) in
-  match !grain_hook ~n ~base with
-  | None -> base
-  | Some g -> min (pow2_ceil (max g base)) (pow2_ceil (max 1 n))
-
-let plan ?divisor ~work ~n () =
-  if workers () < 1 || work < threshold () || n < 2 then None
-  else
-    let g = grain_for ?divisor n in
-    if n <= g then None else Some g
-
 (* -- pool state: task queue + lazily spawned worker domains -- *)
 
 let qlock = Mutex.create ()
@@ -125,36 +44,18 @@ let mgmt = Mutex.create ()
 (* -- counters (surfaced through Jit_stats / ogb doctor) -- *)
 
 let stats_lock = Mutex.create ()
-let par_jobs = ref 0 (* parallel_for calls that used the pool *)
-let seq_jobs = ref 0 (* parallel_for calls run inline (no pool help) *)
-let chunks_run = ref 0 (* chunk bodies executed (all domains) *)
-let tasks_run = ref 0 (* pool tasks executed by worker domains *)
-let degrades = ref 0 (* jobs re-run sequentially after a chunk failure *)
-let busy = ref 0.0 (* seconds spent inside chunk bodies *)
-let items_run = ref 0 (* loop iterations covered by those chunk bodies *)
+let par_jobs = ref 0 (* spawn_helpers calls granted at least one helper *)
+let seq_jobs = ref 0 (* spawn_helpers calls granted none *)
+let chunks_run = ref 0 (* helper tasks run to completion *)
+let busy = ref 0.0 (* seconds spent inside helper tasks *)
 
 let bump c = Mutex.protect stats_lock (fun () -> incr c)
 
 let counters () =
   Mutex.protect stats_lock (fun () ->
-      [ ("par_jobs", !par_jobs);
-        ("seq_jobs", !seq_jobs);
-        ("chunks", !chunks_run);
-        ("tasks", !tasks_run);
-        ("degrades", !degrades);
-        ("items", !items_run) ])
+      [ ("par_jobs", !par_jobs); ("seq_jobs", !seq_jobs); ("chunks", !chunks_run) ])
 
 let busy_seconds () = Mutex.protect stats_lock (fun () -> !busy)
-
-let reset_counters () =
-  Mutex.protect stats_lock (fun () ->
-      par_jobs := 0;
-      seq_jobs := 0;
-      chunks_run := 0;
-      tasks_run := 0;
-      degrades := 0;
-      busy := 0.0;
-      items_run := 0)
 
 (* -- worker domains -- *)
 
@@ -168,7 +69,6 @@ let rec worker_loop () =
   if not (Queue.is_empty queue) then begin
     let task = Queue.pop queue in
     Mutex.unlock qlock;
-    bump tasks_run;
     (try task () with _ -> ());
     worker_loop ()
   end
@@ -203,154 +103,50 @@ let ensure_started () =
                 spawned := List.init want (fun _ -> Domain.spawn worker_loop)))
   end
 
-(* Enqueue up to [min k free-workers] copies of [make_task ()]; stale
-   tasks must be cheap no-ops (every consumer below checks shared job
-   state first), so capping by currently idle workers only bounds queue
-   garbage, not correctness. *)
-let submit_capped k make_task =
+(* Enqueue up to [min k idle-workers] copies of [task].  Capping by the
+   workers idle right now means every enqueued task starts promptly. *)
+let submit_capped k task =
   Mutex.protect qlock (fun () ->
       let free = max 0 (!idle - Queue.length queue) in
       let take = min free k in
       for _ = 1 to take do
-        Queue.push (make_task ()) queue
+        Queue.push task queue
       done;
       if take > 0 then Condition.broadcast qcv;
       take)
-
-(* -- domain-budget negotiation with the exec scheduler -- *)
-
-let active_nodes = Atomic.make 0
-let enter_node () = Atomic.incr active_nodes
-let leave_node () = Atomic.decr active_nodes
-
-(* Per-caller budget cap (domain-local): the server brackets each
-   session's request in [with_budget_cap] so one tenant's kernels can
-   claim at most its configured share of the pool, however idle the
-   rest of the machine is.  The cap rides on the calling domain because
-   that is where [parallel_for] decides how many helpers to request. *)
-let budget_cap_key : int ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref max_int)
-
-let with_budget_cap n f =
-  let cap = Domain.DLS.get budget_cap_key in
-  let saved = !cap in
-  cap := max 1 n;
-  Fun.protect ~finally:(fun () -> cap := saved) f
-
-(* A node running alone (or a kernel called outside the scheduler) gets
-   the whole pool; [k] concurrently executing nodes split it; a session
-   cap clamps the result regardless. *)
-let budget () =
-  let a = max 1 (Atomic.get active_nodes) in
-  let cap = !(Domain.DLS.get budget_cap_key) in
-  max 1 (min cap ((workers () + 1) / a))
-
-(* -- chunked parallel for -- *)
-
-let run_chunks_seq ~n ~grain body =
-  let lo = ref 0 in
-  while !lo < n do
-    let hi = min n (!lo + grain) in
-    body !lo hi;
-    lo := hi
-  done
-
-let parallel_for ~n ~grain body =
-  if n > 0 then begin
-    let g = max 1 grain in
-    let nchunks = (n + g - 1) / g in
-    let helpers_wanted = min (budget () - 1) (nchunks - 1) in
-    if nchunks < 2 || helpers_wanted < 1 || workers () < 1 then begin
-      bump seq_jobs;
-      run_chunks_seq ~n ~grain:g body
-    end
-    else begin
-      ensure_started ();
-      let jm = Mutex.create () in
-      let jcv = Condition.create () in
-      let next = ref 0 in
-      let running = ref 0 in
-      let failed = ref None in
-      let participate () =
-        let continue_ = ref true in
-        while !continue_ do
-          Mutex.lock jm;
-          if !failed <> None || !next >= nchunks then begin
-            Mutex.unlock jm;
-            continue_ := false
-          end
-          else begin
-            let ci = !next in
-            incr next;
-            incr running;
-            Mutex.unlock jm;
-            let res =
-              try
-                if Fault.fire "par.worker.exn" then
-                  raise (Fault.Injected "par.worker.exn");
-                if Fault.fire "par.worker.slow" then Unix.sleepf 0.005;
-                let lo = ci * g and hi = min n ((ci + 1) * g) in
-                let t0 = Unix.gettimeofday () in
-                body lo hi;
-                let dt = Unix.gettimeofday () -. t0 in
-                Mutex.protect stats_lock (fun () ->
-                    incr chunks_run;
-                    items_run := !items_run + (hi - lo);
-                    busy := !busy +. dt);
-                None
-              with e -> Some e
-            in
-            Mutex.lock jm;
-            decr running;
-            (match res with
-            | Some e -> if !failed = None then failed := Some e
-            | None -> ());
-            if !running = 0 then Condition.broadcast jcv;
-            Mutex.unlock jm
-          end
-        done
-      in
-      ignore (submit_capped helpers_wanted (fun () -> participate));
-      bump par_jobs;
-      participate ();
-      Mutex.lock jm;
-      while !running > 0 do
-        Condition.wait jcv jm
-      done;
-      let err = !failed in
-      Mutex.unlock jm;
-      match err with
-      | None -> ()
-      | Some _ ->
-        (* containment: chunk bodies are idempotent, so re-running every
-           chunk sequentially (injection sites not consulted — they
-           belong to the pool path) recovers exactly the sequential
-           result; a genuine kernel bug re-raises here. *)
-        bump degrades;
-        run_chunks_seq ~n ~grain:g body
-    end
-  end
 
 (* -- long-lived helper tasks for the exec scheduler -- *)
 
 type handle = { hm : Mutex.t; hcv : Condition.t; mutable left : int }
 
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 let spawn_helpers k f =
   let h = { hm = Mutex.create (); hcv = Condition.create (); left = 0 } in
-  if k > 0 && workers () > 0 then begin
-    ensure_started ();
-    h.left <- k;
-    let task () =
-      (try f () with _ -> ());
+  let took =
+    if k > 0 && workers () > 0 then begin
+      ensure_started ();
+      h.left <- k;
+      let task () =
+        let t0 = now_s () in
+        (try f () with _ -> ());
+        let dt = now_s () -. t0 in
+        Mutex.protect stats_lock (fun () ->
+            incr chunks_run;
+            busy := !busy +. dt);
+        Mutex.protect h.hm (fun () ->
+            h.left <- h.left - 1;
+            if h.left <= 0 then Condition.broadcast h.hcv)
+      in
+      let took = submit_capped k task in
       Mutex.protect h.hm (fun () ->
-          h.left <- h.left - 1;
-          if h.left <= 0 then Condition.broadcast h.hcv)
-    in
-    let took = submit_capped k (fun () -> task) in
-    Mutex.protect h.hm (fun () ->
-        h.left <- h.left - (k - took);
-        if h.left <= 0 then Condition.broadcast h.hcv)
-  end;
+          h.left <- h.left - (k - took);
+          if h.left <= 0 then Condition.broadcast h.hcv);
+      took
+    end
+    else 0
+  in
+  bump (if took > 0 then par_jobs else seq_jobs);
   h
 
 let join h =
@@ -359,8 +155,3 @@ let join h =
     Condition.wait h.hcv h.hm
   done;
   Mutex.unlock h.hm
-
-(* Native plugins (Dynlink'd kernel modules) link only against
-   Jit_plugin_api; installing the pool's parallel-for there at startup
-   lets generated parallel kernels share this pool too. *)
-let () = Jit_plugin_api.par_for := fun ~n ~grain f -> parallel_for ~n ~grain f

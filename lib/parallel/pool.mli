@@ -1,12 +1,10 @@
-(** Shared, lazily-started domain pool for intra-op (chunked kernels)
-    and inter-op (exec scheduler) parallelism.
+(** Shared, lazily-started domain pool for inter-op parallelism: the
+    helper domains the nonblocking exec scheduler runs ready plan nodes
+    on.  Kernels never split across domains; each runs sequentially on
+    the domain that executes its node.
 
     Sized by [OGB_DOMAINS] (helper domains = domains − 1; the caller is
-    the remaining worker).  Chunk boundaries in {!parallel_for} are a
-    pure function of the loop length — never of the domain count — so a
-    kernel that writes disjoint slices per chunk, or combines per-chunk
-    partials with an exactly-associative monoid in ascending chunk
-    order, produces bit-identical results at every domain count. *)
+    the remaining worker). *)
 
 val domains : unit -> int
 (** Resolved domain budget: programmatic override, else [OGB_DOMAINS],
@@ -17,58 +15,6 @@ val set_domains : int -> unit
     lazily on the next use. *)
 
 val clear_domains_override : unit -> unit
-
-val workers : unit -> int
-(** Helper domains the pool may run ([domains () - 1]). *)
-
-val threshold : unit -> int
-(** Minimum work (loop-body executions) below which kernels stay on
-    their sequential twins; override, else [OGB_PAR_THRESHOLD], else
-    4096. *)
-
-val set_threshold : int -> unit
-val clear_threshold_override : unit -> unit
-
-val with_threshold : int -> (unit -> 'a) -> 'a
-(** Run with a temporary threshold override (restored afterwards). *)
-
-val grain_for : ?divisor:int -> int -> int
-(** Chunk length for a loop of the given length: at most [divisor]
-    (default 16) chunks of at least 64 iterations, power-of-two
-    bucketed so per-grain JIT cache keys stay few.  Pure in its
-    arguments given a fixed {!set_grain_hook} installation — this is
-    what keeps chunked folds deterministic. *)
-
-val set_grain_hook : (n:int -> base:int -> int option) -> unit
-(** Install a calibration-aware grain policy (lib/cost does this at
-    startup from persisted per-item chunk timings).  The hook receives
-    the loop length and the power-of-two [base] grain and may return a
-    coarser suggestion; {!grain_for} clamps the result to
-    [[base, pow2_ceil n]] and re-buckets it to a power of two, so the
-    hook can only merge chunks, never fragment below the [divisor]
-    memory bound.  [None] keeps the default formula. *)
-
-val clear_grain_hook : unit -> unit
-
-val with_grain_hook : (n:int -> base:int -> int option) -> (unit -> 'a) -> 'a
-(** Run with a temporary grain hook, restoring whatever hook was
-    installed before (e.g. the lib/cost calibration hook) afterwards —
-    unlike {!clear_grain_hook}, which would drop it for good.  Tests
-    that force a specific grain use this. *)
-
-val plan : ?divisor:int -> work:int -> n:int -> unit -> int option
-(** [Some grain] when a kernel with [work] body executions over a loop
-    of length [n] should dispatch its parallel variant; [None] keeps
-    the sequential twin (small operand, single-domain budget, or a loop
-    too short to split). *)
-
-val parallel_for : n:int -> grain:int -> (int -> int -> unit) -> unit
-(** [parallel_for ~n ~grain body] runs [body lo hi] over consecutive
-    chunks of [0, n).  The caller participates; idle pool workers claim
-    chunks concurrently.  Chunk bodies must be idempotent and must only
-    write caller-owned state disjoint per chunk: on a chunk failure
-    (e.g. the [par.worker.exn] injection point) the job degrades to a
-    sequential re-run of every chunk. *)
 
 type handle
 (** Completion handle for {!spawn_helpers}. *)
@@ -82,35 +28,13 @@ val spawn_helpers : int -> (unit -> unit) -> handle
 val join : handle -> unit
 (** Wait until every actually-started helper has returned. *)
 
-val enter_node : unit -> unit
-val leave_node : unit -> unit
-(** Domain-budget negotiation: the scheduler brackets each node's
-    execution so {!budget} can split the pool between concurrently
-    running nodes. *)
-
-val budget : unit -> int
-(** Domains available to one kernel right now: the whole pool when
-    nothing else runs, [pool / active-nodes] under the scheduler —
-    clamped by the calling domain's {!with_budget_cap} if one is
-    active. *)
-
-val with_budget_cap : int -> (unit -> 'a) -> 'a
-(** [with_budget_cap k f] runs [f] with this domain's kernels limited
-    to at most [k] domains of pool help (clamped to ≥ 1; restored
-    afterwards).  The server wraps each session request in this so
-    concurrent tenants split the pool by configuration instead of by
-    arrival order. *)
-
 val counters : unit -> (string * int) list
-(** [par_jobs], [seq_jobs], [chunks], [tasks], [degrades], [items]
-    (loop iterations covered by timed chunk bodies — with
-    {!busy_seconds} this is the pool's per-item calibration signal). *)
+(** Helper activity since startup:
+    - [par_jobs]: {!spawn_helpers} calls granted at least one helper;
+    - [seq_jobs]: {!spawn_helpers} calls granted none (the caller ran
+      every node alone — a single-domain budget or a busy pool);
+    - [chunks]: helper tasks run to completion. *)
 
 val busy_seconds : unit -> float
-(** Cumulative wall time spent inside chunk bodies (all domains). *)
-
-val reset_counters : unit -> unit
-
-val shutdown : unit -> unit
-(** Join all pool domains (registered [at_exit]; also used before
-    resizing). *)
+(** Cumulative monotonic time spent inside helper tasks (all helper
+    domains). *)

@@ -7,15 +7,7 @@ type key = {
   semiring : string;
   size : int;
   dense : bool;  (* the fill class mxv's layout pass keys pull/push on *)
-  bucket : int;  (* power-of-two nvals bucket: members share a par grain *)
 }
-
-let pow2_ceil x =
-  let r = ref 1 in
-  while !r < x do
-    r := !r * 2
-  done;
-  !r
 
 let key_of ~op ~graph ~transpose ~(sr : Jit.Op_spec.semiring) ~u =
   let size = Svector.size u in
@@ -27,8 +19,7 @@ let key_of ~op ~graph ~transpose ~(sr : Jit.Op_spec.semiring) ~u =
       Printf.sprintf "%s|%s|%s" sr.Jit.Op_spec.add_op
         sr.Jit.Op_spec.add_identity sr.Jit.Op_spec.mul_op;
     size;
-    dense = 4 * nv >= size && size >= 32;
-    bucket = pow2_ceil (max 1 nv) }
+    dense = 4 * nv >= size && size >= 32 }
 
 type result_ = ((int * float) list, string) result
 

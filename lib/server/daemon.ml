@@ -5,7 +5,6 @@ type config = {
   tcp_addr : (string * int) option;
   workers : int;
   queue_cap : int;
-  session_budget : int;
   batch_window : float;
   warm_n : int;
   warm : bool;
@@ -50,9 +49,6 @@ let default_config () =
     tcp_addr = Option.bind (Sys.getenv_opt "OGB_SERVE_ADDR") parse_addr;
     workers = max 1 (env_int "OGB_SERVE_WORKERS" 4);
     queue_cap = max 1 (env_int "OGB_SERVE_QUEUE" 16);
-    session_budget =
-      max 1
-        (env_int "OGB_SERVE_SESSION_DOMAINS" (Parallel.Pool.domains ()));
     batch_window = Float.max 0.0 (env_float "OGB_SERVE_BATCH_WINDOW" 0.001);
     warm_n = max 2 (env_int "OGB_SERVE_WARM_N" 256);
     warm = Sys.getenv_opt "OGB_SERVE_NO_WARM" = None }
@@ -482,9 +478,7 @@ let handle s session req =
         try
           if Fault.fire "serve.session.exn" then
             raise (Fault.Injected "serve.session.exn");
-          Session.with_context session (fun () ->
-              Parallel.Pool.with_budget_cap s.cfg.session_budget (fun () ->
-                  dispatch s session id req))
+          Session.with_context session (fun () -> dispatch s session id req)
         with
         | Fault.Injected _ ->
           bump s (fun s -> s.session_kills <- s.session_kills + 1);

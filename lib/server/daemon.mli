@@ -4,9 +4,8 @@
     loaded graphs (immutable, in {!Registry}) and the signature→kernel
     JIT cache, pre-warmed at startup over every tier-1 signature so
     steady-state requests compile nothing.  Each client connection is a
-    {!Session} with an isolated operator-context stack; compute comes
-    from the shared domain pool under a per-session budget
-    ({!Parallel.Pool.with_budget_cap}).
+    {!Session} with an isolated operator-context stack; nonblocking
+    plans draw their inter-op helpers from the shared domain pool.
 
     Wire protocol: line-delimited JSON objects over a Unix socket
     (optionally TCP), one request per line, one response per line.
@@ -29,7 +28,6 @@ type config = {
   tcp_addr : (string * int) option;  (** extra TCP listener *)
   workers : int;  (** worker domains draining the admission queue *)
   queue_cap : int;  (** admission-queue bound; overflow sheds *)
-  session_budget : int;  (** pool-domain cap per session request *)
   batch_window : float;  (** batch-coalescing window, seconds *)
   warm_n : int;  (** vertex count the startup warm-up assumes *)
   warm : bool;  (** run the warm-up at startup and on [load] *)
@@ -38,8 +36,7 @@ type config = {
 val default_config : unit -> config
 (** From the [OGB_SERVE_*] environment: [OGB_SERVE_SOCK],
     [OGB_SERVE_ADDR] (host:port), [OGB_SERVE_WORKERS] (4),
-    [OGB_SERVE_QUEUE] (16), [OGB_SERVE_SESSION_DOMAINS] (whole pool),
-    [OGB_SERVE_BATCH_WINDOW] (seconds, 0.001), [OGB_SERVE_WARM_N]
+    [OGB_SERVE_QUEUE] (16), [OGB_SERVE_BATCH_WINDOW] (seconds, 0.001), [OGB_SERVE_WARM_N]
     (256), [OGB_SERVE_NO_WARM]. *)
 
 (** {2 In-process core}

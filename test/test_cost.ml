@@ -1,8 +1,8 @@
 (* Cost-model planning: schedule grammar round-trips, the planner's
    schedules stay bit-identical to the frozen greedy pipeline across
    random DAGs, calibration files survive reload and fail loudly on
-   corruption, the calibration-aware pool grain only ever coarsens, and
-   a shape-changing candidate is rejected by the verify gate instead of
+   corruption (and still load with rows of retired families), and a
+   shape-changing candidate is rejected by the verify gate instead of
    being adopted. *)
 
 open Gbtl
@@ -371,28 +371,30 @@ let calibration_corruption () =
         (Cost.Calibration.quarantines ());
       Fault.disarm ())
 
-(* ---- calibration-aware pool grain ---- *)
+(* ---- calibration files from before the pool.chunk family ---- *)
 
-let grain_lookup () =
+(* Earlier builds also persisted a [pool.chunk] coefficient (the
+   chunked-kernel grain policy).  Such a file must still load: no
+   quarantine, every other coefficient intact. *)
+let legacy_pool_chunk_row () =
   with_calib_dir (fun _dir ->
       Fault.suspended @@ fun () ->
-      (* 16384 items / divisor 16 -> 1024-item power-of-two base *)
-      let base = Parallel.Pool.grain_for 16384 in
-      Alcotest.check Alcotest.int "uncalibrated grain is the pow2 base" 1024
-        base;
-      (* 100ns/item: a 200µs chunk is 2000 items -> coarsened to 2048 *)
-      write_calib ~gen:3 [ ("pool.chunk", 100.0, 10) ];
-      Alcotest.check Alcotest.int "grain coarsens toward 200µs chunks" 2048
-        (Parallel.Pool.grain_for 16384);
-      (* slow items: the model wants finer than the base; the hook only
-         ever coarsens, so the base stands *)
-      write_calib ~gen:4 [ ("pool.chunk", 1.0e6, 10) ];
-      Alcotest.check Alcotest.int "grain never drops below the base" 1024
-        (Parallel.Pool.grain_for 16384);
-      (* absurdly cheap items: the suggestion clamps to n *)
-      write_calib ~gen:5 [ ("pool.chunk", 0.001, 10) ];
-      Alcotest.check Alcotest.int "grain never exceeds the range" 16384
-        (Parallel.Pool.grain_for 16384))
+      let q0 = Cost.Calibration.quarantines () in
+      write_calib ~gen:7
+        [ ("compile", 15.0e6, 3); ("mxv_pull", 3.25, 12);
+          ("pool.chunk", 41.5, 96) ];
+      Alcotest.check Alcotest.int "generation kept" 7
+        (Cost.Calibration.generation ());
+      Alcotest.check Alcotest.int "not quarantined" q0
+        (Cost.Calibration.quarantines ());
+      Alcotest.check
+        Alcotest.(option (float 1e-9))
+        "mxv_pull kept" (Some 3.25)
+        (Cost.Calibration.ns_per_item "mxv_pull");
+      Alcotest.check
+        Alcotest.(option (float 1e-9))
+        "compile kept" (Some 15.0e6)
+        (Cost.Calibration.ns_per_item "compile"))
 
 let suite =
   [ Helpers.to_alcotest qcheck_roundtrip;
@@ -407,5 +409,5 @@ let suite =
       calibration_roundtrip;
     Alcotest.test_case "corrupt calibration quarantines loudly" `Quick
       calibration_corruption;
-    Alcotest.test_case "calibrated pool grain only coarsens" `Quick
-      grain_lookup ]
+    Alcotest.test_case "calibration with a pool.chunk row still loads" `Quick
+      legacy_pool_chunk_row ]

@@ -1,14 +1,11 @@
 (* Effect & disjointness analysis: adversarial plans with ground-truth
-   hazard seeding driven through the footprint inference, the parallel-
-   safety certifier's seeded-defect regressions (a broken chunk
-   decomposition and a widened exact_assoc gate must both be located),
-   and the degrade-loudly contract of the mandatory analysis hook. *)
+   hazard seeding driven through the footprint inference, the clean
+   lint and daemon-audit runs, and the degrade-loudly contract of the
+   mandatory analysis hook. *)
 
 open Gbtl
 module Plan = Exec.Plan
 module Effects = Analysis.Effects
-module Certify = Analysis.Certify
-module PK = Jit.Par_kernels.Certify
 
 let f64 = Dtype.FP64
 
@@ -127,91 +124,7 @@ let qcheck_planner_schedules_safe =
             QCheck.Test.fail_reportf "hazard survived the pipeline: %s"
               (Effects.describe h)))
 
-(* -- seeded-defect regressions for the parallel-safety certifier -- *)
-
-let test_certifier_clean () =
-  match Certify.run () with
-  | [] -> ()
-  | f :: _ -> Alcotest.failf "clean registry flagged: %s" (Certify.describe f)
-
-let test_broken_chunk_decomposition_caught () =
-  (* hand-break one output-partitioned kernel: widen every chunk one
-     slot to the right so neighbours share an output index *)
-  PK.set_tamper
-    (Some
-       (fun d ->
-         if d.PK.name = "mxv_gather" then
-           { d with
-             PK.chunks =
-               (fun ~n ~grain ->
-                 Array.map
-                   (fun (lo, hi) -> (lo, min n (hi + 1)))
-                   (PK.pool_chunks ~n ~grain))
-           }
-         else d));
-  Fun.protect
-    ~finally:(fun () -> PK.set_tamper None)
-    (fun () ->
-      let fs = Certify.run () in
-      let located =
-        List.filter
-          (fun f ->
-            f.Certify.kernel = "mxv_gather"
-            && f.Certify.rule = "chunk disjointness")
-          fs
-      in
-      if located = [] then
-        Alcotest.fail "overlapping chunk decomposition was not located";
-      (* the diagnostic names the size/grain that exposes the overlap *)
-      let d = (List.hd located).Certify.detail in
-      if not (Helpers.contains_substring d "n=") then
-        Alcotest.failf "diagnostic not located: %s" d;
-      (* only the tampered kernel is implicated *)
-      List.iter
-        (fun f ->
-          if f.Certify.kernel <> "mxv_gather" then
-            Alcotest.failf "untampered kernel implicated: %s"
-              (Certify.describe f))
-        fs)
-
-let test_widened_assoc_gate_caught () =
-  (* hand-break the exact_assoc gate: license every operator, so float
-     reductions would regroup — the judgment probes must object *)
-  Jit.Kernels.set_assoc_override (Some (fun ~dtype:_ ~op:_ -> true));
-  Fun.protect
-    ~finally:(fun () -> Jit.Kernels.set_assoc_override None)
-    (fun () ->
-      let fs = Certify.run () in
-      let located =
-        List.filter
-          (fun f ->
-            f.Certify.kernel = "exact_assoc"
-            && f.Certify.rule = "associativity licence"
-            && Helpers.contains_substring f.Certify.detail "double")
-          fs
-      in
-      if located = [] then
-        Alcotest.fail "widened associativity gate was not located")
-
-let test_env_tamper_drives_lint () =
-  (* the CI regression path: OGB_CERT_TAMPER seeds both defects and the
-     lint entry point must come back with findings *)
-  Unix.putenv "OGB_CERT_TAMPER" "chunks=mxv_gather,assoc";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "OGB_CERT_TAMPER" "";
-      PK.set_tamper None;
-      Jit.Kernels.set_assoc_override None)
-    (fun () ->
-      Analysis.Lint.apply_env_tamper ();
-      let fs = Certify.run () in
-      let has rule = List.exists (fun f -> f.Certify.rule = rule) fs in
-      if not (has "chunk disjointness") then
-        Alcotest.fail "env tamper: chunk defect not caught";
-      if not (has "associativity licence") then
-        Alcotest.fail "env tamper: assoc defect not caught")
-
-(* -- lint aggregate and daemon audit stay clean on an untampered tree -- *)
+(* -- lint aggregate and daemon audit stay clean -- *)
 
 let test_lint_clean () =
   match Analysis.Lint.run () with
@@ -255,14 +168,6 @@ let test_hook_degrades_loudly () =
 let suite =
   [ Helpers.to_alcotest qcheck_ground_truth;
     Helpers.to_alcotest qcheck_planner_schedules_safe;
-    Alcotest.test_case "certifier: clean registry certifies" `Quick
-      test_certifier_clean;
-    Alcotest.test_case "certifier: broken chunk decomposition located" `Quick
-      test_broken_chunk_decomposition_caught;
-    Alcotest.test_case "certifier: widened exact_assoc gate located" `Quick
-      test_widened_assoc_gate_caught;
-    Alcotest.test_case "certifier: OGB_CERT_TAMPER drives the lint path"
-      `Quick test_env_tamper_drives_lint;
     Alcotest.test_case "lint: clean tree has no findings" `Quick
       test_lint_clean;
     Alcotest.test_case "audit: daemon shared-state probes hold" `Quick

@@ -1,256 +1,24 @@
-(* Parallel-kernel suite: every chunked twin in Jit.Par_kernels must be
-   bit-identical to its sequential original at any grain and any domain
-   count; end-to-end DSL ops and tier-1 algorithms must be bit-identical
-   across par thresholds; a failing pool worker must degrade to the
-   sequential result; and the dispatch counters must not lose updates
-   under concurrent domains (the Jit_stats atomic fix). *)
+(* Domain-pool suite: the pool lends helper domains to the nonblocking
+   scheduler only, so results must be bit-identical at every domain
+   count, the pool counters must show the helpers a multi-node plan
+   borrowed, and the dispatch counters must not lose updates under
+   concurrent domains (the Jit_stats atomic fix). *)
 
 open Gbtl
 module Pool = Parallel.Pool
-module AK = Jit.Array_kernels
-module PK = Jit.Par_kernels
 
-(* The container runs single-core by default ([workers () = 0] inlines
-   every parallel_for sequentially), so the pool tests pin a 4-domain
-   budget to actually exercise concurrent chunk claiming. *)
+(* The container may run single-core ([workers () = 0] means the
+   scheduler's caller drains every plan alone), so the tests pin a
+   domain budget to exercise real helpers. *)
 let with_domains n f =
   Pool.set_domains n;
   Fun.protect ~finally:Pool.clear_domains_override f
 
-(* ---- operand builders: dense option arrays -> kernel operands ---- *)
+let nonblocking f = Exec.with_mode Exec.Nonblocking f
 
-let csr_of_dense m =
-  let nrows = Array.length m in
-  let ncols = if nrows = 0 then 0 else Array.length m.(0) in
-  let rp = Array.make (nrows + 1) 0 in
-  let ci = ref [] and vs = ref [] in
-  let k = ref 0 in
-  for i = 0 to nrows - 1 do
-    rp.(i) <- !k;
-    for j = 0 to ncols - 1 do
-      match m.(i).(j) with
-      | Some v ->
-        ci := j :: !ci;
-        vs := v :: !vs;
-        incr k
-      | None -> ()
-    done
-  done;
-  rp.(nrows) <- !k;
-  (rp, Array.of_list (List.rev !ci), Array.of_list (List.rev !vs))
-
-let transpose_dense m =
-  let nrows = Array.length m in
-  let ncols = if nrows = 0 then 0 else Array.length m.(0) in
-  Array.init ncols (fun j -> Array.init nrows (fun i -> m.(i).(j)))
-
-(* CSC of [m]: column pointers with rows ascending inside each column. *)
-let csc_of_dense m = csr_of_dense (transpose_dense m)
-
-let ventry_of_dense v =
-  let idx = ref [] and vls = ref [] in
-  let n = ref 0 in
-  Array.iteri
-    (fun i -> function
-      | Some x ->
-        idx := i :: !idx;
-        vls := x :: !vls;
-        incr n
-      | None -> ())
-    v;
-  (Array.of_list (List.rev !idx), Array.of_list (List.rev !vls), !n)
-
-let dense_of_opt ~default v =
-  ( Array.map (function Some x -> x | None -> default) v,
-    Array.map Option.is_some v )
-
-let int_mat = Array.map (Array.map (Option.map int_of_float))
-let int_vec = Array.map (Option.map int_of_float)
-
-(* ---- qcheck case: square operands plus a chunk grain small enough to
-   force several chunks (the interesting decompositions) ---- *)
-
-let case_gen =
-  let open QCheck.Gen in
-  int_range 2 40 >>= fun n ->
-  Helpers.mat_gen n n >>= fun a ->
-  Helpers.mat_gen n n >>= fun b ->
-  Helpers.vec_gen n >>= fun u ->
-  oneofl [ 1; 2; 3; 7; 16 ] >|= fun grain -> (n, a, b, u, grain)
-
-let case_arb =
-  Helpers.arb
-    ~print:(fun (n, _, _, _, grain) -> Printf.sprintf "n=%d grain=%d" n grain)
-    case_gen
-
-let qtest name law = Helpers.qtest ~count:60 name case_arb law
-
-(* ---- output-partitioned kernels: exact for every operator, so they
-   are checked with float arithmetic AND min-plus semirings ---- *)
-
-let prop_mxv_gather (n, a, _, u, grain) =
-  with_domains 4 @@ fun () ->
-  let csr = csr_of_dense a and ue = ventry_of_dense u in
-  let same ~add ~mul ~dummy =
-    PK.mxv_gather ~grain ~add ~mul ~dummy ~nrows:n ~ncols:n csr ue
-    = AK.mxv ~add ~mul ~dummy ~nrows:n ~ncols:n ~transpose:false csr ue
-  in
-  same ~add:( +. ) ~mul:( *. ) ~dummy:0.
-  && same ~add:min ~mul:( +. ) ~dummy:infinity
-
-let prop_vxm_gather (n, a, _, u, grain) =
-  with_domains 4 @@ fun () ->
-  let csr = csr_of_dense a and ue = ventry_of_dense u in
-  let same ~add ~mul ~dummy =
-    PK.vxm_gather ~grain ~add ~mul ~dummy ~nrows:n ~ncols:n csr ue
-    = AK.vxm ~add ~mul ~dummy ~nrows:n ~ncols:n ~transpose:true ue csr
-  in
-  same ~add:( +. ) ~mul:( *. ) ~dummy:0.
-  && same ~add:min ~mul:( +. ) ~dummy:infinity
-
-let prop_mxv_pull_masked (n, a, _, u, grain) =
-  with_domains 4 @@ fun () ->
-  let csc = csc_of_dense a in
-  let du = dense_of_opt ~default:0. u in
-  let visited = Array.init n (fun i -> i mod 3 = 0) in
-  let same ~stop =
-    PK.mxv_pull_masked ~grain ~add:( +. ) ~mul:( *. ) ~dummy:0. ~stop ~ncols:n
-      ~visited csc du
-    = AK.mxv_pull_masked ~add:( +. ) ~mul:( *. ) ~dummy:0. ~stop ~ncols:n
-        ~visited csc du
-  in
-  (* both the full-fold and the early-exit (BFS LogicalOr-style) form *)
-  same ~stop:(fun _ -> false) && same ~stop:(fun v -> v > 0.)
-
-let prop_vxm_pull_dense (n, a, _, u, grain) =
-  with_domains 4 @@ fun () ->
-  let csc = csc_of_dense a in
-  let partial = dense_of_opt ~default:0. u in
-  let full =
-    (Array.map (function Some x -> x | None -> 1.) u, Array.make n true)
-  in
-  let same du =
-    PK.vxm_pull_dense ~grain ~add:( +. ) ~mul:( *. ) ~dummy:0. ~ncols:n csc du
-    = AK.vxm_pull_dense ~add:( +. ) ~mul:( *. ) ~dummy:0. ~ncols:n csc du
-  in
-  (* both occupancy branches: partial frontier and the PageRank-style
-     fully dense one *)
-  same partial && same full
-
-let prop_mxm (n, a, b, _, grain) =
-  with_domains 4 @@ fun () ->
-  let ca = csr_of_dense a and cb = csr_of_dense b in
-  PK.mxm_gustavson ~grain ~add:( +. ) ~mul:( *. ) ~dummy:0. ~nrows_a:n
-    ~ncols_b:n ca cb
-  = AK.mxm_gustavson ~add:( +. ) ~mul:( *. ) ~dummy:0. ~nrows_a:n ~ncols_b:n
-      ca cb
-
-let prop_dense_ewise_apply (n, _, _, u, grain) =
-  with_domains 4 @@ fun () ->
-  ignore n;
-  let da = dense_of_opt ~default:0. u in
-  let db =
-    dense_of_opt ~default:0. (Array.of_list (List.rev (Array.to_list u)))
-  in
-  let f x = (2. *. x) +. 1. in
-  PK.ewise_add_dense ~grain ~op:( +. ) ~dummy:0. da db
-  = AK.ewise_add_dense ~op:( +. ) ~dummy:0. da db
-  && PK.ewise_mult_dense ~grain ~op:( *. ) ~dummy:0. da db
-     = AK.ewise_mult_dense ~op:( *. ) ~dummy:0. da db
-  && PK.apply_dense ~grain ~f ~dummy:0. da = AK.apply_dense ~f ~dummy:0. da
-
-let prop_apply_v (n, _, _, u, grain) =
-  with_domains 4 @@ fun () ->
-  ignore n;
-  let ue = ventry_of_dense u in
-  let f x = (x *. x) -. 3. in
-  PK.apply_v ~grain ~f ue = AK.apply_v ~f ue
-
-(* ---- chunk-combined kernels: gated to exactly associative ⊕ by the
-   dispatcher, so they are checked with the operators that actually
-   reach them (integer Plus/Times, Min/Max over floats) ---- *)
-
-let prop_mxv_scatter (n, a, _, u, grain) =
-  with_domains 4 @@ fun () ->
-  let csr = csr_of_dense (int_mat a) and ue = ventry_of_dense (int_vec u) in
-  PK.mxv_scatter ~grain ~add:( + ) ~mul:( * ) ~dummy:0 ~ncols:n csr ue
-  = AK.mxv ~add:( + ) ~mul:( * ) ~dummy:0 ~nrows:n ~ncols:n ~transpose:true
-      csr ue
-
-let prop_vxm_scatter (n, a, _, u, grain) =
-  with_domains 4 @@ fun () ->
-  let csr = csr_of_dense (int_mat a) and ue = ventry_of_dense (int_vec u) in
-  PK.vxm_scatter ~grain ~add:( + ) ~mul:( * ) ~dummy:0 ~ncols:n csr ue
-  = AK.vxm ~add:( + ) ~mul:( * ) ~dummy:0 ~nrows:n ~ncols:n ~transpose:false
-      ue csr
-
-let prop_vxm_dense (n, a, _, u, grain) =
-  with_domains 4 @@ fun () ->
-  let csr = csr_of_dense (int_mat a) in
-  let du = dense_of_opt ~default:0 (int_vec u) in
-  PK.vxm_dense ~grain ~add:( + ) ~mul:( * ) ~dummy:0 ~nrows:n ~ncols:n du csr
-  = AK.vxm_dense ~add:( + ) ~mul:( * ) ~dummy:0 ~nrows:n ~ncols:n du csr
-
-let prop_reduce (n, _, _, u, grain) =
-  with_domains 4 @@ fun () ->
-  ignore n;
-  let iu = int_vec u in
-  let di = dense_of_opt ~default:0 iu in
-  let df = dense_of_opt ~default:0. u in
-  let ie = ventry_of_dense iu in
-  PK.reduce_dense ~grain ~op:( + ) ~identity:0 di
-  = AK.reduce_dense ~op:( + ) ~identity:0 di
-  && PK.reduce_dense ~grain ~op:min ~identity:infinity df
-     = AK.reduce_dense ~op:min ~identity:infinity df
-  && PK.reduce_v ~grain ~op:( + ) ~identity:0 ie
-     = AK.reduce_v ~op:( + ) ~identity:0 ie
-
-(* Chunk boundaries are a pure function of the grain, never of the
-   domain count: the same reduce at 1 and 4 domains is bit-identical. *)
-let prop_domain_count_independence (n, _, _, u, grain) =
-  ignore n;
-  let df = dense_of_opt ~default:0. u in
-  let at d =
-    with_domains d @@ fun () ->
-    PK.reduce_dense ~grain ~op:min ~identity:infinity df
-  in
-  at 1 = at 4
-
-(* ---- pool plan gating ---- *)
-
-let test_plan_gating () =
-  with_domains 4 (fun () ->
-      Pool.with_threshold 0 (fun () ->
-          (match Pool.plan ~work:100_000 ~n:100_000 () with
-          | Some g -> Alcotest.(check bool) "grain splits" true (g < 100_000)
-          | None -> Alcotest.fail "expected a parallel plan");
-          Alcotest.(check bool)
-            "unsplittable loop stays sequential" true
-            (Pool.plan ~work:100_000 ~n:1 () = None));
-      Pool.with_threshold max_int (fun () ->
-          Alcotest.(check bool)
-            "threshold gates small work" true
-            (Pool.plan ~work:100_000 ~n:100_000 () = None)));
-  with_domains 1 (fun () ->
-      Pool.with_threshold 0 (fun () ->
-          Alcotest.(check bool)
-            "single-domain budget stays sequential" true
-            (Pool.plan ~work:100_000 ~n:100_000 () = None)))
-
-let test_grain_purity () =
-  let g1 = with_domains 1 (fun () -> Pool.grain_for 100_000) in
-  let g4 = with_domains 4 (fun () -> Pool.grain_for 100_000) in
-  Alcotest.(check int) "grain independent of domain count" g1 g4;
-  Alcotest.(check bool)
-    "grain is a power of two" true
-    (g1 land (g1 - 1) = 0)
-
-(* ---- end-to-end: DSL ops with mask and accumulator across par
-   thresholds (threshold 0 forces every eligible kernel onto its
-   parallel variant; max_int keeps everything sequential) ---- *)
-
-let test_dsl_across_thresholds () =
-  with_domains 4 @@ fun () ->
+(* A masked assignment and an accumulated update over one matrix-vector
+   product: several plan nodes, a mask and an accumulator. *)
+let dsl_program () =
   let open Ogb in
   let open Ogb.Ops.Infix in
   let n = 96 in
@@ -265,76 +33,65 @@ let test_dsl_across_thresholds () =
     List.filter_map (fun i -> if i mod 2 = 0 then Some (i, 1.0) else None)
       (List.init n Fun.id)
   in
-  let run () =
-    let m = Container.matrix_coo ~nrows:n ~ncols:n triples in
-    let u = Container.vector_coo ~size:n u_entries in
-    let mask = Container.vector_coo ~size:n mask_entries in
-    let w = Container.vector_coo ~size:n [ (0, 0.25) ] in
-    Ops.set ~mask:(Ops.Mask mask) w (!!m @. !!u);
-    let w2 = Container.vector_coo ~size:n (List.init n (fun i -> (i, 0.5))) in
-    Ops.update w2 (!!m @. !!u);
-    (Container.vector_entries w, Container.vector_entries w2)
-  in
-  let seq = Pool.with_threshold max_int run in
-  let par = Pool.with_threshold 0 run in
-  Alcotest.(check bool) "masked and accumulated results identical" true
-    (seq = par)
+  let m = Container.matrix_coo ~nrows:n ~ncols:n triples in
+  let u = Container.vector_coo ~size:n u_entries in
+  let mask = Container.vector_coo ~size:n mask_entries in
+  let w = Container.vector_coo ~size:n [ (0, 0.25) ] in
+  Ops.set ~mask:(Ops.Mask mask) w (!!m @. !!u);
+  let w2 = Container.vector_coo ~size:n (List.init n (fun i -> (i, 0.5))) in
+  Ops.update w2 (!!m @. !!u);
+  (Container.vector_entries w, Container.vector_entries w2)
 
-(* ---- end-to-end: tier-1 algorithms bit-identical across thresholds
-   (float Plus reductions are gated sequential; everything that does
-   run in parallel partitions the output space) ---- *)
+let test_dsl_across_domains () =
+  let blocking = dsl_program () in
+  let at d = with_domains d (fun () -> nonblocking dsl_program) in
+  Alcotest.(check bool) "1 domain matches blocking" true (at 1 = blocking);
+  Alcotest.(check bool) "4 domains match 1 domain" true (at 4 = at 1)
 
-let test_algorithms_across_thresholds () =
-  with_domains 4 @@ fun () ->
+let test_algorithms_across_domains () =
   let g =
     Graphs.Generators.erdos_renyi_paper
       (Graphs.Rng.create ~seed:42)
       ~nvertices:120
   in
-  let adjb = Graphs.Convert.bool_adjacency g in
-  let adjf = Graphs.Convert.matrix_of_edges Dtype.FP64 g in
-  let run () =
-    let ranks, iters = Algorithms.Pagerank.native ~threshold:1e-12 adjf in
-    let levels = Algorithms.Bfs.levels_of_svector (Algorithms.Bfs.native adjb ~src:0) in
+  let adjb = Ogb.Container.of_smatrix (Graphs.Convert.bool_adjacency g) in
+  let adjf =
+    Ogb.Container.of_smatrix (Graphs.Convert.matrix_of_edges Dtype.FP64 g)
+  in
+  let run d =
+    with_domains d @@ fun () ->
+    let ranks, iters = Algorithms.Pagerank.nonblocking ~threshold:1e-12 adjf in
+    let levels = nonblocking (fun () -> Algorithms.Bfs.dsl adjb ~src:0) in
     (ranks, iters, levels)
   in
-  let r1, i1, l1 = Pool.with_threshold max_int run in
-  let r2, i2, l2 = Pool.with_threshold 0 run in
-  Alcotest.(check bool) "pagerank ranks bit-identical" true (Svector.equal r1 r2);
-  Alcotest.(check int) "pagerank iteration count" i1 i2;
-  Alcotest.(check (list (pair int int))) "bfs levels" l1 l2
+  let r1, i1, l1 = run 1 and r4, i4, l4 = run 4 in
+  Alcotest.(check bool) "pagerank ranks bit-identical" true
+    (Ogb.Container.equal r1 r4);
+  Alcotest.(check int) "pagerank iteration count" i1 i4;
+  Alcotest.(check bool) "bfs levels" true (Ogb.Container.equal l1 l4)
 
-(* ---- chaos: a worker that raises on every chunk degrades the job to
-   a sequential re-run with the exact sequential result ---- *)
-
-let test_worker_fault_degrades () =
-  with_domains 4 @@ fun () ->
-  Pool.reset_counters ();
-  Fault.arm [ ("par.worker.exn", Fault.Always) ];
-  Fun.protect ~finally:Fault.disarm @@ fun () ->
-  let n = 256 in
-  let a =
-    Array.init n (fun i ->
-        Array.init n (fun j ->
-            if (i + j) mod 7 = 0 then Some (float_of_int ((i * j) mod 5))
-            else None))
+(* A multi-node nonblocking plan at 2 domains borrows a pool helper
+   ([par_jobs] and [chunks] grow) and its result is bit-identical to
+   the 1-domain run.  Freshly spawned helper domains only count as idle
+   once they reach their wait loop, so the first plans may run without
+   one; retry until a helper is granted. *)
+let test_pool_serves_scheduler () =
+  let counter k = List.assoc k (Pool.counters ()) in
+  let seq = with_domains 1 (fun () -> nonblocking dsl_program) in
+  with_domains 2 @@ fun () ->
+  let par0 = counter "par_jobs" and chunks0 = counter "chunks" in
+  let rec go tries =
+    let r = nonblocking dsl_program in
+    Alcotest.(check bool) "2 domains match 1 domain" true (r = seq);
+    if counter "par_jobs" = par0 && tries > 0 then begin
+      Unix.sleepf 0.01;
+      go (tries - 1)
+    end
   in
-  let u =
-    Array.init n (fun i ->
-        if i mod 3 = 0 then Some (float_of_int (i mod 4)) else None)
-  in
-  let csr = csr_of_dense a and ue = ventry_of_dense u in
-  let pk =
-    PK.mxv_gather ~grain:16 ~add:( +. ) ~mul:( *. ) ~dummy:0. ~nrows:n
-      ~ncols:n csr ue
-  in
-  let ak =
-    AK.mxv ~add:( +. ) ~mul:( *. ) ~dummy:0. ~nrows:n ~ncols:n
-      ~transpose:false csr ue
-  in
-  Alcotest.(check bool) "degraded result identical" true (pk = ak);
-  let degrades = List.assoc "degrades" (Pool.counters ()) in
-  Alcotest.(check bool) "degrade recorded" true (degrades > 0)
+  go 100;
+  Alcotest.(check bool) "par_jobs grew" true (counter "par_jobs" > par0);
+  Alcotest.(check bool) "chunks grew" true (counter "chunks" > chunks0);
+  Alcotest.(check bool) "busy time recorded" true (Pool.busy_seconds () > 0.0)
 
 (* ---- the Jit_stats bugfix: plain int-ref counters lost updates under
    concurrent domains; atomics must account for every increment ---- *)
@@ -362,37 +119,12 @@ let test_doctor_reports_pool () =
     (Helpers.contains_substring s "pool stats")
 
 let suite =
-  [ Helpers.to_alcotest (qtest "par mxv gather bit-identical" prop_mxv_gather);
-    Helpers.to_alcotest (qtest "par vxm gather bit-identical" prop_vxm_gather);
-    Helpers.to_alcotest
-      (qtest "par masked pull bit-identical" prop_mxv_pull_masked);
-    Helpers.to_alcotest
-      (qtest "par dense pull bit-identical" prop_vxm_pull_dense);
-    Helpers.to_alcotest (qtest "par mxm bit-identical" prop_mxm);
-    Helpers.to_alcotest
-      (qtest "par dense ewise/apply bit-identical" prop_dense_ewise_apply);
-    Helpers.to_alcotest (qtest "par sparse apply bit-identical" prop_apply_v);
-    Helpers.to_alcotest
-      (qtest "par mxv scatter bit-identical (exact add)" prop_mxv_scatter);
-    Helpers.to_alcotest
-      (qtest "par vxm scatter bit-identical (exact add)" prop_vxm_scatter);
-    Helpers.to_alcotest
-      (qtest "par dense push bit-identical (exact add)" prop_vxm_dense);
-    Helpers.to_alcotest
-      (qtest "par reduce bit-identical (exact monoids)" prop_reduce);
-    Helpers.to_alcotest
-      (qtest "results independent of domain count"
-         prop_domain_count_independence);
-    Alcotest.test_case "plan gating (threshold, domains, splittability)"
-      `Quick test_plan_gating;
-    Alcotest.test_case "grain is pure and power-of-two" `Quick
-      test_grain_purity;
-    Alcotest.test_case "DSL mask+accum identical across thresholds" `Quick
-      test_dsl_across_thresholds;
-    Alcotest.test_case "algorithms bit-identical across thresholds" `Quick
-      test_algorithms_across_thresholds;
-    Alcotest.test_case "worker fault degrades to sequential result" `Quick
-      test_worker_fault_degrades;
+  [ Alcotest.test_case "results independent of domain count" `Quick
+      test_pool_serves_scheduler;
+    Alcotest.test_case "DSL mask+accum identical across domain counts" `Quick
+      test_dsl_across_domains;
+    Alcotest.test_case "algorithms bit-identical across domain counts" `Quick
+      test_algorithms_across_domains;
     Alcotest.test_case "stats counters survive a 4-domain race" `Quick
       test_counter_race;
     Alcotest.test_case "doctor reports pool stats" `Quick

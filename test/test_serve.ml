@@ -39,13 +39,12 @@ let with_domains n f =
   Pool.set_domains n;
   Fun.protect ~finally:Pool.clear_domains_override f
 
-let mk_state ?(warm = false) ?(window = 0.0) ?(budget = 4) () =
+let mk_state ?(warm = false) ?(window = 0.0) () =
   D.create_state
     { D.sock_path = "/tmp/ogb-serve-test-unused.sock";
       tcp_addr = None;
       workers = 2;
       queue_cap = 16;
-      session_budget = budget;
       batch_window = window;
       warm_n = 32;
       warm }
@@ -560,7 +559,6 @@ let test_socket_end_to_end () =
       tcp_addr = None;
       workers = 2;
       queue_cap = 8;
-      session_budget = 2;
       batch_window = 0.0;
       warm_n = 32;
       warm = false }

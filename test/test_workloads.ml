@@ -2,15 +2,14 @@
    propagation, k-truss and single-source betweenness centrality.  Each
    workload is checked four ways — deterministic cross-tier agreement
    against its tier-3 reference, qcheck blocking≡nonblocking
-   bit-identity, parallel-twin bit-identity across grain and domain
-   settings, and chaos-matrix equivalence under one OGB_FAULTS spec.
+   bit-identity, and chaos-matrix equivalence under one OGB_FAULTS
+   spec.
    Connected components gets the same cross-tier agreement, and a
    dispatch-count check over all eight tier-1 algorithms keeps the vm
    tier from running rounds the dsl tier does not. *)
 
 open Gbtl
 module C = Ogb.Container
-module Pool = Parallel.Pool
 
 (* ---- fixtures ---- *)
 
@@ -410,79 +409,21 @@ let qcheck_bc_nonblocking =
       let gc = C.of_smatrix adj in
       C.equal (Algorithms.Bc.dsl gc ~src:0) (Algorithms.Bc.nonblocking gc ~src:0))
 
-(* ---- qcheck: parallel-twin bit-identity across grains ---- *)
-
-(* Force a specific chunk grain through the pool's grain hook (clamped
-   to the legal [base, pow2_ceil n] band — small requests exercise the
-   finest legal decomposition, large ones merge chunks), pin a 4-domain
-   budget and a zero threshold so every kernel takes its parallel twin,
-   and require bit-identity with the fully sequential run. *)
-let with_forced_grain grain f =
-  Pool.set_domains 4;
-  Fun.protect
-    ~finally:(fun () -> Pool.clear_domains_override ())
-    (fun () ->
-      Pool.with_grain_hook
-        (fun ~n:_ ~base:_ -> Some grain)
-        (fun () -> Pool.with_threshold 0 f))
-
-let grain_case_gen =
-  let open QCheck.Gen in
-  graph_case_gen >>= fun g ->
-  oneofl [ 1; 2; 3; 7; 16 ] >|= fun grain -> (g, grain)
-
-let grain_case_arb =
-  QCheck.make
-    ~print:(fun ((n, m, seed), grain) ->
-      Printf.sprintf "n=%d m=%d seed=%d grain=%d" n m seed grain)
-    grain_case_gen
-
-let qgrain name law = Helpers.qtest ~count:25 name grain_case_arb law
-
-let qcheck_labelprop_parallel_twin =
-  qgrain "labelprop: parallel twin bit-identical at every grain"
-    (fun ((n, m, seed), grain) ->
-      let gc = C.of_smatrix (sym_graph ~seed ~n ~m) in
-      let seq, sr = Pool.with_threshold max_int (fun () -> Algorithms.Labelprop.dsl gc) in
-      let par, pr = with_forced_grain grain (fun () -> Algorithms.Labelprop.dsl gc) in
-      sr = pr && C.equal seq par)
-
-let qcheck_ktruss_parallel_twin =
-  qgrain "ktruss: parallel twin bit-identical at every grain"
-    (fun ((n, m, seed), grain) ->
-      let gc = C.of_smatrix (sym_graph ~seed ~n ~m) in
-      let seq = Pool.with_threshold max_int (fun () -> Algorithms.Ktruss.dsl ~k:3 gc) in
-      let par = with_forced_grain grain (fun () -> Algorithms.Ktruss.dsl ~k:3 gc) in
-      C.equal seq par)
-
-let qcheck_bc_parallel_twin =
-  qgrain "bc: parallel twin bit-identical at every grain"
-    (fun ((n, m, seed), grain) ->
-      let adj, _ = digraph ~seed ~n ~m in
-      let gc = C.of_smatrix adj in
-      let seq = Pool.with_threshold max_int (fun () -> Algorithms.Bc.dsl gc ~src:0) in
-      let par = with_forced_grain grain (fun () -> Algorithms.Bc.dsl gc ~src:0) in
-      C.equal seq par)
-
 (* ---- chaos: one OGB_FAULTS spec per workload ---- *)
 
 (* Faults may only show up in the resilience counters: the nonblocking
    run under an armed spec must be bit-identical to the clean blocking
-   result.  Scheduler faults need a multi-domain scheduler; the pool
-   fault needs pool workers plus a zero threshold to reach the chunked
-   twins at these sizes. *)
+   result.  Scheduler faults need a multi-domain scheduler. *)
 let with_chaos spec f =
   (match Fault.arm_spec spec with
   | Ok () -> ()
   | Error e -> Alcotest.failf "bad chaos spec %S: %s" spec e);
   Exec.Scheduler.set_domains 2;
-  Pool.set_domains 4;
   Fun.protect
     ~finally:(fun () ->
       Fault.disarm ();
-      Pool.clear_domains_override ();
       Exec.Scheduler.clear_domains_override ())
-    (fun () -> Pool.with_threshold 0 f)
+    f
 
 let test_labelprop_chaos () =
   let gc = C.of_smatrix (sym_graph ~seed:111 ~n:24 ~m:60) in
@@ -510,10 +451,10 @@ let test_bc_chaos () =
   let gc = C.of_smatrix adj in
   let clean = Algorithms.Bc.dsl gc ~src:0 in
   let chaos =
-    with_chaos "par.worker.exn=p0.3,seed=7" (fun () ->
+    with_chaos "sched.worker.exn=p0.3,seed=7" (fun () ->
         Algorithms.Bc.nonblocking gc ~src:0)
   in
-  Alcotest.(check bool) "centrality identical under pool faults" true
+  Alcotest.(check bool) "centrality identical under worker exceptions" true
     (C.equal clean chaos)
 
 (* ---- the algorithm × tier registry ---- *)
@@ -599,14 +540,11 @@ let suite =
     Helpers.to_alcotest qcheck_labelprop_nonblocking;
     Helpers.to_alcotest qcheck_ktruss_nonblocking;
     Helpers.to_alcotest qcheck_bc_nonblocking;
-    Helpers.to_alcotest qcheck_labelprop_parallel_twin;
-    Helpers.to_alcotest qcheck_ktruss_parallel_twin;
-    Helpers.to_alcotest qcheck_bc_parallel_twin;
     Alcotest.test_case "chaos: labelprop under sched.worker.exn" `Quick
       test_labelprop_chaos;
     Alcotest.test_case "chaos: ktruss under sched.worker.slow" `Quick
       test_ktruss_chaos;
-    Alcotest.test_case "chaos: bc under par.worker.exn" `Quick test_bc_chaos;
+    Alcotest.test_case "chaos: bc under sched.worker.exn" `Quick test_bc_chaos;
     Alcotest.test_case "registry: every tier of every entry agrees" `Quick
       test_registry_tiers_agree;
     Alcotest.test_case "registry: counts render as integers" `Quick
