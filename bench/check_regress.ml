@@ -2,7 +2,7 @@
 
      dune exec bench/check_regress.exe -- BENCH_warmup.json ...
        [--baseline-dir bench/baselines] [--tolerance 0.15]
-       [--absolute] [--update-baselines]
+       [--allow-missing] [--update-baselines]
 
    Each fresh artifact is compared leaf-by-leaf against the committed
    baseline of the same name.  Gating rules:
@@ -12,10 +12,8 @@
    - relative metrics (any path containing "speedup") must stay within
      [tolerance] of the baseline: fresh >= base * (1 - tolerance).
      Ratios are machine-portable, so these gate by default;
-   - absolute times (paths containing "ms") gate only under
-     [--absolute] — wall-clock shifts with the runner — with a 1 ms
-     slack floor so micro-times don't flake: fresh <= max(base * (1 +
-     tolerance), base + 1.0);
+   - absolute times (paths containing "ms") are not gated: they shift
+     with the runner, and bench/e2e's paired compare owns timings;
    - every other numeric leaf (sizes, counters, core counts) is
      context, not a metric, and is ignored;
    - a metric leaf (boolean, or a "speedup"/"ms" path) present in the
@@ -70,7 +68,7 @@ let contains_sub hay needle =
 
 type verdict = Pass | Fail of string
 
-let check_leaf ~tolerance ~absolute ~gate_speedups path base fresh =
+let check_leaf ~tolerance ~gate_speedups path base fresh =
   match (base, fresh) with
   | L_bool true, L_bool false ->
     Fail (Printf.sprintf "%s: regressed true -> false" path)
@@ -82,13 +80,6 @@ let check_leaf ~tolerance ~absolute ~gate_speedups path base fresh =
       Fail
         (Printf.sprintf "%s: %.3f below baseline %.3f (tolerance %.0f%%)"
            path f b (100.0 *. tolerance))
-  | L_num b, L_num f when absolute && contains_sub path "ms" ->
-    let ceil_ = Float.max (b *. (1.0 +. tolerance)) (b +. 1.0) in
-    if f <= ceil_ then Pass
-    else
-      Fail
-        (Printf.sprintf "%s: %.3f ms above baseline %.3f ms (tolerance %.0f%%)"
-           path f b (100.0 *. tolerance))
   | _ -> Pass
 
 (* A leaf the gate would actually compare: correctness flags and the
@@ -98,9 +89,9 @@ let is_metric path = function
   | L_bool _ -> true
   | L_num _ -> contains_sub path "speedup" || contains_sub path "ms"
 
-(* The "cores" leaf every artifact row records (satellite of the
-   workload harness): below 2 cores a parallel-vs-serial ratio is
-   scheduling noise, so speedup gates are skipped with a loud notice. *)
+(* The "cores" leaf every artifact records: below 2 cores a
+   parallel-vs-serial ratio is scheduling noise, so speedup gates are
+   skipped with a loud notice. *)
 let recorded_cores fresh =
   List.fold_left
     (fun acc (path, leaf) ->
@@ -110,7 +101,7 @@ let recorded_cores fresh =
       | _ -> acc)
     None fresh
 
-let check_artifact ~tolerance ~absolute ~allow_missing ~baseline_path
+let check_artifact ~tolerance ~allow_missing ~baseline_path
     ~fresh_path =
   let base = flatten (J.parse (read_file baseline_path)) in
   let fresh = flatten (J.parse (read_file fresh_path)) in
@@ -119,7 +110,7 @@ let check_artifact ~tolerance ~absolute ~allow_missing ~baseline_path
     | Some c when c < 2.0 ->
       Printf.printf
         "NOTICE %s: runner records %.0f core(s); speedup gates skipped \
-         (correctness flags and absolute gates still active)\n"
+         (correctness flags still active)\n"
         fresh_path c;
       false
     | _ -> true
@@ -135,7 +126,7 @@ let check_artifact ~tolerance ~absolute ~allow_missing ~baseline_path
           :: !failures
       | Some f -> (
         incr checked;
-        match check_leaf ~tolerance ~absolute ~gate_speedups path b f with
+        match check_leaf ~tolerance ~gate_speedups path b f with
         | Pass -> ()
         | Fail msg -> failures := msg :: !failures))
     base;
@@ -174,7 +165,6 @@ let () =
   let baseline_dir =
     Option.value ~default:"bench/baselines" (opt "--baseline-dir" args)
   in
-  let absolute = List.mem "--absolute" args in
   let allow_missing = List.mem "--allow-missing" args in
   let update = List.mem "--update-baselines" args in
   let files =
@@ -187,7 +177,7 @@ let () =
   if files = [] then begin
     prerr_endline
       "usage: check_regress [--baseline-dir DIR] [--tolerance F] \
-       [--absolute] [--allow-missing] [--update-baselines] BENCH_x.json ...";
+       [--allow-missing] [--update-baselines] BENCH_x.json ...";
     exit 2
   end;
   let failed = ref false in
@@ -214,7 +204,7 @@ let () =
       end
       else begin
         match
-          check_artifact ~tolerance ~absolute ~allow_missing ~baseline_path
+          check_artifact ~tolerance ~allow_missing ~baseline_path
             ~fresh_path
         with
         | checked, [] ->

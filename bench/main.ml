@@ -11,8 +11,6 @@
      compile  JIT pipeline: cold compile vs disk vs memory dispatch
      table1   Table I notation conformance (executable check)
      ablation design-choice ablations (masked mxm, deferred eval, reuse)
-     exec     blocking vs nonblocking engine (PageRank, triangles),
-              emits BENCH_exec.json
      formats  CSR-only vs format-aware dispatch (PageRank, BFS),
               emits BENCH_formats.json
      faults   resilience: warm-path overhead of the hardening and chaos
@@ -27,33 +25,36 @@
               memory budget (bit-identity + eviction counts), plus the
               checkpointed and delta-restart variants,
               emits BENCH_oocore.json
-     workloads all eight tier-1 workloads (bfs, pagerank, sssp,
-              triangle, cc, labelprop, ktruss, betweenness), blocking
-              vs nonblocking, one timestamped artifact each under
-              bench/results/ plus a stable -latest alias; restrict to
-              one with --only NAME; tune via OGB_BENCH_REPS /
-              OGB_BENCH_N (see bench/workloads/ and bench/history.ml)
-     micro    Bechamel micro-benchmarks of the kernel families *)
+     micro    Bechamel micro-benchmarks of the kernel families
+
+   Tier timings of all eight tier-1 algorithms, blocking vs nonblocking
+   included, are measured and gated by bench/e2e alone (its README). *)
 
 open Gbtl
 
-let time_once f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+(* seconds on the monotonic clock: a wall-clock step must not move a
+   timing *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-(* Best-of-[reps] wall time, with one warmup run (which also warms the
-   JIT caches, as the paper's methodology implies for steady state). *)
-let best_of ?(reps = 3) f =
-  ignore (f ());
+let time_once f =
+  let t0 = now () in
+  let r = f () in
+  (r, now () -. t0)
+
+(* Best of [reps] timings in seconds, after one warmup call (which also
+   warms the JIT caches, as the paper's methodology implies for steady
+   state).  [timed] runs once and returns its own time. *)
+let best_timed ?(reps = 3) timed =
+  ignore (timed ());
   (* level the GC playing field between configurations *)
   Gc.full_major ();
   let best = ref infinity in
   for _ = 1 to reps do
-    let _, dt = time_once f in
-    if dt < !best then best := dt
+    best := Float.min !best (timed ())
   done;
   !best
+
+let best_of ?reps f = best_timed ?reps (fun () -> snd (time_once f))
 
 let ms dt = 1000.0 *. dt
 
@@ -63,43 +64,41 @@ let ms dt = 1000.0 *. dt
 
 type tier_times = { vm : float; dsl : float; whole : float; native : float }
 
-let fig10_algorithms = [ "bfs"; "sssp"; "pagerank"; "triangles" ]
+(* Tiers 1 and 3 (and the dsl series) come from [Algorithms.Registry];
+   tier 2, one interpreted call into the whole compiled algorithm, has
+   no registry tier.  Like a registry tier, each call derives a fresh
+   input from the loaded graph and times only the algorithm, so lazily
+   built layouts (the CSC index bfs pulls through, say) cost every
+   column alike. *)
+let fig10_whole : (string * (float Smatrix.t -> unit -> float)) list =
+  let bool_m m = Smatrix.cast ~into:Dtype.Bool m in
+  let on input f m () =
+    let c = Ogb.Container.of_smatrix (input m) in
+    snd (time_once (fun () -> f c))
+  in
+  [ ("bfs", on bool_m (fun c -> Algorithms.Bfs.vm_whole c ~src:0));
+    ("sssp", on Fun.id (fun c -> Algorithms.Sssp.vm_whole c ~src:0));
+    ("pagerank", on Fun.id Algorithms.Pagerank.vm_whole);
+    ( "tc",
+      on
+        (fun m -> Algorithms.Triangle.of_undirected (bool_m m))
+        Algorithms.Triangle.vm_whole ) ]
 
 let run_fig10_algo name n =
   let rng = Graphs.Rng.create ~seed:(2018 + n) in
   let g = Graphs.Generators.erdos_renyi_paper rng ~nvertices:n in
-  match name with
-  | "bfs" ->
-    let adj = Graphs.Convert.bool_adjacency g in
-    let cont = Ogb.Container.of_smatrix adj in
-    { vm = best_of (fun () -> Algorithms.Bfs.vm_loops cont ~src:0);
-      dsl = best_of (fun () -> Algorithms.Bfs.dsl cont ~src:0);
-      whole = best_of (fun () -> Algorithms.Bfs.vm_whole cont ~src:0);
-      native = best_of (fun () -> Algorithms.Bfs.native adj ~src:0) }
-  | "sssp" ->
-    let adj = Graphs.Convert.matrix_of_edges Dtype.FP64 g in
-    let cont = Ogb.Container.of_smatrix adj in
-    { vm = best_of ~reps:2 (fun () -> Algorithms.Sssp.vm_loops cont ~src:0);
-      dsl = best_of ~reps:2 (fun () -> Algorithms.Sssp.dsl cont ~src:0);
-      whole = best_of ~reps:2 (fun () -> Algorithms.Sssp.vm_whole cont ~src:0);
-      native = best_of ~reps:2 (fun () -> Algorithms.Sssp.native adj ~src:0) }
-  | "pagerank" ->
-    let adj = Graphs.Convert.matrix_of_edges Dtype.FP64 g in
-    let cont = Ogb.Container.of_smatrix adj in
-    { vm = best_of (fun () -> Algorithms.Pagerank.vm_loops cont);
-      dsl = best_of (fun () -> Algorithms.Pagerank.dsl cont);
-      whole = best_of (fun () -> Algorithms.Pagerank.vm_whole cont);
-      native = best_of (fun () -> Algorithms.Pagerank.native adj) }
-  | "triangles" ->
-    let sym = Graphs.Edge_list.symmetrize g in
-    let adj = Graphs.Convert.bool_adjacency sym in
-    let l = Algorithms.Triangle.of_undirected adj in
-    let lc = Ogb.Container.of_smatrix l in
-    { vm = best_of (fun () -> Algorithms.Triangle.vm_loops lc);
-      dsl = best_of (fun () -> Algorithms.Triangle.dsl lc);
-      whole = best_of (fun () -> Algorithms.Triangle.vm_whole lc);
-      native = best_of (fun () -> Algorithms.Triangle.native l) }
-  | _ -> assert false
+  let g = if name = "tc" then Graphs.Edge_list.symmetrize g else g in
+  let m = Graphs.Convert.matrix_of_edges Dtype.FP64 g in
+  let entry = Option.get (Algorithms.Registry.find name) in
+  let reps = if name = "sssp" then 2 else 3 in
+  let tier t =
+    best_timed ~reps (fun () ->
+        (entry.run t m ~src:0).Algorithms.Registry.ms /. 1000.0)
+  in
+  { vm = tier Algorithms.Registry.Vm;
+    dsl = tier Algorithms.Registry.Dsl;
+    whole = best_timed ~reps (List.assoc name fig10_whole m);
+    native = tier Algorithms.Registry.Native }
 
 let fig10 sizes =
   print_endline "== Fig. 10: algorithm run time across execution tiers ==";
@@ -120,7 +119,7 @@ let fig10 sizes =
             (ms t.vm) (ms t.dsl) (ms t.whole) (ms t.native)
             (t.vm /. t.native) (t.whole /. t.native))
         sizes)
-    fig10_algorithms;
+    (List.map fst fig10_whole);
   print_endline
     "\nexpected shape (paper): tier1 >= tier2 >= tier3 at small |V|; the\n\
      tier1/tier3 and tier2/tier3 ratios approach 1 as |V| grows."
@@ -532,135 +531,6 @@ let ablation () =
     [ 64; 256; 1024 ]
 
 (* ---------------------------------------------------------------- *)
-(* Nonblocking execution engine: blocking vs DAG-scheduled            *)
-(* ---------------------------------------------------------------- *)
-
-(* Same DSL program through both engines: [dsl] evaluates each forced
-   expression eagerly (blocking, per the GraphBLAS spec default);
-   [nonblocking] lowers to a plan DAG, runs the fusion passes, and
-   executes on the domain pool.  The results are bit-identical (the
-   test suite's qcheck property); this experiment measures the cost or
-   payoff and records which rewrites fired and how the rewritten plans
-   hit the kernel cache. *)
-
-type exec_row = {
-  n : int;
-  blocking : float;
-  nonblocking : float;
-  agree : bool;
-}
-
-let exec_bench () =
-  print_endline "== Nonblocking engine: blocking vs plan DAG + fusion ==";
-  Printf.printf "domains: %d\n" (Exec.Scheduler.domain_count ());
-  let sizes = [ 128; 256; 512 ] in
-  Jit.Jit_stats.reset ();
-  let run_algo name =
-    List.map
-      (fun n ->
-        let rng = Graphs.Rng.create ~seed:(2018 + n) in
-        let g = Graphs.Generators.erdos_renyi_paper rng ~nvertices:n in
-        match name with
-        | "pagerank" ->
-          let adj = Graphs.Convert.matrix_of_edges Dtype.FP64 g in
-          let cont = Ogb.Container.of_smatrix adj in
-          let b_ranks, b_iters = Algorithms.Pagerank.dsl cont in
-          let nb_ranks, nb_iters = Algorithms.Pagerank.nonblocking cont in
-          { n;
-            blocking = best_of (fun () -> Algorithms.Pagerank.dsl cont);
-            nonblocking =
-              best_of (fun () -> Algorithms.Pagerank.nonblocking cont);
-            agree =
-              b_iters = nb_iters && Ogb.Container.equal b_ranks nb_ranks }
-        | _ ->
-          let sym = Graphs.Edge_list.symmetrize g in
-          let l =
-            Algorithms.Triangle.of_undirected
-              (Graphs.Convert.bool_adjacency sym)
-          in
-          let lc = Ogb.Container.of_smatrix l in
-          { n;
-            blocking = best_of (fun () -> Algorithms.Triangle.dsl lc);
-            nonblocking =
-              best_of (fun () -> Algorithms.Triangle.nonblocking lc);
-            agree =
-              Algorithms.Triangle.dsl lc
-              = Algorithms.Triangle.nonblocking lc })
-      sizes
-  in
-  let algos =
-    List.map (fun a -> (a, run_algo a)) [ "pagerank"; "triangles" ]
-  in
-  List.iter
-    (fun (name, rows) ->
-      Printf.printf "\n-- %s --\n" name;
-      Printf.printf "%8s %14s %14s %8s %7s\n" "|V|" "blocking(ms)"
-        "nonblock(ms)" "ratio" "agree";
-      List.iter
-        (fun r ->
-          Printf.printf "%8d %14.3f %14.3f %8.2f %7s\n" r.n (ms r.blocking)
-            (ms r.nonblocking)
-            (r.blocking /. r.nonblocking)
-            (if r.agree then "yes" else "NO"))
-        rows)
-    algos;
-  let fusions = Jit.Jit_stats.fusions () in
-  let sigs = Jit.Jit_stats.per_signature () in
-  let snap = Jit.Jit_stats.snapshot () in
-  print_endline "\nfusion rewrites fired across the nonblocking runs:";
-  List.iter (fun (name, c) -> Printf.printf "  %-16s %d\n" name c) fusions;
-  Printf.printf
-    "kernel cache: %d lookups, %d memory hits, %d disk hits, %d compiles\n"
-    snap.Jit.Jit_stats.lookups snap.Jit.Jit_stats.memory_hits
-    snap.Jit.Jit_stats.disk_hits snap.Jit.Jit_stats.compiles;
-  (* machine-readable record for the CI artifact *)
-  let oc = open_out "BENCH_exec.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  let json_rows rows =
-    String.concat ",\n"
-      (List.map
-         (fun r ->
-           Printf.sprintf
-             "        { \"n\": %d, \"blocking_ms\": %.3f, \
-              \"nonblocking_ms\": %.3f, \"speedup\": %.3f, \"agree\": %b }"
-             r.n (ms r.blocking) (ms r.nonblocking)
-             (r.blocking /. r.nonblocking)
-             r.agree)
-         rows)
-  in
-  out "{\n";
-  out "  \"experiment\": \"exec\",\n";
-  out "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  out "  \"domains\": %d,\n" (Exec.Scheduler.domain_count ());
-  out "  \"algorithms\": [\n";
-  out "%s"
-    (String.concat ",\n"
-       (List.map
-          (fun (name, rows) ->
-            Printf.sprintf
-              "    { \"name\": %S,\n      \"sizes\": [\n%s\n      ] }" name
-              (json_rows rows))
-          algos));
-  out "\n  ],\n";
-  out "  \"fusions\": {\n%s\n  },\n"
-    (String.concat ",\n"
-       (List.map (fun (name, c) -> Printf.sprintf "    %S: %d" name c) fusions));
-  out "  \"cache\": { \"lookups\": %d, \"memory_hits\": %d, \
-       \"disk_hits\": %d, \"compiles\": %d },\n"
-    snap.Jit.Jit_stats.lookups snap.Jit.Jit_stats.memory_hits
-    snap.Jit.Jit_stats.disk_hits snap.Jit.Jit_stats.compiles;
-  out "  \"per_signature\": [\n%s\n  ]\n"
-    (String.concat ",\n"
-       (List.map
-          (fun (key, hits, misses) ->
-            Printf.sprintf "    { \"key\": %S, \"hits\": %d, \"misses\": %d }"
-              key hits misses)
-          sigs));
-  out "}\n";
-  close_out oc;
-  print_endline "wrote BENCH_exec.json"
-
-(* ---------------------------------------------------------------- *)
 (* Format layer: CSR-only vs format-aware dispatch                    *)
 (* ---------------------------------------------------------------- *)
 
@@ -851,11 +721,7 @@ let warmup_bench () =
   let bool_cont =
     Ogb.Container.of_smatrix (Smatrix.cast ~into:Dtype.Bool adj)
   in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    1000.0 *. (Unix.gettimeofday () -. t0)
-  in
+  let wall f = ms (snd (time_once f)) in
   let compiles () = (Jit.Jit_stats.snapshot ()).Jit.Jit_stats.compiles in
   let scrub () =
     Jit.Dispatch.clear_memory_cache ();
@@ -1071,11 +937,7 @@ let serve_bench () =
     Jit.Dispatch.clear_memory_cache ();
     Jit.Disk_cache.clear ()
   in
-  let wall f =
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    1000.0 *. (Unix.gettimeofday () -. t0)
-  in
+  let wall f = ms (snd (time_once f)) in
   (* cold: what a one-shot CLI invocation pays — scrubbed cache, graph
      from scratch, compiles inline on first use *)
   scrub ();
@@ -1099,11 +961,8 @@ let serve_bench () =
       warm_n = n;
       warm = true }
   in
-  let warmup_ms, st =
-    let t0 = Unix.gettimeofday () in
-    let st = Server.Daemon.create_state cfg in
-    (1000.0 *. (Unix.gettimeofday () -. t0), st)
-  in
+  let st, warmup_s = time_once (fun () -> Server.Daemon.create_state cfg) in
+  let warmup_ms = ms warmup_s in
   let sess = Server.Session.create () in
   let request s =
     let resp =
@@ -1246,27 +1105,6 @@ let serve_bench () =
   out "}\n";
   close_out oc;
   print_endline "wrote BENCH_serve.json";
-  print_newline ()
-
-(* ---------------------------------------------------------------- *)
-(* Per-workload experiments (bench/workloads): all eight tier-1       *)
-(* workloads, blocking vs nonblocking, timestamped JSON artifacts     *)
-(* ---------------------------------------------------------------- *)
-
-let workloads_bench ~only () =
-  (match only with
-  | None ->
-    Printf.printf "== Workload experiments: %s ==\n"
-      (String.concat ", " Bench_workloads.Registry.names)
-  | Some name -> Printf.printf "== Workload experiment: %s ==\n" name);
-  Printf.printf "   (reps OGB_BENCH_REPS=%d, size override OGB_BENCH_N%s)\n"
-    (Bench_workloads.Bench_core.reps ())
-    (match Sys.getenv_opt "OGB_BENCH_N" with
-    | Some v -> "=" ^ v
-    | None -> " unset");
-  (match only with
-  | None -> Bench_workloads.Registry.run_all ()
-  | Some name -> Bench_workloads.Registry.run_one name);
   print_newline ()
 
 (* ---------------------------------------------------------------- *)
@@ -1717,9 +1555,9 @@ let () =
       (List.exists
          (fun a ->
            List.mem a
-             [ "fig10"; "fig11"; "compile"; "table1"; "ablation"; "exec";
-               "formats"; "warmup"; "faults"; "serve"; "cost";
-               "oocore"; "workloads"; "micro" ])
+             [ "fig10"; "fig11"; "compile"; "table1"; "ablation";
+               "formats"; "warmup"; "faults"; "serve"; "cost"; "oocore";
+               "micro" ])
          args)
   in
   Printf.printf "ogb benchmark harness (JIT: %s)\n\n"
@@ -1731,7 +1569,6 @@ let () =
   if all || has "fig11" then fig11 (default_sizes (2 * max_n));
   if all || has "compile" then compile_experiment ();
   if all || has "ablation" then ablation ();
-  if all || has "exec" then exec_bench ();
   if all || has "formats" then
     formats_bench
       (let s = default_sizes max_n in
@@ -1744,14 +1581,4 @@ let () =
   if all || has "serve" then serve_bench ();
   if all || has "cost" then cost_bench max_n;
   if all || has "oocore" then oocore_bench ();
-  if all || has "workloads" then
-    workloads_bench
-      ~only:
-        (let rec find = function
-           | "--only" :: v :: _ -> Some v
-           | _ :: rest -> find rest
-           | [] -> None
-         in
-         find args)
-      ();
   if all || has "micro" then micro ()

@@ -741,14 +741,6 @@ let analyze algo n warm effects schedule =
       Printf.printf "warm requests: %d, warm compiles: %d\n"
         st.Jit.Jit_stats.warm_requests st.Jit.Jit_stats.warm_compiles
     end;
-    (* perf trajectory: the cumulative per-workload series the bench
-       harness folds into BENCH_history.json (bench/history.exe) *)
-    if Sys.file_exists Bench_workloads.History_core.history_file then begin
-      print_newline ();
-      Bench_workloads.History_core.print_summary
-        (Bench_workloads.History_core.load_history
-           Bench_workloads.History_core.history_file)
-    end;
     if !failed then 1 else 0
 
 let analyze_cmd =
