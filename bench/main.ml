@@ -18,9 +18,6 @@
      serve    daemon mode: cold one-shot CLI vs resident warm daemon
               request latency, multi-session zero-compile check and
               batched vs unbatched throughput, emits BENCH_serve.json
-     cost     cost-model planner: calibrate kernel coefficients from
-              timings, then A/B the calibrated schedule search against
-              the frozen greedy pipeline, emits BENCH_cost.json
      oocore   out-of-core tiled PageRank: in-memory vs streamed under a
               memory budget (bit-identity + eviction counts), plus the
               checkpointed and delta-restart variants,
@@ -1172,230 +1169,6 @@ let micro () =
   print_newline ()
 
 (* ---------------------------------------------------------------- *)
-(* Cost model: calibrated planner vs greedy schedules                 *)
-(* ---------------------------------------------------------------- *)
-
-(* Phase 1 drives the kernels under pinned schedules (both mxv
-   directions at several operand fills, plus the real workloads) to
-   gather per-family (items, seconds) observations, then persists them
-   as a new calibration generation.  Phase 2 re-plans everything with
-   the calibrated model and A/Bs the planner's schedule against the
-   frozen greedy pipeline (--schedule default).  The whole experiment
-   runs under the installed Analysis hook, so every plan — and every
-   candidate the search prices — must pass the static verifier.
-
-   The fill sweep brackets the greedy pull/push crossover (fill = 1/4):
-   wherever the calibrated crossover lands, some fills sit between it
-   and 1/4, and there the planner makes a non-greedy direction choice
-   the A/B can measure. *)
-
-module Sched = Cost.Schedule
-
-type cost_row = {
-  cname : string;
-  greedy_ms : float;
-  planner_ms : float;
-  cagree : bool;
-  cschedule : string;
-  non_greedy : bool;
-}
-
-let with_pin sched f =
-  Exec.Planner.pin sched;
-  Fun.protect ~finally:(fun () -> Exec.Planner.pin None) f
-
-let cost_bench max_n =
-  let n = max 4096 max_n in
-  print_endline "== Cost-model planner: calibrated search vs greedy ==";
-  Printf.printf "n=%d, domains: %d\n" n (Exec.Scheduler.domain_count ());
-  let rng = Graphs.Rng.create ~seed:(2018 + n) in
-  let g = Graphs.Generators.erdos_renyi_paper rng ~nvertices:n in
-  let adj = Graphs.Convert.matrix_of_edges Dtype.FP64 g in
-  let cont = Ogb.Container.of_smatrix adj in
-  let sym = Graphs.Edge_list.symmetrize g in
-  let bool_adj = Graphs.Convert.bool_adjacency sym in
-  let bcont = Ogb.Container.of_smatrix bool_adj in
-  let lc =
-    Ogb.Container.of_smatrix (Algorithms.Triangle.of_undirected bool_adj)
-  in
-  let vec_repr c =
-    String.concat ";"
-      (List.map
-         (fun (i, x) -> Printf.sprintf "%d:%h" i x)
-         (Ogb.Container.vector_entries c))
-  in
-  let workloads =
-    [ ( "pagerank",
-        fun () ->
-          let r, it = Algorithms.Pagerank.nonblocking cont in
-          Printf.sprintf "%d|%s" it (vec_repr r) );
-      ( "bfs",
-        fun () ->
-          vec_repr
-            (Exec.with_mode Exec.Nonblocking (fun () ->
-                 Algorithms.Bfs.dsl bcont ~src:0)) );
-      ( "triangles",
-        fun () -> Printf.sprintf "%h" (Algorithms.Triangle.nonblocking lc) )
-    ]
-  in
-  let sweep_vec fill =
-    let k = max 1 (int_of_float (fill *. float_of_int n)) in
-    Ogb.Container.vector_coo ~size:n
-      (List.init k (fun j -> (j * n / k, 1.0 +. float_of_int (j mod 7))))
-  in
-  let mxv_expr u =
-    let open Ogb.Ops.Infix in
-    Ogb.Context.with_ops
-      [ Ogb.Context.semiring "Arithmetic" ]
-      (fun () -> tr !!cont @. !!u)
-  in
-  let dir_of plan =
-    match (Exec.Plan.root plan).Exec.Plan.op with
-    | Exec.Plan.MatMul { layout = Exec.Plan.L_csc_pull; _ } -> "pull"
-    | Exec.Plan.MatMul { layout = Exec.Plan.L_csc_push; _ } -> "push"
-    | _ -> "auto"
-  in
-  let fills =
-    [ 1. /. 16.; 1. /. 8.; 3. /. 16.; 7. /. 32.; 0.24; 0.26; 5. /. 16.;
-      3. /. 8.; 1. /. 2. ]
-  in
-  Analysis.Hook.install ();
-  Fun.protect ~finally:(fun () -> Analysis.Hook.uninstall ())
-  @@ fun () ->
-  (* -- phase 1: observe under pinned schedules, then calibrate -- *)
-  print_endline "\n-- phase 1: calibration passes (pinned pull/push) --";
-  Jit.Jit_stats.reset ();
-  List.iter
-    (fun fill ->
-      let u = sweep_vec fill in
-      with_pin
-        (Some { Sched.default with Sched.layout = Sched.Pull })
-        (fun () -> ignore (Exec.force (mxv_expr u)));
-      with_pin
-        (Some { Sched.default with Sched.layout = Sched.Push })
-        (fun () -> ignore (Exec.force (mxv_expr u))))
-    fills;
-  List.iter
-    (fun (_, run) -> with_pin (Some Sched.default) (fun () -> ignore (run ())))
-    workloads;
-  (match Cost.Calibration.save () with
-  | Ok path ->
-    Printf.printf "calibration saved: %s (generation %d)\n" path
-      (Cost.Calibration.generation ())
-  | Error e -> Printf.printf "calibration save FAILED: %s\n" e);
-  Printf.printf "%-14s %14s %8s\n" "family" "ns/item" "samples";
-  List.iter
-    (fun (fam, ns, samples) ->
-      Printf.printf "%-14s %14.3f %8d\n" fam ns samples)
-    (Cost.Calibration.summary ());
-  (* -- phase 2: A/B calibrated planner vs frozen greedy -- *)
-  print_endline "\n-- phase 2: planner vs greedy (calibrated) --";
-  Exec.Planner.clear_cache ();
-  Exec.Planner.reset_counters ();
-  let ab cname plan_of run =
-    let gdir = with_pin (Some Sched.default) (fun () -> dir_of (plan_of ())) in
-    let pplan = with_pin None plan_of in
-    let pdir = dir_of pplan in
-    let g_repr = with_pin (Some Sched.default) run in
-    let p_repr = with_pin None run in
-    let gm = with_pin (Some Sched.default) (fun () -> best_of run) in
-    let pm = with_pin None (fun () -> best_of run) in
-    { cname;
-      greedy_ms = ms gm;
-      planner_ms = ms pm;
-      cagree = String.equal g_repr p_repr;
-      cschedule = pplan.Exec.Plan.schedule_desc;
-      non_greedy = gdir <> pdir }
-  in
-  let workload_rows =
-    List.map
-      (fun (name, run) ->
-        let row =
-          ab name
-            (fun () ->
-              (* representative plan for the schedule label; algorithm
-                 workloads build many plans, the A/B times them all *)
-              Exec.plan_force (mxv_expr (sweep_vec 0.5)))
-            (fun () -> run ())
-        in
-        { row with non_greedy = row.cschedule <> "default" })
-      workloads
-  in
-  let sweep_rows =
-    List.map
-      (fun fill ->
-        let u = sweep_vec fill in
-        ab
-          (Printf.sprintf "mxv fill=%.4f" fill)
-          (fun () -> Exec.plan_force (mxv_expr u))
-          (fun () -> vec_repr (Exec.force (mxv_expr u))))
-      fills
-  in
-  let rows = workload_rows @ sweep_rows in
-  Printf.printf "%-18s %12s %12s %8s %6s %4s  %s\n" "workload" "greedy(ms)"
-    "planner(ms)" "speedup" "agree" "alt" "schedule";
-  List.iter
-    (fun r ->
-      Printf.printf "%-18s %12.3f %12.3f %8.2f %6s %4s  %s\n" r.cname
-        r.greedy_ms r.planner_ms
-        (r.greedy_ms /. r.planner_ms)
-        (if r.cagree then "yes" else "NO")
-        (if r.non_greedy then "yes" else "-")
-        r.cschedule)
-    rows;
-  let non_greedy_win =
-    List.exists
-      (fun r -> r.non_greedy && r.greedy_ms /. r.planner_ms > 1.0)
-      sweep_rows
-  in
-  Printf.printf "non-greedy win observed: %b\n" non_greedy_win;
-  List.iter
-    (fun (k, v) -> Printf.printf "planner %s: %d\n" k v)
-    (Exec.Planner.counters ());
-  (* machine-readable record for the CI artifact and perf gate *)
-  let oc = open_out "BENCH_cost.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  let json_row r =
-    Printf.sprintf
-      "    { \"name\": %S, \"n\": %d, \"greedy_ms\": %.3f, \
-       \"planner_ms\": %.3f, \"speedup\": %.3f, \"agree\": %b, \
-       \"non_greedy\": %b, \"schedule\": %S }"
-      r.cname n r.greedy_ms r.planner_ms
-      (r.greedy_ms /. r.planner_ms)
-      r.cagree r.non_greedy r.cschedule
-  in
-  out "{\n";
-  out "  \"experiment\": \"cost\",\n";
-  out "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  out "  \"n\": %d,\n" n;
-  out "  \"domains\": %d,\n" (Exec.Scheduler.domain_count ());
-  out "  \"calibration\": {\n";
-  out "    \"generation\": %d,\n" (Cost.Calibration.generation ());
-  out "    \"coefficients\": {\n%s\n    }\n"
-    (String.concat ",\n"
-       (List.map
-          (fun (fam, ns, samples) ->
-            Printf.sprintf "      %S: { \"ns_per_item\": %.3f, \
-                            \"samples\": %d }" fam ns samples)
-          (Cost.Calibration.summary ())));
-  out "  },\n";
-  out "  \"workloads\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map json_row workload_rows));
-  out "  \"mxv_sweep\": [\n%s\n  ],\n"
-    (String.concat ",\n" (List.map json_row sweep_rows));
-  out "  \"all_agree\": %b,\n" (List.for_all (fun r -> r.cagree) rows);
-  out "  \"non_greedy_win\": %b,\n" non_greedy_win;
-  out "  \"verified\": true,\n";
-  out "  \"planner\": {\n%s\n  }\n"
-    (String.concat ",\n"
-       (List.map
-          (fun (k, v) -> Printf.sprintf "    %S: %d" k v)
-          (Exec.Planner.counters ())));
-  out "}\n";
-  close_out oc;
-  print_endline "wrote BENCH_cost.json"
-
-(* ---------------------------------------------------------------- *)
 
 (* Out-of-core (tiled) execution: the streamed PageRank must return the
    in-memory ranks bit-for-bit both unbounded and under a memory budget
@@ -1556,7 +1329,7 @@ let () =
          (fun a ->
            List.mem a
              [ "fig10"; "fig11"; "compile"; "table1"; "ablation";
-               "formats"; "warmup"; "faults"; "serve"; "cost"; "oocore";
+               "formats"; "warmup"; "faults"; "serve"; "oocore";
                "micro" ])
          args)
   in
@@ -1579,6 +1352,5 @@ let () =
   if all || has "warmup" then warmup_bench ();
   if all || has "faults" then faults_bench ();
   if all || has "serve" then serve_bench ();
-  if all || has "cost" then cost_bench max_n;
   if all || has "oocore" then oocore_bench ();
   if all || has "micro" then micro ()

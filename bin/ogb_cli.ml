@@ -226,22 +226,13 @@ let apply_schedule_pin = function
 
 let schedule_arg =
   let doc =
-    "Pin the plan schedule instead of searching (same grammar as \
+    "Pin the plan schedule instead of the greedy default (same grammar as \
      $(b,OGB_SCHEDULE)): comma-separated $(b,fuse=on|off), \
      $(b,sink_transpose|apply_chain|apply_ewise|mult_reduce|push_mask=on|off), \
-     $(b,layout=auto|pull|push|csr), $(b,node<i>.layout=...); \
-     \"default\" is the greedy all-on schedule."
+     $(b,layout=auto|pull|push|csr); \"default\" is the greedy all-on \
+     schedule."
   in
   Arg.(value & opt (some string) None & info [ "schedule" ] ~doc)
-
-let print_planner_summary () =
-  Printf.printf "planner:";
-  List.iter
-    (fun (k, v) -> Printf.printf " %s=%d" k v)
-    (Exec.Planner.counters () @ [ ("cached", Exec.Planner.cache_size ()) ]);
-  Printf.printf "\ncalibration: generation %d (%s)\n"
-    (Cost.Calibration.generation ())
-    (if Cost.Calibration.calibrated () then "loaded" else "defaults")
 
 let exec_demo demo spec symmetrize domains schedule =
   if not (apply_schedule_pin schedule) then 1 else
@@ -342,7 +333,6 @@ let exec_demo demo spec symmetrize domains schedule =
       run_mxv ());
     print_newline ();
     print_dispatch_tables ();
-    print_planner_summary ();
     0
 
 let exec_cmd =
@@ -451,6 +441,12 @@ let serve sock addr workers queue batch_window warm_n no_warm =
      (Domain.join, pthread_cond_wait, select), which turns a SIGTERM
      into a minutes-long stall.  sigwait delivers regardless. *)
   ignore (Thread.sigmask Unix.SIG_BLOCK [ Sys.sigterm; Sys.sigint ]);
+  (* The daemon's live heap (loaded graphs, kernel tables) is small next
+     to what each request allocates and drops, so at the default
+     space_overhead (120) the major GC runs about every other request
+     on the serve_mixed benchmark mix; 200 spaces the cycles out for a
+     few MiB more peak heap. *)
+  Gc.set { (Gc.get ()) with Gc.space_overhead = 200 };
   (* every session plan runs under the analyzer: shape/dtype
      verification at each stage plus the mandatory effect/race stage
      with the Prebuild remedy at pre-schedule *)
@@ -661,8 +657,8 @@ let analyze algo n warm effects schedule =
     (* representative plan: a shape the scheduler runs concurrently and
        whose pull dispatch races on the shared CSC cache.  Filled-in
        64-vectors make layout selection choose pull (which builds the
-       index); under the observe-only hook the planner rejects every
-       racy candidate, so the rejection counter below is exercised *)
+       index); the observe-only hook counts its hazard at pre-schedule
+       without repairing it, so the effects counters below move *)
     let m =
       Graphs.Convert.matrix_of_edges Dtype.FP64 (Graphs.Generators.complete 64)
     in
@@ -681,7 +677,10 @@ let analyze algo n warm effects schedule =
     let plan =
       Fun.protect
         ~finally:(fun () -> Analysis.Hook.uninstall ())
-        (fun () -> Exec.plan_force e)
+        (fun () ->
+          let p = Exec.plan_force e in
+          Exec.Verify_hook.run p ~stage:"pre-schedule";
+          p)
     in
     Printf.printf "== plan verification (y = A.T@u + A.T@v, verified at every \
                    rewrite stage)\n%s"
@@ -715,19 +714,16 @@ let analyze algo n warm effects schedule =
             Printf.printf "effect hazard: %s\n" (Analysis.Effects.describe h))
           hs
     end;
-    (* execute the representative plan so predicted and measured cost
-       appear side by side (the --schedule A/B hook reads these lines) *)
+    (* execute the representative plan so its schedule and measured cost
+       appear together (the --schedule A/B smoke reads these lines) *)
     Printf.printf "schedule: %s\n"
       (match plan.Exec.Plan.schedule_desc with "" -> "default" | s -> s);
-    Printf.printf "predicted cost: %.6f ms\n"
-      (plan.Exec.Plan.predicted_ns /. 1e6);
     let (_ : Ogb.Container.t), measured = time (fun () -> Exec.force e) in
     Printf.printf "measured cost: %.6f ms\n" (measured *. 1e3);
-    print_planner_summary ();
     let st = Jit.Jit_stats.snapshot () in
-    Printf.printf "effects: checks=%d hazards=%d rejections=%d degraded=%d\n"
+    Printf.printf "effects: checks=%d hazards=%d degraded=%d\n"
       st.Jit.Jit_stats.effects_checks st.Jit.Jit_stats.effects_hazards
-      st.Jit.Jit_stats.effects_rejections st.Jit.Jit_stats.effects_degraded;
+      st.Jit.Jit_stats.effects_degraded;
     if warm then begin
       Printf.printf "\n== ahead-of-time warm-up (%d distinct signatures)\n"
         (List.length !sigs);
@@ -785,7 +781,7 @@ let analyze_cmd =
          "Statically check the tier-1 MiniVM encodings (scope/arity), extract \
           reachable kernel signatures by abstract interpretation, verify a \
           representative plan (shapes, dtypes, effect footprints, scheduler \
-          races) and report its schedule with predicted vs measured cost, and \
+          races) and report its schedule with its measured cost, and \
           optionally pre-warm the JIT")
     Term.(const analyze $ algo $ n $ warm $ effects $ schedule_arg)
 

@@ -49,13 +49,12 @@ type hazard = {
 type strategy = Prebuild | Edge
 
 exception Effect_hazard of { stage : string; hazards : hazard list }
-(** Raised by the analysis hook when hazards survive remediation (or
-    when rejection is requested at a planner candidate stage). *)
+(** Raised by the analysis hook when hazards survive remediation. *)
 
 val footprints : ?assume_formats:bool -> Exec.Plan.t -> footprint list
 (** Per-node effect lists in topological order.  With [assume_formats]
     the format layer is treated as on regardless of the runtime toggle
-    (the planner analyzes the plan it would run, not the current
+    (the plan is analyzed as it would run, not under the current
     environment). *)
 
 val find : ?assume_formats:bool -> Exec.Plan.t -> hazard list

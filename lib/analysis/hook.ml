@@ -2,10 +2,6 @@ let to_effects_strategy = function
   | Races.Prebuild -> Effects.Prebuild
   | Races.Edge -> Effects.Edge
 
-let effects_stage = function
-  | "pre-schedule" | "candidate" | "candidate-final" -> true
-  | _ -> false
-
 (* The effect analysis is mandatory but must degrade loudly rather than
    take the pipeline down with it: a hazard verdict propagates (that is
    the analysis doing its job), anything else — including the armed
@@ -16,33 +12,20 @@ let run_effects fix_races plan ~stage =
     Jit.Jit_stats.record_effects_check ();
     if Fault.fire "analysis.effects.exn" then
       raise (Fault.Injected "analysis.effects.exn");
-    if stage = "pre-schedule" then begin
-      match fix_races with
-      | Some strategy ->
-        let found =
-          Effects.remedy ~strategy:(to_effects_strategy strategy) plan
-        in
-        Jit.Jit_stats.record_effects_hazard ~count:(List.length found);
-        (match Effects.find plan with
-        | [] -> ()
-        | remaining ->
-          raise (Effects.Effect_hazard { stage; hazards = remaining }))
-      | None ->
-        (* verify-only mode: surface the count, let the caller decide *)
-        Jit.Jit_stats.record_effects_hazard
-          ~count:(List.length (Effects.find plan))
-    end
-    else begin
-      (* planner candidate (pre- and post-direction-choice): hazards are
-         tolerated when a remedy strategy will run at pre-schedule, and
-         reject the candidate otherwise *)
-      let found = Effects.find plan in
+    match fix_races with
+    | Some strategy ->
+      let found =
+        Effects.remedy ~strategy:(to_effects_strategy strategy) plan
+      in
       Jit.Jit_stats.record_effects_hazard ~count:(List.length found);
-      if found <> [] && Option.is_none fix_races then begin
-        Jit.Jit_stats.record_effects_rejection ();
-        raise (Effects.Effect_hazard { stage; hazards = found })
-      end
-    end
+      (match Effects.find plan with
+      | [] -> ()
+      | remaining ->
+        raise (Effects.Effect_hazard { stage; hazards = remaining }))
+    | None ->
+      (* verify-only mode: surface the count, let the caller decide *)
+      Jit.Jit_stats.record_effects_hazard
+        ~count:(List.length (Effects.find plan))
   with
   | Effects.Effect_hazard _ as e -> raise e
   | e ->
@@ -53,7 +36,7 @@ let run_effects fix_races plan ~stage =
 
 let checker fix_races plan ~stage =
   Verify.check ~stage plan;
-  if effects_stage stage then run_effects fix_races plan ~stage
+  if stage = "pre-schedule" then run_effects fix_races plan ~stage
 
 let install ?(fix_races = Some Races.Prebuild) () =
   Exec.Verify_hook.install (checker fix_races)

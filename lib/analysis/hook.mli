@@ -2,20 +2,13 @@
 
     {!install} registers a checker with {!Exec.Verify_hook}, so the
     nonblocking pipeline runs {!Verify.check} on every plan at the
-    ["lower"] stage, after each fusion pass, at both planner candidate
-    stages (["candidate"], ["candidate-final"]), and at
-    ["pre-schedule"].
+    ["lower"] stage, after each rewrite pass, and at ["pre-schedule"].
 
-    The {!Effects} stage is mandatory at ["pre-schedule"] and both
-    candidate stages.  At ["pre-schedule"] with a remedy strategy
-    (default {!Races.Prebuild}) hazards are repaired in place and any
-    survivor raises {!Effects.Effect_hazard}; with [fix_races = None]
-    hazards are counted ({!Jit.Jit_stats}) but execution proceeds — the
-    caller asked to observe, not to fix.  At candidate stages a hazard
-    rejects the candidate (counted as an effects rejection) only under
-    [fix_races = None]; with a strategy installed the committed plan
-    will be remedied before domains start, so remediable candidates stay
-    eligible for the schedule search.
+    The {!Effects} stage is mandatory at ["pre-schedule"].  With a
+    remedy strategy (default {!Races.Prebuild}) hazards are repaired in
+    place and any survivor raises {!Effects.Effect_hazard}; with
+    [fix_races = None] hazards are counted ({!Jit.Jit_stats}) but
+    execution proceeds — the caller asked to observe, not to fix.
 
     Any non-hazard exception out of the analysis (including the armed
     ["analysis.effects.exn"] fault point) degrades loudly: one stderr
@@ -23,7 +16,6 @@
 
 val install : ?fix_races:Races.strategy option -> unit -> unit
 (** [fix_races] defaults to [Some Races.Prebuild]; pass [None] to
-    verify/observe only (hazards still counted, candidates with hazards
-    rejected). *)
+    verify/observe only (hazards still counted). *)
 
 val uninstall : unit -> unit

@@ -1,10 +1,6 @@
 type layout_choice = Auto | Pull | Push
 
-type t = {
-  rules : (string * bool) list;
-  layout : layout_choice;
-  node_layouts : (int * layout_choice) list;
-}
+type t = { rules : (string * bool) list; layout : layout_choice }
 
 (* The three fuse=... rules are the multi-op fusions PR 1 gates behind
    Expr.fusion; sink_transpose and push_mask are the structural
@@ -12,36 +8,23 @@ type t = {
 let fusion_rules = [ "apply_chain"; "apply_ewise"; "mult_reduce" ]
 let rule_names = "sink_transpose" :: fusion_rules @ [ "push_mask" ]
 
-let default = { rules = []; layout = Auto; node_layouts = [] }
+let default = { rules = []; layout = Auto }
 
-(* keep only overrides that differ from the default (rules enabled,
-   layout auto), sorted — the canonical form to_string/equal use *)
+(* keep only rule overrides that differ from the default (disabled
+   rules), sorted — the canonical form to_string/equal use *)
 let canonical t =
   { t with
-    rules = List.sort compare (List.filter (fun (_, on) -> not on) t.rules);
-    node_layouts =
-      List.sort compare (List.filter (fun (_, l) -> l <> Auto) t.node_layouts)
-  }
-
-let normalize = canonical
+    rules = List.sort compare (List.filter (fun (_, on) -> not on) t.rules) }
 
 let is_default t =
   let t = canonical t in
-  t.rules = [] && t.layout = Auto && t.node_layouts = []
+  t.rules = [] && t.layout = Auto
 
 let rule_enabled t r =
   match List.assoc_opt r t.rules with Some on -> on | None -> true
 
-let node_layout t id =
-  match List.assoc_opt id t.node_layouts with
-  | Some l -> l
-  | None -> t.layout
-
 let with_rule t r on =
   { t with rules = (r, on) :: List.remove_assoc r t.rules }
-
-let with_node_layout t id l =
-  { t with node_layouts = (id, l) :: List.remove_assoc id t.node_layouts }
 
 let layout_to_string = function
   | Auto -> "auto"
@@ -60,16 +43,12 @@ let to_string t =
     List.map (fun (r, _) -> r ^ "=off") t.rules
     @ (if t.layout = Auto then []
        else [ "layout=" ^ layout_to_string t.layout ])
-    @ List.map
-        (fun (id, l) ->
-          Printf.sprintf "node%d.layout=%s" id (layout_to_string l))
-        t.node_layouts
   in
   if parts = [] then "default" else String.concat "," parts
 
 let equal a b =
   let a = canonical a and b = canonical b in
-  a.rules = b.rules && a.layout = b.layout && a.node_layouts = b.node_layouts
+  a.rules = b.rules && a.layout = b.layout
 
 let parse s =
   let s = String.trim s in
@@ -85,15 +64,8 @@ let parse s =
       | "off" -> Ok false
       | v -> Error (Printf.sprintf "expected on/off, got %S" v)
     in
-    let node_prefix k =
-      (* "node<i>.layout" *)
-      if String.length k > 11 && String.sub k 0 4 = "node"
-         && String.sub k (String.length k - 7) 7 = ".layout"
-      then int_of_string_opt (String.sub k 4 (String.length k - 11))
-      else None
-    in
     let rec go acc = function
-      | [] -> Ok (normalize acc)
+      | [] -> Ok (canonical acc)
       | entry :: rest -> (
         match String.index_opt entry '=' with
         | None ->
@@ -117,13 +89,7 @@ let parse s =
             match bool_of v with
             | Ok on -> go (with_rule acc k on) rest
             | Error e -> Error e)
-          | _ -> (
-            match node_prefix k with
-            | Some id -> (
-              match layout_of_string v with
-              | Ok l -> go (with_node_layout acc id l) rest
-              | Error e -> Error e)
-            | None -> Error (Printf.sprintf "unknown schedule key %S" k))))
+          | _ -> Error (Printf.sprintf "unknown schedule key %S" k)))
     in
     go default entries
 

@@ -1,9 +1,9 @@
 (** Serialized execution schedules: which rewrite rules fire and which
     direction transposed Mat×Vec nodes take.
 
-    This is the value the planner searches over, the value [OGB_SCHEDULE]
-    / [--schedule] pins for A/B benching, and the value the schedule
-    cache stores.  Grammar (comma-separated, order-free):
+    Plans take the greedy {!default} unless [OGB_SCHEDULE] / [--schedule]
+    pins another schedule for A/B benching.  Grammar (comma-separated,
+    order-free):
 
     {v
     fuse=on|off                   all three fusion rules at once
@@ -15,7 +15,6 @@
     layout=auto|pull|push|csr     direction policy for transposed mxv
                                   (csr is an alias for push: stay on the
                                   CSR scatter kernel, build no CSC)
-    node<i>.layout=auto|pull|push per-node pin (planner output)
     v}
 
     An empty string or "default" is the all-on, auto-layout schedule. *)
@@ -24,27 +23,22 @@ type layout_choice = Auto | Pull | Push
 
 type t = {
   rules : (string * bool) list;  (** rule overrides; missing = enabled *)
-  layout : layout_choice;  (** global direction policy *)
-  node_layouts : (int * layout_choice) list;  (** per-node pins *)
+  layout : layout_choice;  (** direction policy *)
 }
 
 val rule_names : string list
 val fusion_rules : string list
-(** The three producer-into-consumer fusion rules the planner searches
-    over (subset of {!rule_names}). *)
+(** The three producer-into-consumer fusion rules [fuse=] toggles
+    (subset of {!rule_names}). *)
 
 val default : t
 val is_default : t -> bool
 val rule_enabled : t -> string -> bool
-val node_layout : t -> int -> layout_choice
-(** Per-node pin when present, else the global policy. *)
-
 val with_rule : t -> string -> bool -> t
-val with_node_layout : t -> int -> layout_choice -> t
 
 val canonical : t -> t
-(** Drop redundant overrides (enabled rules, [Auto] pins) and sort, so
-    structurally equal schedules serialize identically. *)
+(** Drop redundant overrides (enabled rules) and sort, so structurally
+    equal schedules serialize identically. *)
 
 val parse : string -> (t, string) result
 val to_string : t -> string

@@ -3,9 +3,9 @@
     In [Blocking] mode (the default) terminating operations evaluate
     expression trees eagerly, exactly as before.  Under
     [with_mode Nonblocking] they instead lower into a {!Plan} DAG with
-    common-subexpression sharing, choose a schedule with the
-    cost-model-driven {!Planner} (which applies the {!Rewrite} passes),
-    and execute ready nodes concurrently on a domain pool
+    common-subexpression sharing, run the {!Rewrite} passes through
+    the {!Planner} (the greedy pipeline or a pinned schedule), and
+    execute ready nodes concurrently on a domain pool
     ({!Scheduler}) — producing bit-identical containers.
 
     Loading this module registers the engine with the core library

@@ -55,11 +55,7 @@ type t = {
   mutable sink_mask : Ogb.Expr.mask_spec option;
   mutable events : (string * int) list;  (* rewrite name -> firings *)
   mutable cse_merged : int;
-  mutable mute_stats : bool;
-      (* candidate copies the planner evaluates: rewrite passes on them
-         must not pollute the global fusion counters *)
-  mutable schedule_desc : string;  (* serialized schedule the planner chose *)
-  mutable predicted_ns : float;  (* cost model's prediction for this plan *)
+  mutable schedule_desc : string;  (* schedule the planner applied *)
 }
 
 let node plan id = Hashtbl.find plan.tbl id
@@ -119,31 +115,6 @@ let op_label = function
     if transpose then "extract_mat[T]" else "extract_mat"
   | Select _ -> "select"
 
-(* -- candidate copies (the planner evaluates rewrite schedules on
-      copies before committing one to the real plan) -- *)
-
-(* Deep copy of the DAG structure: fresh node records (rewrite passes
-   mutate them in place), shared [Leaf] containers (physical identity is
-   what ties leaves to user data, and nothing mutates them).  The copy
-   is marked [mute_stats] so rewriting it stays invisible to the global
-   fusion counters. *)
-let copy plan =
-  let tbl = Hashtbl.create (Hashtbl.length plan.tbl) in
-  Hashtbl.iter
-    (fun id n ->
-      Hashtbl.replace tbl id
-        { id; op = n.op; deps = Array.copy n.deps; kind = n.kind })
-    plan.tbl;
-  { tbl;
-    next = plan.next;
-    root = plan.root;
-    sink_mask = plan.sink_mask;
-    events = plan.events;
-    cse_merged = plan.cse_merged;
-    mute_stats = true;
-    schedule_desc = plan.schedule_desc;
-    predicted_ns = plan.predicted_ns }
-
 (* -- topological order (deterministic: DFS post-order from the root) -- *)
 
 let topo plan =
@@ -181,103 +152,6 @@ let drop_dead plan =
   in
   List.iter (Hashtbl.remove plan.tbl) dead;
   List.length dead
-
-(* -- shape digest (schedule-cache key) --
-   Stable across runs for structurally identical plans over same-shaped
-   operands: topo-renumbered ids, op labels with the layout annotation
-   erased (the schedule decides layout, so it must not key the cache),
-   and leaves keyed by dimensions plus a power-of-two nvals bucket — a
-   PageRank iteration whose frontier drifts a few entries still hits,
-   while a frontier an order of magnitude sparser (a different direction
-   decision) does not. *)
-
-let pow2_bucket x =
-  let r = ref 1 in
-  while !r < x do
-    r := !r * 2
-  done;
-  !r
-
-let shape_digest plan =
-  let order = topo plan in
-  let pos = Hashtbl.create 32 in
-  List.iteri (fun i id -> Hashtbl.replace pos id i) order;
-  let b = Buffer.create 256 in
-  List.iter
-    (fun id ->
-      let n = node plan id in
-      let opk =
-        match n.op with
-        | Leaf c ->
-          if C.is_matrix c then
-            let rows, cols = C.shape c in
-            Printf.sprintf "leaf:mat:%dx%d:%d" rows cols
-              (pow2_bucket (max 1 (C.nvals c)))
-          else
-            Printf.sprintf "leaf:vec:%d:%d" (C.size c)
-              (pow2_bucket (max 1 (C.nvals c)))
-        | MatMul m -> op_label (MatMul { m with layout = L_default })
-        | op -> op_label op
-      in
-      Buffer.add_string b (Printf.sprintf "%d=%s(" (Hashtbl.find pos id) opk);
-      Array.iter
-        (fun d ->
-          Buffer.add_string b (string_of_int (Hashtbl.find pos d));
-          Buffer.add_char b ',')
-        n.deps;
-      Buffer.add_string b ");")
-    order;
-  (match plan.sink_mask with
-  | Some { Ogb.Expr.complemented; _ } ->
-    Buffer.add_string b (if complemented then "mask~;" else "mask;")
-  | None -> ());
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-(* -- cost-model descriptors --
-   [node_family] names the kernel family a node will dispatch to (the
-   unit the calibration store keys coefficients by); [node_items]
-   estimates the entries that kernel touches, from per-dependency
-   (nvals, size) figures supplied by the caller — the planner passes
-   static estimates, the scheduler passes the actual dependency values,
-   so predictions and observations price the same quantity. *)
-
-let node_family plan n =
-  match n.op with
-  | Leaf _ -> "leaf"
-  | Transpose -> "transpose"
-  | MatMul { layout; transpose_a; _ } -> (
-    match (node plan n.deps.(0)).kind, (node plan n.deps.(1)).kind with
-    | K_mat, K_mat -> "mxm"
-    | K_mat, K_vec -> (
-      match layout with
-      | L_csc_pull -> "mxv_pull"
-      | L_csc_push -> "mxv_push"
-      | _ -> if transpose_a then "mxv_push" else "mxv")
-    | K_vec, K_mat -> "vxm"
-    | _, _ -> "mxv")
-  | Ewise _ -> if n.kind = K_mat then "ewise_m" else "ewise_v"
-  | ApplyChain _ -> if n.kind = K_mat then "apply_m" else "apply_v"
-  | EwiseApply _ -> "ewise_apply"
-  | EwiseMultReduce _ -> "mult_reduce"
-  | ReduceRows _ | ReduceScalar _ -> "reduce"
-  | ExtractVec _ | ExtractMat _ -> "extract"
-  | Select _ -> "select"
-
-let node_items plan n ~dep_nvals ~dep_size =
-  let nv i = max 0 (dep_nvals i) and sz i = max 1 (dep_size i) in
-  match node_family plan n with
-  | "leaf" -> 0
-  | "mxv_pull" ->
-    (* the pull gather scans every stored matrix entry *)
-    nv 0
-  | "mxv_push" ->
-    (* the scatter walks the frontier's rows: matrix nnz × frontier fill *)
-    max 1 (int_of_float (float_of_int (nv 0) *. float_of_int (nv 1)
-                         /. float_of_int (sz 1)))
-  | "mxv" | "vxm" | "mxm" -> nv 0 + nv 1
-  | "mult_reduce" -> min (nv 0) (nv 1)
-  | "ewise_v" | "ewise_m" | "ewise_apply" -> nv 0 + nv 1
-  | _ -> nv 0
 
 let pp fmt plan =
   List.iter
@@ -426,9 +300,7 @@ let builder () =
         sink_mask = None;
         events = [];
         cse_merged = 0;
-        mute_stats = false;
-        schedule_desc = "";
-        predicted_ns = 0.0 };
+        schedule_desc = "" };
     keys = Hashtbl.create 32;
     leaves = [] }
 

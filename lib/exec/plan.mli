@@ -15,8 +15,8 @@ type layout = L_default | L_csc | L_csc_pull | L_csc_push
 (** Storage-layout annotation set by [Rewrite.select_layout]: [L_csc*]
     marks a transposed Mat×Vec matmul that will dispatch on the matrix's
     CSC side instead of materializing a transpose; the [_pull]/[_push]
-    refinements pin the direction (chosen by the schedule — heuristic or
-    cost model) and {!execute_node} forces it through the kernel's
+    refinements pin the direction (chosen by the schedule — a pin or the
+    fill heuristic) and {!execute_node} forces it through the kernel's
     [direction] override.  [L_default]/[L_csc] leave the kernel's own
     runtime fill heuristic in charge.  Either direction computes
     bit-identical results, so the annotation affects time, never
@@ -69,14 +69,8 @@ type t = {
           into the producing matmul when the blocking evaluator would. *)
   mutable events : (string * int) list;
   mutable cse_merged : int;
-  mutable mute_stats : bool;
-      (** set on {!copy}: rewrite passes over planner candidates must
-          not count in the global fusion statistics. *)
   mutable schedule_desc : string;
-      (** serialized schedule the planner committed ("" before planning). *)
-  mutable predicted_ns : float;
-      (** cost model's prediction for the committed plan (0 when the
-          planner has not priced it). *)
+      (** serialized schedule the planner applied ("" before planning). *)
 }
 
 val of_expr : ?mask:Ogb.Expr.mask_spec -> Ogb.Expr.t -> t
@@ -89,29 +83,6 @@ val of_expr_reduce : op:string -> identity:string -> Ogb.Expr.t -> t
 val node : t -> int -> node
 val root : t -> node
 val size : t -> int
-
-val copy : t -> t
-(** Deep copy of the DAG structure (fresh node records, shared leaf
-    containers), marked [mute_stats] — the planner's candidate
-    workspace. *)
-
-val shape_digest : t -> string
-(** Digest of the plan's shape: topo-renumbered structure, op labels
-    with layout annotations erased, leaves by dimensions and a
-    power-of-two nvals bucket.  The schedule cache keys on this (plus
-    the calibration generation), so structurally recurring plans —
-    iterative algorithms, the serve daemon's steady state — skip the
-    schedule search. *)
-
-val node_family : t -> node -> string
-(** Kernel-family name for a node ("mxv_pull", "ewise_v", …) — the unit
-    calibration coefficients are keyed by. *)
-
-val node_items : t -> node -> dep_nvals:(int -> int) -> dep_size:(int -> int) -> int
-(** Entries the node's kernel will touch, priced from per-dependency
-    entry counts/sizes (argument is the dependency {e position}).  The
-    planner passes static estimates; the scheduler passes actual values,
-    so predictions and observations measure the same quantity. *)
 
 val topo : t -> int list
 (** Deterministic topological order (DFS post-order from the root). *)

@@ -1,47 +1,12 @@
-(* Cost-model-driven plan optimizer.
-
-   Replaces the fixed greedy pipeline call with a bounded search over
-   candidate schedules: fusion-rule subsets × per-node pull/push
-   direction choices, priced by {!Cost.Model} over static cardinality
-   estimates.  Every candidate is materialized as a {!Plan.copy}, run
-   through {!Rewrite.run_with}, and re-checked by the installed
-   {!Verify_hook} before its schedule can be adopted — a candidate the
-   verifier rejects is discarded and counted, never committed.
-
-   Chosen schedules are cached by shape digest × calibration generation
-   (× the format/fusion feature toggles), so structurally recurring
-   plans — iterative algorithms, the serve daemon's steady state — skip
-   the search entirely.  OGB_SCHEDULE or a programmatic {!pin}
-   short-circuits everything for A/B benching. *)
+(* The plan optimizer: every plan takes the greedy rewrite pipeline
+   unless a schedule is pinned ({!pin}, the CLI's --schedule, or
+   OGB_SCHEDULE), and records the schedule it committed.  Every schedule
+   is bit-identical by construction, so a pin changes time, never
+   values. *)
 
 module Sched = Cost.Schedule
 
-(* Test hook: mutate a candidate copy between the rewrite and the final
-   verify gate, proving shape-changing candidates are rejected. *)
-let candidate_tamper : (Plan.t -> unit) option ref = ref None
-
-(* -- counters (doctor / analyze / daemon health) -- *)
-
-let searches = Atomic.make 0
-let cache_hits = Atomic.make 0
 let pinned_plans = Atomic.make 0
-let candidates_priced = Atomic.make 0
-let candidates_rejected = Atomic.make 0
-
-let counters () =
-  [ ("searches", Atomic.get searches);
-    ("cache_hits", Atomic.get cache_hits);
-    ("pinned", Atomic.get pinned_plans);
-    ("candidates", Atomic.get candidates_priced);
-    ("rejected", Atomic.get candidates_rejected) ]
-
-let reset_counters () =
-  List.iter
-    (fun c -> Atomic.set c 0)
-    [ searches; cache_hits; pinned_plans; candidates_priced;
-      candidates_rejected ]
-
-(* -- pinning -- *)
 
 let pin_ref = ref None
 let pin s = pin_ref := s
@@ -49,340 +14,18 @@ let pin s = pin_ref := s
 let pinned () =
   match !pin_ref with Some _ as s -> s | None -> Sched.of_env ()
 
-let default_cap = 96
-
-let plan_cap () =
-  match Sys.getenv_opt "OGB_PLAN_CAP" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n > 0 -> n
-    | _ -> default_cap)
-  | None -> default_cap
-
-(* -- static cardinality estimates --
-   One (nvals, size) pair per node, propagated in topo order from the
-   leaves' exact figures.  Matrices carry their dimensions so Mat×Vec
-   output sizes are exact; everything else degrades gracefully — the
-   only estimate the search is sensitive to is the fill ratio feeding a
-   transposed Mat×Vec, and there the leaf numbers are exact. *)
-
-type est = { nv : int; sz : int; dims : (int * int) option }
-
-let unknown = { nv = 1; sz = 1; dims = None }
-
-let estimates plan =
-  let tbl = Hashtbl.create 32 in
-  let est_of id = try Hashtbl.find tbl id with Not_found -> unknown in
-  List.iter
-    (fun id ->
-      let n = Plan.node plan id in
-      let dep i = est_of n.Plan.deps.(i) in
-      let e =
-        match n.Plan.op with
-        | Plan.Leaf c ->
-          if Ogb.Container.is_matrix c then
-            let rows, cols = Ogb.Container.shape c in
-            let nv = Ogb.Container.nvals c in
-            { nv; sz = max 1 nv; dims = Some (rows, cols) }
-          else
-            { nv = Ogb.Container.nvals c;
-              sz = max 1 (Ogb.Container.size c);
-              dims = None }
-        | Plan.Transpose ->
-          let d = dep 0 in
-          { d with
-            dims =
-              (match d.dims with Some (r, c) -> Some (c, r) | None -> None) }
-        | Plan.MatMul { transpose_a; transpose_b; _ } -> (
-          let a = dep 0 and b = dep 1 in
-          let ka = (Plan.node plan n.Plan.deps.(0)).Plan.kind
-          and kb = (Plan.node plan n.Plan.deps.(1)).Plan.kind in
-          match ka, kb with
-          | Plan.K_mat, Plan.K_vec ->
-            let out_sz =
-              match a.dims with
-              | Some (r, c) -> if transpose_a then c else r
-              | None -> b.sz
-            in
-            let deg = max 1 (a.nv / max 1 b.sz) in
-            { nv = min (max 1 out_sz) (max 1 (b.nv * deg));
-              sz = max 1 out_sz;
-              dims = None }
-          | Plan.K_vec, Plan.K_mat ->
-            let out_sz =
-              match b.dims with
-              | Some (r, c) -> if transpose_b then r else c
-              | None -> a.sz
-            in
-            let deg = max 1 (b.nv / max 1 a.sz) in
-            { nv = min (max 1 out_sz) (max 1 (a.nv * deg));
-              sz = max 1 out_sz;
-              dims = None }
-          | _, _ ->
-            let dims =
-              match a.dims, b.dims with
-              | Some (ar, ac), Some (br, bc) ->
-                let ar', _ = if transpose_a then (ac, ar) else (ar, ac) in
-                let _, bc' = if transpose_b then (bc, br) else (br, bc) in
-                Some (ar', bc')
-              | _ -> None
-            in
-            { nv = a.nv + b.nv; sz = max 1 (a.nv + b.nv); dims })
-        | Plan.Ewise { kind; _ } | Plan.EwiseApply { kind; _ } ->
-          let a = dep 0 and b = dep 1 in
-          let nv =
-            match kind with
-            | `Add -> min (max a.sz b.sz) (a.nv + b.nv)
-            | `Mult -> min a.nv b.nv
-          in
-          { nv = max 1 nv; sz = max a.sz b.sz; dims = a.dims }
-        | Plan.EwiseMultReduce _ | Plan.ReduceScalar _ ->
-          { nv = 1; sz = 1; dims = None }
-        | Plan.ReduceRows { transpose; _ } ->
-          let a = dep 0 in
-          let out_sz =
-            match a.dims with
-            | Some (r, c) -> if transpose then c else r
-            | None -> a.sz
-          in
-          { nv = min (max 1 out_sz) (max 1 a.nv); sz = max 1 out_sz;
-            dims = None }
-        | Plan.ApplyChain _ | Plan.Select _ | Plan.ExtractVec _
-        | Plan.ExtractMat _ ->
-          dep 0
-      in
-      Hashtbl.replace tbl id e)
-    (Plan.topo plan);
-  tbl
-
-(* -- pricing -- *)
-
-let node_cost plan ests n =
-  let dep_est i =
-    try Hashtbl.find ests n.Plan.deps.(i) with Not_found -> unknown
-  in
-  let items =
-    Plan.node_items plan n
-      ~dep_nvals:(fun i -> (dep_est i).nv)
-      ~dep_size:(fun i -> (dep_est i).sz)
-  in
-  Cost.Model.node_ns
-    { Cost.Model.family = Plan.node_family plan n; items; csc_items = 0;
-      fresh_compile = false }
-
-let price_with plan ests =
-  List.fold_left
-    (fun acc id -> acc +. node_cost plan ests (Plan.node plan id))
-    0.0 (Plan.topo plan)
-
-let price plan = price_with plan (estimates plan)
-
-(* -- per-node direction choice --
-   For every CSC-dispatched Mat×Vec of a rewritten candidate, price the
-   pull gather (work ~ matrix nnz) against the push scatter (work ~
-   nnz × operand fill) with the calibrated coefficients and pin the
-   cheaper direction when it disagrees with what [Auto] would do.  The
-   candidate's annotation is updated so the final pricing sees the
-   chosen kernel family.  Vectors below the kernel heuristic's size
-   floor are never pinned: there the one-off CSC build and other fixed
-   overheads dominate, which a linear-in-items model cannot rank. *)
-
-let pin_floor = 32
-
-let choose_directions cand ests sched =
-  List.fold_left
-    (fun sched id ->
-      let n = Plan.node cand id in
-      match n.Plan.op with
-      | Plan.MatMul
-          ({ transpose_a = true;
-             layout = Plan.L_csc | Plan.L_csc_pull | Plan.L_csc_push;
-             _ } as m) ->
-        let e i =
-          try Hashtbl.find ests n.Plan.deps.(i) with Not_found -> unknown
-        in
-        let a = e 0 and b = e 1 in
-        if b.sz < pin_floor then sched
-        else
-        let pull_ns =
-          Cost.Model.node_ns
-            { Cost.Model.family = "mxv_pull"; items = a.nv; csc_items = 0;
-              fresh_compile = false }
-        in
-        let push_items =
-          max 1
-            (int_of_float
-               (float_of_int a.nv *. float_of_int b.nv
-               /. float_of_int (max 1 b.sz)))
-        in
-        let push_ns =
-          Cost.Model.node_ns
-            { Cost.Model.family = "mxv_push"; items = push_items;
-              csc_items = 0; fresh_compile = false }
-        in
-        let choice = if pull_ns <= push_ns then Sched.Pull else Sched.Push in
-        let current =
-          match m.layout with
-          | Plan.L_csc_pull -> Some Sched.Pull
-          | Plan.L_csc_push -> Some Sched.Push
-          | _ -> None
-        in
-        n.Plan.op <-
-          Plan.MatMul
-            { m with
-              layout =
-                (if choice = Sched.Pull then Plan.L_csc_pull
-                 else Plan.L_csc_push) };
-        if current = Some choice then sched
-        else Sched.with_node_layout sched n.Plan.id choice
-      | _ -> sched)
-    sched (Plan.topo cand)
-
-(* -- candidate evaluation --
-   Copy, rewrite under the candidate schedule, let the test tamper hook
-   strike, then re-check through the installed verifier: any exception
-   (a Verify_error, or a genuinely broken rewrite) rejects the
-   candidate.  Returns the schedule extended with the direction pins,
-   the predicted cost, and a per-fusion-family cost breakdown used for
-   the branch-and-bound bound. *)
-
-let affected_families = function
-  | "apply_chain" -> [ "apply_v"; "apply_m" ]
-  | "apply_ewise" -> [ "ewise_apply" ]
-  | "mult_reduce" -> [ "mult_reduce" ]
-  | _ -> []
-
-let eval_candidate plan base_sched =
-  Atomic.incr candidates_priced;
-  try
-    let cand = Plan.copy plan in
-    Rewrite.run_with ~schedule:base_sched cand;
-    (match !candidate_tamper with Some f -> f cand | None -> ());
-    Verify_hook.run cand ~stage:"candidate";
-    let ests = estimates cand in
-    let sched = choose_directions cand ests base_sched in
-    (* the direction choice rewrote layout annotations: re-verify (and
-       re-run the effect analysis on) the candidate the pricing sees *)
-    Verify_hook.run cand ~stage:"candidate-final";
-    let per_family = Hashtbl.create 8 in
-    let total =
-      List.fold_left
-        (fun acc id ->
-          let n = Plan.node cand id in
-          let c = node_cost cand ests n in
-          let fam = Plan.node_family cand n in
-          Hashtbl.replace per_family fam
-            (c +. try Hashtbl.find per_family fam with Not_found -> 0.0);
-          acc +. c)
-        0.0 (Plan.topo cand)
-    in
-    let affected rule =
-      List.fold_left
-        (fun acc fam ->
-          acc +. try Hashtbl.find per_family fam with Not_found -> 0.0)
-        0.0 (affected_families rule)
-    in
-    Some (Sched.canonical sched, total, affected)
-  with _ ->
-    Atomic.incr candidates_rejected;
-    None
-
-(* -- schedule search --
-   Branch-and-bound over the fusion-rule toggles (every undecided rule
-   runs enabled, i.e. each DFS node prices the greedy extension of its
-   partial assignment).  Flipping a rule off replaces that rule's fused
-   nodes with unfused ones whose cost is at least zero, so a valid
-   optimistic bound for a subtree is the parent's cost minus the total
-   cost its undecided rules' fused nodes carry — with uncalibrated
-   (monotone) coefficients the bound prunes everything below the greedy
-   root, and the search pays exactly one candidate.  Past the node cap
-   the fallback prices greedy plus each single-rule flip (lookahead 1).
-   Direction pins ride along inside every candidate either way. *)
-
-let search plan =
-  Atomic.incr searches;
-  let best = ref (Sched.default, infinity) in
-  let consider = function
-    | Some (s, c, _) when c < snd !best -> best := (s, c)
-    | _ -> ()
-  in
-  if Plan.size plan > plan_cap () then begin
-    consider (eval_candidate plan Sched.default);
-    List.iter
-      (fun r ->
-        consider (eval_candidate plan (Sched.with_rule Sched.default r false)))
-      Sched.fusion_rules
-  end
-  else begin
-    let rec dfs sched undecided =
-      match eval_candidate plan sched with
-      | None -> ()
-      | Some (s, c, affected) ->
-        if c < snd !best then best := (s, c);
-        let rec branch = function
-          | [] -> ()
-          | r :: rest ->
-            let saving =
-              List.fold_left (fun a r' -> a +. affected r') 0.0 (r :: rest)
-            in
-            if c -. saving < snd !best then
-              dfs (Sched.with_rule sched r false) rest;
-            branch rest
-        in
-        branch undecided
-    in
-    dfs Sched.default Sched.fusion_rules
-  end;
-  if snd !best = infinity then (Sched.default, 0.0) else !best
-
-(* -- schedule cache -- *)
-
-let cache : (string, Sched.t * float) Hashtbl.t = Hashtbl.create 64
-let cache_lock = Mutex.create ()
-let max_cache = 256
-
-let cache_key plan =
-  Printf.sprintf "%s|g%d|f%b|u%b" (Plan.shape_digest plan)
-    (Cost.Calibration.generation ())
-    (Gbtl.Format_stats.enabled ())
-    (Ogb.Expr.fusion ())
-
-let cache_find key =
-  Mutex.protect cache_lock (fun () -> Hashtbl.find_opt cache key)
-
-let cache_store key v =
-  Mutex.protect cache_lock (fun () ->
-      if Hashtbl.length cache >= max_cache then Hashtbl.reset cache;
-      Hashtbl.replace cache key v)
-
-let cache_size () = Mutex.protect cache_lock (fun () -> Hashtbl.length cache)
-let clear_cache () = Mutex.protect cache_lock (fun () -> Hashtbl.reset cache)
-
-(* -- entry point -- *)
-
-let commit plan sched predicted =
-  Rewrite.run_with ~schedule:sched plan;
-  plan.Plan.schedule_desc <- Sched.to_string sched;
-  plan.Plan.predicted_ns <-
-    (if predicted > 0.0 then predicted else price plan)
-
 let optimize plan =
-  match pinned () with
-  | Some sched ->
-    Atomic.incr pinned_plans;
-    commit plan sched 0.0
-  | None ->
-    if Plan.size plan <= 2 then
-      (* leaf + root: nothing to search *)
-      commit plan Sched.default 0.0
-    else begin
-      let key = cache_key plan in
-      match cache_find key with
-      | Some (sched, predicted) ->
-        Atomic.incr cache_hits;
-        commit plan sched predicted
-      | None ->
-        let sched, predicted = search plan in
-        cache_store key (sched, predicted);
-        commit plan sched predicted
-    end
+  let schedule = pinned () in
+  if Option.is_some schedule then Atomic.incr pinned_plans;
+  Rewrite.run_with ?schedule plan;
+  plan.Plan.schedule_desc <-
+    Sched.to_string (Option.value schedule ~default:Sched.default)
+
+(* [searches] and [cache_hits] stay for bench/e2e/probes.ml, which reads
+   both; nothing searches or caches schedules, so they are always 0. *)
+let counters () =
+  [ ("searches", 0); ("cache_hits", 0); ("pinned", Atomic.get pinned_plans) ]
+
+(* No-op stub for bench/e2e (jitenv.ml and probes.ml call it): there is
+   no schedule cache to clear. *)
+let clear_cache () = ()

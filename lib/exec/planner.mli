@@ -1,42 +1,23 @@
-(** Cost-model-driven schedule search over the plan DAG.
+(** The plan optimizer.
 
-    {!optimize} replaces the direct [Rewrite.run] call in plan lowering:
-    it resolves a schedule — an [OGB_SCHEDULE]/programmatic pin, a
-    cached choice, or a fresh bounded branch-and-bound search over
-    fusion-rule subsets with per-node pull/push direction pins — prices
-    it with {!Cost.Model} over static cardinality estimates, applies it
-    through {!Rewrite.run_with}, and stamps the plan's
-    [schedule_desc]/[predicted_ns].  Every search candidate is a
-    {!Plan.copy} re-checked by the installed {!Verify_hook} (stage
-    ["candidate"]) before its schedule can win; rejected candidates are
-    counted and discarded. *)
+    {!optimize} applies {!Rewrite.run_with} under the pinned schedule
+    ({!pin}, else [OGB_SCHEDULE]) or, without a pin, the greedy default,
+    and stamps the plan's [schedule_desc]. *)
 
 val optimize : Plan.t -> unit
-(** Choose, apply and record a schedule for a freshly lowered plan. *)
-
-val price : Plan.t -> float
-(** Model cost (ns) of a plan as currently rewritten/annotated. *)
+(** Apply and record a schedule for a freshly lowered plan. *)
 
 val pin : Cost.Schedule.t option -> unit
 (** Programmatic schedule pin (the CLI's [--schedule]); [None] returns
-    control to [OGB_SCHEDULE]/search. *)
+    control to [OGB_SCHEDULE], else the greedy default. *)
 
 val pinned : unit -> Cost.Schedule.t option
 (** Effective pin: the programmatic one, else [OGB_SCHEDULE]. *)
 
-val plan_cap : unit -> int
-(** Node-count cap above which branch-and-bound yields to the
-    greedy-plus-single-flip fallback ([OGB_PLAN_CAP], default 96). *)
-
 val counters : unit -> (string * int) list
-(** [searches], [cache_hits], [pinned], [candidates], [rejected]. *)
+(** [pinned] (plans optimized under a pin), plus [searches] and
+    [cache_hits], always 0, which bench/e2e/probes.ml reads. *)
 
-val reset_counters : unit -> unit
-
-val cache_size : unit -> int
 val clear_cache : unit -> unit
-
-val candidate_tamper : (Plan.t -> unit) option ref
-(** Test hook: runs on each candidate copy after the rewrite and before
-    the verify gate, so tests can prove a shape-changing candidate is
-    rejected rather than adopted. *)
+(** No-op: there is no schedule cache.  Kept for bench/e2e (jitenv.ml,
+    probes.ml). *)

@@ -5,10 +5,7 @@
    gated on the producer having exactly one consumer. *)
 
 let record plan name =
-  (* candidate copies the planner prices must stay invisible to the
-     global fusion statistics; their private event list still fills in
-     so a rejected candidate can be dumped for debugging *)
-  if not plan.Plan.mute_stats then Jit.Jit_stats.record_fusion name;
+  Jit.Jit_stats.record_fusion name;
   plan.Plan.events <-
     (match plan.Plan.events with
     | (n, c) :: rest when n = name -> (n, c + 1) :: rest
@@ -208,13 +205,13 @@ let push_mask plan =
    flag (sunk there by sink_transpose from an explicit Transpose node)
    dispatches on the matrix's lazily cached CSC side rather than
    materializing Aᵀ.  The direction each such node takes comes from the
-   schedule: an explicit per-node or global pull/push pin (the planner's
-   cost-model choice, or an OGB_SCHEDULE pin) wins; [Auto] falls back to
-   the PR 2 fill heuristic when the vector operand is a plan leaf (pull
-   once fill reaches 1/4 of a size-≥32 vector) and otherwise leaves the
-   kernel's runtime heuristic in charge ([L_csc]).  Plan.execute_node
-   forces pinned directions through the kernel's [direction] override;
-   both directions are bit-identical, so this trades time only. *)
+   schedule: a pinned pull/push layout (OGB_SCHEDULE or --schedule)
+   wins; [Auto] falls back to the format layer's fill heuristic when
+   the vector operand is a plan leaf (pull once fill reaches 1/4 of a
+   size-≥32 vector) and otherwise leaves the kernel's runtime heuristic
+   in charge ([L_csc]).  Plan.execute_node forces pinned directions
+   through the kernel's [direction] override; both directions are
+   bit-identical, so this trades time only. *)
 let select_layout ?(schedule = Cost.Schedule.default) plan =
   if Gbtl.Format_stats.enabled () then
     List.iter
@@ -234,7 +231,7 @@ let select_layout ?(schedule = Cost.Schedule.default) plan =
             | _ -> Plan.L_csc
           in
           let layout =
-            match Cost.Schedule.node_layout schedule id with
+            match schedule.Cost.Schedule.layout with
             | Cost.Schedule.Pull -> Plan.L_csc_pull
             | Cost.Schedule.Push -> Plan.L_csc_push
             | Cost.Schedule.Auto -> heuristic ()

@@ -27,9 +27,9 @@ val push_mask : Plan.t -> unit
 val select_layout : ?schedule:Cost.Schedule.t -> Plan.t -> unit
 (** When the format layer is on ([Gbtl.Format_stats.enabled]), annotate
     transposed Mat×Vec matmuls with the CSC dispatch the kernel will
-    use ({!Plan.layout}).  The schedule's per-node/global pull/push pins
-    win; [Auto] refines by the fill heuristic when the vector operand's
-    fill ratio is known at planning time.  Records [csc_dispatch] and
+    use ({!Plan.layout}).  The schedule's pull/push pin wins; [Auto]
+    refines by the fill heuristic when the vector operand's fill ratio
+    is known at planning time.  Records [csc_dispatch] and
     [dir_pull]/[dir_push] events. *)
 
 val run_with : ?schedule:Cost.Schedule.t -> Plan.t -> unit

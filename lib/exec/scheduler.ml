@@ -24,8 +24,7 @@ let () =
            (Printexc.to_string error))
     | _ -> None)
 
-(* Monotonic: node timings feed the calibration store, and a wall-clock
-   step must not write a negative or huge ns/item into it. *)
+(* Monotonic: a wall-clock step must not make a node timing negative. *)
 let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 (* Domain budget lives in the shared pool (lib/parallel), whose helper
@@ -39,27 +38,6 @@ let domain_count () =
 let nvals_of_value = function
   | Plan.V_cont c -> Ogb.Container.nvals c
   | Plan.V_scal _ -> 1
-
-(* Feed the calibration store: every timed node execution becomes an
-   (items, seconds) observation for its kernel family, measured with the
-   same {!Plan.node_items} formula the planner predicts with — so
-   calibrated coefficients and model predictions price the same
-   quantity. *)
-let observe plan n vals seconds =
-  if not plan.Plan.mute_stats then begin
-    let dep_nvals i = nvals_of_value vals.(i) in
-    let dep_size i =
-      match vals.(i) with
-      | Plan.V_cont c when not (Ogb.Container.is_matrix c) ->
-        Ogb.Container.size c
-      | v -> nvals_of_value v
-    in
-    let items = Plan.node_items plan n ~dep_nvals ~dep_size in
-    if items > 0 then
-      Jit.Jit_stats.record_kernel_time
-        ~family:(Plan.node_family plan n)
-        ~items ~seconds
-  end
 
 (* Execute one node, threading the scheduler's injection points and
    locating any failure.  The fault points fire on the sequential path
@@ -84,7 +62,6 @@ let run_sequential plan order =
       let t0 = now () in
       let v = exec_node plan id n vals in
       let seconds = now () -. t0 in
-      observe plan n vals seconds;
       events :=
         { Trace.id;
           label = Plan.op_label n.Plan.op;
@@ -143,7 +120,6 @@ let run_parallel plan order ndomains =
           (v, now () -. t0)
         with
         | v, seconds ->
-          observe plan n vals seconds;
           Mutex.lock m;
           Hashtbl.replace results id v;
           events :=
@@ -212,7 +188,6 @@ let run plan =
   let trace =
     Trace.make ~domains ~degraded ~total_seconds ~nodes:node_events
       ~rewrites:(Plan.events plan) ~cse_merged:(Plan.cse_merged plan)
-      ~schedule:plan.Plan.schedule_desc ~predicted_ns:plan.Plan.predicted_ns
-      ~before ~after
+      ~schedule:plan.Plan.schedule_desc ~before ~after
   in
   (value, trace)

@@ -8,14 +8,13 @@ type t = {
   rewrites : (string * int) list;
   cse_merged : int;
   schedule : string;
-  predicted_ns : float;
   lookups : int;
   cache_hits : int;
   compiles : int;
 }
 
 let make ~domains ~degraded ~total_seconds ~nodes ~rewrites ~cse_merged
-    ~schedule ~predicted_ns ~before ~after =
+    ~schedule ~before ~after =
   let d f = f after - f before in
   { domains;
     degraded;
@@ -24,7 +23,6 @@ let make ~domains ~degraded ~total_seconds ~nodes ~rewrites ~cse_merged
     rewrites;
     cse_merged;
     schedule;
-    predicted_ns;
     lookups = d (fun (s : Jit.Jit_stats.snapshot) -> s.lookups);
     cache_hits =
       d (fun (s : Jit.Jit_stats.snapshot) -> s.memory_hits + s.disk_hits);
@@ -42,8 +40,8 @@ let pp fmt t =
   Format.fprintf fmt "kernel cache: %d lookups, %d hits, %d compiles@\n"
     t.lookups t.cache_hits t.compiles;
   if t.schedule <> "" then
-    Format.fprintf fmt "schedule: %s (predicted %.3fms, measured %.3fms)@\n"
-      t.schedule (t.predicted_ns /. 1e6) (t.total_seconds *. 1e3);
+    Format.fprintf fmt "schedule: %s (measured %.3fms)@\n" t.schedule
+      (t.total_seconds *. 1e3);
   (match t.rewrites with
   | [] -> ()
   | rs ->

@@ -17,9 +17,8 @@ type t = {
   rewrites : (string * int) list;
   cse_merged : int;
   schedule : string;
-      (** serialized schedule the planner committed ("" when the plan
+      (** serialized schedule the planner applied ("" when the plan
           bypassed the planner) *)
-  predicted_ns : float;  (** cost model's prediction for that schedule *)
   lookups : int;
   cache_hits : int;  (** memory + disk hits during this run *)
   compiles : int;
@@ -33,7 +32,6 @@ val make :
   rewrites:(string * int) list ->
   cse_merged:int ->
   schedule:string ->
-  predicted_ns:float ->
   before:Jit.Jit_stats.snapshot ->
   after:Jit.Jit_stats.snapshot ->
   t

@@ -8,10 +8,6 @@
     - after each pass: ["sink_transpose"], ["apply_chain"],
       ["apply_ewise"], ["mult_reduce"], ["push_mask"],
       ["select_layout"];
-    - ["candidate"] — on every planner candidate after its rewrite
-      combination, and ["candidate-final"] — on the same candidate after
-      the direction choice pinned its layouts (a raise rejects the
-      candidate, not the pipeline);
     - ["pre-schedule"] — in {!Exec.run_plan}, right before the domain
       scheduler starts.
 

@@ -24,7 +24,6 @@ let points =
     "serve.accept.exn";  (* daemon accept loop raises on a connection *)
     "serve.session.exn";  (* session handler dies mid-request *)
     "serve.batch.partial";  (* one member of a coalesced batch fails *)
-    "cost.calib.corrupt";  (* calibration file truncated/garbage on load *)
     "analysis.effects.exn";  (* effect analysis dies mid-check (degrade loudly) *)
     "tile.read.corrupt";  (* on-disk tile truncated/garbage before verify *)
     "tile.write.enospc";  (* tile-store device full on a spill/checkpoint *)

@@ -111,8 +111,7 @@ let to_json t =
      \"breaker_short_circuits\": %d, \"inflight_waits\": %d, \
      \"sched_worker_failures\": %d, \"sched_seq_reruns\": %d, \
      \"blocking_fallbacks\": %d, \"effects_checks\": %d, \
-     \"effects_hazards\": %d, \"effects_rejections\": %d, \
-     \"effects_degraded\": %d }, "
+     \"effects_hazards\": %d, \"effects_degraded\": %d }, "
     s.Jit_stats.lookups s.Jit_stats.memory_hits s.Jit_stats.disk_hits
     s.Jit_stats.compiles s.Jit_stats.native_compiles s.Jit_stats.native_failures
     s.Jit_stats.compile_seconds s.Jit_stats.warm_requests
@@ -122,8 +121,7 @@ let to_json t =
     s.Jit_stats.breaker_short_circuits s.Jit_stats.inflight_waits
     s.Jit_stats.sched_worker_failures s.Jit_stats.sched_seq_reruns
     s.Jit_stats.blocking_fallbacks s.Jit_stats.effects_checks
-    s.Jit_stats.effects_hazards s.Jit_stats.effects_rejections
-    s.Jit_stats.effects_degraded;
+    s.Jit_stats.effects_hazards s.Jit_stats.effects_degraded;
   out "\"pool\": { \"domains\": %d, \"busy_seconds\": %.6f%s }, "
     t.pool_domains t.pool_busy_seconds
     (String.concat ""

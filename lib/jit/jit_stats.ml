@@ -22,7 +22,6 @@ type snapshot = {
   (* effect-analysis counters (the static footprint/race stage) *)
   effects_checks : int;
   effects_hazards : int;
-  effects_rejections : int;
   effects_degraded : int;
 }
 
@@ -50,7 +49,6 @@ let sched_seq_reruns = Atomic.make 0
 let blocking_fallbacks = Atomic.make 0
 let effects_checks = Atomic.make 0
 let effects_hazards = Atomic.make 0
-let effects_rejections = Atomic.make 0
 let effects_degraded = Atomic.make 0
 
 (* Float accumulation has no atomic fetch-and-add; a mutex is fine at
@@ -89,44 +87,6 @@ let record_fusion kind =
   Mutex.protect tally_lock @@ fun () ->
   Hashtbl.replace fusion_table kind
     (1 + Option.value ~default:0 (Hashtbl.find_opt fusion_table kind))
-
-(* Per-family kernel timing tallies: the raw observations behind the
-   cost model's calibration (lib/cost reads these, normalizes them to
-   ns/item coefficients and persists them next to the JIT disk cache).
-   Families are coarser than full signature keys — "mxv_pull",
-   "ewise_v", … — because the planner needs a coefficient before it has
-   chosen the exact signature. *)
-
-type time_tally = {
-  mutable t_items : float;  (* float: totals overflow int on long runs *)
-  mutable t_seconds : float;
-  mutable t_samples : int;
-}
-
-let time_table : (string, time_tally) Hashtbl.t = Hashtbl.create 32
-
-let record_kernel_time ~family ~items ~seconds =
-  if items > 0 && seconds >= 0.0 then
-    Mutex.protect tally_lock @@ fun () ->
-    let t =
-      match Hashtbl.find_opt time_table family with
-      | Some t -> t
-      | None ->
-        let t = { t_items = 0.0; t_seconds = 0.0; t_samples = 0 } in
-        Hashtbl.add time_table family t;
-        t
-    in
-    t.t_items <- t.t_items +. float_of_int items;
-    t.t_seconds <- t.t_seconds +. seconds;
-    t.t_samples <- t.t_samples + 1
-
-let kernel_times () =
-  Mutex.protect tally_lock @@ fun () ->
-  List.sort compare
-    (Hashtbl.fold
-       (fun family t acc ->
-         (family, t.t_items, t.t_seconds, t.t_samples) :: acc)
-       time_table [])
 
 let per_signature () =
   Mutex.protect tally_lock @@ fun () ->
@@ -178,7 +138,6 @@ let record_blocking_fallback () = Atomic.incr blocking_fallbacks
 let record_effects_check () = Atomic.incr effects_checks
 let record_effects_hazard ~count =
   if count > 0 then ignore (Atomic.fetch_and_add effects_hazards count)
-let record_effects_rejection () = Atomic.incr effects_rejections
 let record_effects_degraded () = Atomic.incr effects_degraded
 
 (* Ahead-of-time warm-up bookkeeping (lib/analysis drives the warm-up;
@@ -208,7 +167,6 @@ let snapshot () =
     blocking_fallbacks = Atomic.get blocking_fallbacks;
     effects_checks = Atomic.get effects_checks;
     effects_hazards = Atomic.get effects_hazards;
-    effects_rejections = Atomic.get effects_rejections;
     effects_degraded = Atomic.get effects_degraded }
 
 let reset () =
@@ -233,12 +191,10 @@ let reset () =
   Atomic.set blocking_fallbacks 0;
   Atomic.set effects_checks 0;
   Atomic.set effects_hazards 0;
-  Atomic.set effects_rejections 0;
   Atomic.set effects_degraded 0;
   Mutex.protect tally_lock (fun () ->
       Hashtbl.reset sig_table;
-      Hashtbl.reset fusion_table;
-      Hashtbl.reset time_table)
+      Hashtbl.reset fusion_table)
 
 let pp fmt s =
   Format.fprintf fmt
@@ -259,10 +215,6 @@ let pp fmt s =
       s.cache_write_failures s.checksum_quarantines s.compile_timeouts
       s.compile_retries s.breaker_trips s.breaker_short_circuits
       s.sched_worker_failures s.sched_seq_reruns s.blocking_fallbacks;
-  if s.effects_checks + s.effects_hazards + s.effects_rejections
-     + s.effects_degraded > 0
-  then
-    Format.fprintf fmt
-      "@\neffects: checks=%d hazards=%d rejections=%d degraded=%d"
-      s.effects_checks s.effects_hazards s.effects_rejections
-      s.effects_degraded
+  if s.effects_checks + s.effects_hazards + s.effects_degraded > 0 then
+    Format.fprintf fmt "@\neffects: checks=%d hazards=%d degraded=%d"
+      s.effects_checks s.effects_hazards s.effects_degraded

@@ -24,7 +24,6 @@ type snapshot = {
   blocking_fallbacks : int;  (** expressions re-evaluated on the blocking path *)
   effects_checks : int;  (** effect-analysis passes over a plan *)
   effects_hazards : int;  (** footprint hazards found (pre-remedy) *)
-  effects_rejections : int;  (** planner candidates rejected for a hazard *)
   effects_degraded : int;  (** analysis crashes contained (loud degrade) *)
 }
 
@@ -53,12 +52,10 @@ val record_blocking_fallback : unit -> unit
 
 val record_effects_check : unit -> unit
 val record_effects_hazard : count:int -> unit
-val record_effects_rejection : unit -> unit
 val record_effects_degraded : unit -> unit
 (** Effect-analysis bookkeeping (fed by [Analysis.Effects] through the
-    verifier hook: checks run, hazards found before any remedy, planner
-    candidates rejected for a footprint hazard, and analysis failures
-    contained as loud degrades). *)
+    verifier hook: checks run, hazards found before any remedy, and
+    analysis failures contained as loud degrades). *)
 
 val record_signature : string -> hit:bool -> unit
 (** Tally one dispatch of the given {!Kernel_sig.key} as a cache hit
@@ -70,15 +67,6 @@ val record_fusion : string -> unit
 
 val per_signature : unit -> (string * int * int) list
 (** [(signature key, hits, misses)] sorted by key. *)
-
-val record_kernel_time : family:string -> items:int -> seconds:float -> unit
-(** Tally one timed kernel execution under a coarse family name
-    ("mxv_pull", "ewise_v", …): the raw observations the cost model's
-    calibration (lib/cost) normalizes into ns/item coefficients.
-    Non-positive item counts are dropped. *)
-
-val kernel_times : unit -> (string * float * float * int) list
-(** [(family, total items, total seconds, samples)] sorted by family. *)
 
 val fusions : unit -> (string * int) list
 (** [(rewrite name, firings)] sorted by name. *)

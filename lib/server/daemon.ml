@@ -102,14 +102,6 @@ let serve_counters s =
   @ (let sh = List.assoc "shed" (Admission.counters s.queue) in
      [ ("shed", sh) ])
   @ Batcher.counters s.bat
-  (* schedule reuse across sessions: the planner cache is process-global
-     and keyed by plan-shape digest × calibration generation, so repeat
-     request shapes skip the schedule search — visible here *)
-  @ List.map
-      (fun (k, v) -> ("planner_" ^ k, v))
-      (Exec.Planner.counters ())
-  @ [ ("planner_cache", Exec.Planner.cache_size ());
-      ("calibration_gen", Cost.Calibration.generation ()) ]
 
 (* Warm the JIT over every kernel signature the tier-1 encodings can
    reach at vertex count [n]; repeated per [load] at the real graph
@@ -723,8 +715,4 @@ let wait r =
   List.iter (fun t -> try Thread.join t with _ -> ()) threads;
   (try Unix.close r.stop_r with Unix.Unix_error _ -> ());
   (try Unix.close r.stop_w with Unix.Unix_error _ -> ());
-  (* persist kernel-timing observations gathered over the daemon's
-     lifetime so the next process starts with a calibrated cost model;
-     best-effort (the save path already reports its own failures) *)
-  ignore (Cost.Calibration.save ());
   try Unix.unlink r.r_state.cfg.sock_path with Unix.Unix_error _ -> ()
