@@ -48,8 +48,7 @@ let overlay_entries ~n ~c_lookup ~c_entries ~targets ~source ~accum =
 
 let vector ?(mask = Mask.No_vmask) ?accum ?(replace = false) ~out u idx =
   let n = Svector.size out in
-  let targets = Index_set.resolve idx n in
-  Index_set.check_no_duplicates targets;
+  let targets = Index_set.resolve_unique idx n in
   if Svector.size u <> Array.length targets then
     dim_err ~op:"assign"
       ~expected:(Printf.sprintf "source size %d" (Array.length targets))
@@ -62,24 +61,97 @@ let vector ?(mask = Mask.No_vmask) ?accum ?(replace = false) ~out u idx =
   in
   Output.write_vector ~mask ~accum:None ~replace ~out ~t
 
-let vector_scalar ?(mask = Mask.No_vmask) ?accum ?(replace = false) ~out s idx =
+(* Ascending positions a non-complemented mask selects. *)
+let iter_selected f = function
+  | Mask.Vmask { dense; _ } -> Array.iteri (fun i b -> if b then f i) dense
+  | Mask.Vmask_sparse { idx; _ } -> Array.iter f idx
+  | Mask.No_vmask -> assert false
+
+(* [w<m,z>(:) = s] without materializing the region: an allowed position
+   ends as [s] (or [accum c s] over an old entry [c]); any other keeps
+   its old entry, or loses it under [replace]. *)
+let vector_scalar_all ~mask ~accum ~replace ~out s =
   let n = Svector.size out in
-  let targets = Index_set.resolve idx n in
-  Index_set.check_no_duplicates targets;
-  let accum_f = Option.map (fun (op : _ Binop.t) -> op.Binop.f) accum in
-  let t =
-    overlay_entries ~n ~c_lookup:(Svector.get out)
-      ~c_entries:(Svector.entries out) ~targets
-      ~source:(fun _ -> Some s)
-      ~accum:accum_f
+  Mask.v_check_size mask n;
+  let value =
+    match accum with
+    | None -> fun _ -> s
+    | Some (op : _ Binop.t) -> (
+      function Some c -> op.Binop.f c s | None -> s)
   in
-  Output.write_vector ~mask ~accum:None ~replace ~out ~t
+  match mask with
+  | (Mask.Vmask { complemented = false; _ }
+    | Mask.Vmask_sparse { complemented = false; _ })
+    when (not replace) && Svector.stays_dense out ->
+    (* Only the mask's positions change: write them in place. *)
+    iter_selected (fun i -> Svector.set out i (value (Svector.get out i))) mask
+  | Mask.Vmask { complemented = false; _ }
+  | Mask.Vmask_sparse { complemented = false; _ } ->
+    (* One merge of C with the mask's positions; [replace] drops the
+       rest of C. *)
+    let c = Svector.entries out in
+    let nc = Entries.length c and k = ref 0 in
+    let t = Entries.create () in
+    let keep_below i =
+      while !k < nc && Entries.get_idx c !k < i do
+        if not replace then
+          Entries.push t (Entries.get_idx c !k) (Entries.get_val c !k);
+        incr k
+      done
+    in
+    iter_selected
+      (fun i ->
+        keep_below i;
+        let old =
+          if !k < nc && Entries.get_idx c !k = i then begin
+            let v = Entries.get_val c !k in
+            incr k;
+            Some v
+          end
+          else None
+        in
+        Entries.push t i (value old))
+      mask;
+    keep_below n;
+    Svector.replace_contents out t
+  | Mask.No_vmask | Mask.Vmask _ | Mask.Vmask_sparse _ ->
+    (* No mask or a complemented one: one ordered walk of the positions
+       and C's entries. *)
+    let allowed = Mask.v_cursor mask in
+    let t = Entries.create () and next = ref 0 in
+    let fill_below stop =
+      for i = !next to stop - 1 do
+        if allowed i then Entries.push t i s
+      done
+    in
+    Svector.iter
+      (fun i c ->
+        fill_below i;
+        if allowed i then Entries.push t i (value (Some c))
+        else if not replace then Entries.push t i c;
+        next := i + 1)
+      out;
+    fill_below n;
+    Svector.replace_contents out t
+
+let vector_scalar ?(mask = Mask.No_vmask) ?accum ?(replace = false) ~out s idx =
+  match idx with
+  | Index_set.All -> vector_scalar_all ~mask ~accum ~replace ~out s
+  | Index_set.List _ | Index_set.Range _ ->
+    let n = Svector.size out in
+    let targets = Index_set.resolve_unique idx n in
+    let accum_f = Option.map (fun (op : _ Binop.t) -> op.Binop.f) accum in
+    let t =
+      overlay_entries ~n ~c_lookup:(Svector.get out)
+        ~c_entries:(Svector.entries out) ~targets
+        ~source:(fun _ -> Some s)
+        ~accum:accum_f
+    in
+    Output.write_vector ~mask ~accum:None ~replace ~out ~t
 
 (* Matrix region assign: per-row overlay over the selected columns. *)
 let matrix_overlay ?(mask = Mask.No_mmask) ?accum ?(replace = false) ~out
     ~row_targets ~col_targets ~source_row () =
-  Index_set.check_no_duplicates row_targets;
-  Index_set.check_no_duplicates col_targets;
   let accum_f = Option.map (fun (op : _ Binop.t) -> op.Binop.f) accum in
   let nrows = Smatrix.nrows out and ncols = Smatrix.ncols out in
   let row_src = Array.make nrows (-1) in
@@ -98,8 +170,8 @@ let matrix_overlay ?(mask = Mask.No_mmask) ?accum ?(replace = false) ~out
   Output.write_matrix ~mask ~accum:None ~replace ~out ~t
 
 let matrix ?mask ?accum ?replace ~out a rows cols =
-  let row_targets = Index_set.resolve rows (Smatrix.nrows out) in
-  let col_targets = Index_set.resolve cols (Smatrix.ncols out) in
+  let row_targets = Index_set.resolve_unique rows (Smatrix.nrows out) in
+  let col_targets = Index_set.resolve_unique cols (Smatrix.ncols out) in
   if Smatrix.shape a <> (Array.length row_targets, Array.length col_targets)
   then
     dim_err ~op:"assign"
@@ -113,8 +185,8 @@ let matrix ?mask ?accum ?replace ~out a rows cols =
     ()
 
 let matrix_scalar ?mask ?accum ?replace ~out s rows cols =
-  let row_targets = Index_set.resolve rows (Smatrix.nrows out) in
-  let col_targets = Index_set.resolve cols (Smatrix.ncols out) in
+  let row_targets = Index_set.resolve_unique rows (Smatrix.nrows out) in
+  let col_targets = Index_set.resolve_unique cols (Smatrix.ncols out) in
   matrix_overlay ?mask ?accum ?replace ~out ~row_targets ~col_targets
     ~source_row:(fun _ _ -> Some s)
     ()

@@ -26,7 +26,17 @@ val vector_scalar :
   Index_set.t ->
   unit
 (** Sets every selected position to the scalar (the BFS
-    [levels<frontier> = depth] idiom). *)
+    [levels<frontier> = depth] idiom).
+
+    Over [Index_set.All] the region is never materialized.  With a
+    non-complemented mask and no [replace], only the mask's positions
+    change: a dense output that stays dense ({!Svector.stays_dense}) is
+    updated in place in O(|M|) (O(n) to scan a dense mask), a sparse one
+    by one merge of its entries with the mask's, O(|C| + |M|).  With
+    [replace] the result is that merge restricted to the mask.  Without
+    a mask, or with a complemented one, the cost is one ordered O(n)
+    walk of the output.  The result, layout included, equals the generic
+    region overlay that [List]/[Range] index sets take. *)
 
 val matrix :
   ?mask:Mask.mmask ->

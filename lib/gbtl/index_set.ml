@@ -32,13 +32,18 @@ let resolve t dim =
     Array.init (stop - start) (fun k -> start + k)
 
 let check_no_duplicates a =
-  let seen = Hashtbl.create (Array.length a) in
+  let seen = Array.make (1 + Array.fold_left max (-1) a) false in
   Array.iter
     (fun i ->
-      if Hashtbl.mem seen i then
+      if seen.(i) then
         raise (Invalid_index (Printf.sprintf "duplicate index %d in assign" i));
-      Hashtbl.add seen i ())
+      seen.(i) <- true)
     a
+
+let resolve_unique t dim =
+  let a = resolve t dim in
+  (match t with List _ -> check_no_duplicates a | All | Range _ -> ());
+  a
 
 let pp fmt = function
   | All -> Format.pp_print_string fmt "All"

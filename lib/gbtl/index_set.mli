@@ -17,6 +17,12 @@ val resolve : t -> int -> int array
     falls outside [0, dim) or a range is malformed. *)
 
 val check_no_duplicates : int array -> unit
-(** @raise Invalid_index on duplicates — assign targets must be unique. *)
+(** @raise Invalid_index on duplicates — assign targets must be unique.
+    Indices must be non-negative; costs O(length + max index). *)
+
+val resolve_unique : t -> int -> int array
+(** {!resolve}, then {!check_no_duplicates} for [List] ([All] and
+    [Range] are duplicate-free by construction) — the target set of an
+    assign. *)
 
 val pp : Format.formatter -> t -> unit

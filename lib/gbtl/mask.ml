@@ -11,17 +11,15 @@ type mmask =
    for the dense boolean array. *)
 let sparse_of_vector v =
   let dt = Svector.dtype v in
-  let idx = ref [] and k = ref 0 in
+  let idx = Array.make (Svector.nvals v) 0 and k = ref 0 in
   Svector.iter
     (fun i x ->
       if Dtype.to_bool dt x then begin
-        idx := i :: !idx;
+        idx.(!k) <- i;
         incr k
       end)
     v;
-  let arr = Array.make (max !k 1) 0 in
-  List.iteri (fun j i -> arr.(!k - 1 - j) <- i) !idx;
-  Array.sub arr 0 !k
+  if !k = Array.length idx then idx else Array.sub idx 0 !k
 
 let vmask ?(complemented = false) v =
   (* A sparse mask only pays off when membership tests stay cheap and the
@@ -60,6 +58,17 @@ let v_allowed mask i =
   | No_vmask -> true
   | Vmask { dense; complemented } -> dense.(i) <> complemented
   | Vmask_sparse { idx; complemented; _ } -> mem_sorted idx i <> complemented
+
+let v_cursor mask =
+  match mask with
+  | No_vmask | Vmask _ -> v_allowed mask
+  | Vmask_sparse { idx; complemented; _ } ->
+    let q = ref 0 and qe = Array.length idx in
+    fun i ->
+      while !q < qe && idx.(!q) < i do
+        incr q
+      done;
+      (!q < qe && idx.(!q) = i) <> complemented
 
 let v_check_size mask n =
   let fail len =

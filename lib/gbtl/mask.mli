@@ -28,6 +28,11 @@ val mmask : ?complemented:bool -> 'a Smatrix.t -> mmask
 
 val v_allowed : vmask -> int -> bool
 
+val v_cursor : vmask -> (int -> bool)
+(** [v_cursor mask] — {!v_allowed} for queries at non-decreasing
+    positions: a sparse mask is walked by one cursor, so a sweep costs
+    one merge, not a binary search per query. *)
+
 val v_check_size : vmask -> int -> unit
 (** @raise Svector.Dimension_mismatch if the mask length differs. *)
 

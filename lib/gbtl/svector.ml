@@ -41,6 +41,9 @@ let rep_name v = if is_dense v then "dense" else "sparse"
 let densify_worthwhile v = v.size >= 32 && 4 * v.nvals >= v.size
 let sparsify_worthwhile v = 16 * v.nvals < v.size
 
+let stays_dense v =
+  is_dense v && Format_stats.enabled () && densify_worthwhile v
+
 let check_index v i ctx =
   if i < 0 || i >= v.size then
     raise

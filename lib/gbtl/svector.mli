@@ -32,6 +32,11 @@ val rep_name : 'a t -> string
 (** ["sparse"] or ["dense"] — the format component kernels put in their
     {!Jit.Kernel_sig} cache keys. *)
 
+val stays_dense : 'a t -> bool
+(** [true] when the vector is dense and a bulk write of its current
+    entries ({!replace_contents}) would leave it dense.  Adding entries
+    in place then ends in the layout the rebuild would pick. *)
+
 val densify : 'a t -> unit
 (** Switch to the dense representation (no-op if already dense);
     O(size). *)

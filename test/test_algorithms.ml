@@ -118,6 +118,75 @@ let test_bfs_tiers_agree () =
     (sorted_alist
        (Algorithms.Bfs.levels_of_svector (Algorithms.Bfs.generic adj ~src:0)))
 
+(* RMAT-9 from the hub: the first frontiers are below 1/8 fill (sparse
+   masks), later ones above it (dense masks), and [levels] crosses the
+   1/4 densify threshold mid-run.  The oracles ([ref_bfs],
+   [Bfs.native_dense], [Bc.single_source]) never call [Assign]. *)
+let rmat_fixture () =
+  let g =
+    Graphs.Generators.rmat (Graphs.Rng.create ~seed:7) ~scale:9 ~edge_factor:8
+  in
+  let n = 512 in
+  let expected = sorted_alist (ref_bfs (pairs_of g) n 0) in
+  let widths = Array.make (n + 2) 0 in
+  List.iter (fun (_, l) -> widths.(l) <- widths.(l) + 1) expected;
+  let widths = Array.to_list widths |> List.filter (fun w -> w > 0) in
+  if
+    not
+      (List.exists (fun w -> 8 * w < n) widths
+      && List.exists (fun w -> 8 * w >= n) widths
+      && 4 * List.length expected >= n)
+  then Alcotest.fail "RMAT fixture no longer crosses the layout thresholds";
+  (Graphs.Convert.bool_adjacency g, expected)
+
+let test_bfs_tiers_rmat () =
+  let adj, expected = rmat_fixture () in
+  let gc = Ogb.Container.of_smatrix adj in
+  List.iter
+    (fun formats ->
+      Format_stats.with_enabled formats (fun () ->
+          let check name got =
+            Alcotest.check
+              Alcotest.(list (pair int int))
+              (Printf.sprintf "%s (formats %b)" name formats)
+              expected (sorted_alist got)
+          in
+          check "native_dense"
+            (Algorithms.Bfs.levels_of_svector
+               (Algorithms.Bfs.native_dense adj ~src:0));
+          check "dsl"
+            (Algorithms.Bfs.levels_of_container (Algorithms.Bfs.dsl gc ~src:0));
+          check "nonblocking"
+            (Algorithms.Bfs.levels_of_container
+               (Exec.with_mode Exec.Nonblocking (fun () ->
+                    Algorithms.Bfs.dsl gc ~src:0)));
+          check "vm"
+            (Algorithms.Bfs.levels_of_container
+               (Algorithms.Bfs.vm_loops gc ~src:0))))
+    [ true; false ]
+
+let test_bc_tiers_rmat () =
+  let adj, _ = rmat_fixture () in
+  let gc = Ogb.Container.of_smatrix adj in
+  let bits l = List.map (fun (i, x) -> (i, Int64.bits_of_float x)) l in
+  List.iter
+    (fun formats ->
+      Format_stats.with_enabled formats (fun () ->
+          let expected =
+            bits (Svector.to_alist (Algorithms.Bc.single_source adj ~src:0))
+          in
+          let check name got =
+            Alcotest.check
+              Alcotest.(list (pair int int64))
+              (Printf.sprintf "%s (formats %b)" name formats)
+              expected
+              (bits (Ogb.Container.vector_entries got))
+          in
+          check "dsl" (Algorithms.Bc.dsl gc ~src:0);
+          check "nonblocking" (Algorithms.Bc.nonblocking gc ~src:0);
+          check "vm" (Algorithms.Bc.vm_loops gc ~src:0)))
+    [ true; false ]
+
 let test_bfs_disconnected () =
   let adj = Smatrix.of_coo Dtype.Bool 4 4 [ (0, 1, true) ] in
   let levels = Algorithms.Bfs.native adj ~src:0 in
@@ -465,6 +534,10 @@ let suite =
     Alcotest.test_case "MIS on a clique" `Quick test_mis_complete_graph;
     Alcotest.test_case "bfs tiers agree" `Quick test_bfs_tiers_agree;
     Alcotest.test_case "bfs disconnected" `Quick test_bfs_disconnected;
+    Alcotest.test_case "bfs tiers on RMAT-9 vs Assign-free oracles" `Quick
+      test_bfs_tiers_rmat;
+    Alcotest.test_case "bc tiers on RMAT-9 vs single_source" `Quick
+      test_bc_tiers_rmat;
     Alcotest.test_case "sssp vs Bellman-Ford" `Quick
       test_sssp_against_reference;
     Alcotest.test_case "sssp tiers agree" `Quick test_sssp_tiers_agree;

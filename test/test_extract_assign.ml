@@ -143,6 +143,93 @@ let test_assign_replace_clears_outside_mask () =
     [ (0, 8.0); (1, 9.0) ]
     (Svector.to_alist w)
 
+(* -- w<m,z>(:) = s: the direct path vs the overlay and the dense model -- *)
+
+type scalar_all_case = {
+  c : float Dense_ref.vec;
+  bits : bool array;
+  mask_kind : [ `None | `Dense | `Sparse | `Self ];
+  complemented : bool;
+  replace : bool;
+  plus : bool;
+  dense_out : bool;
+  formats : bool;
+  s : float;
+}
+
+let scalar_all_gen =
+  let open QCheck.Gen in
+  (* sizes straddle the 32 (densify) and 64 (sparse mask) thresholds *)
+  int_range 0 100 >>= fun n ->
+  float_range 0.0 1.0 >>= fun fill ->
+  Helpers.vec_gen ~density:fill n >>= fun c ->
+  float_range 0.0 1.0 >>= fun mfill ->
+  list_repeat n (float_bound_exclusive 1.0 >|= fun x -> x < mfill)
+  >>= fun bits ->
+  oneofl [ `None; `Dense; `Sparse; `Self ] >>= fun mask_kind ->
+  bool >>= fun complemented ->
+  bool >>= fun replace ->
+  bool >>= fun plus ->
+  bool >>= fun dense_out ->
+  bool >>= fun formats ->
+  Helpers.small_float_gen >|= fun s ->
+  { c; bits = Array.of_list bits; mask_kind; complemented; replace; plus;
+    dense_out; formats; s }
+
+let print_scalar_all k =
+  Printf.sprintf
+    "n=%d mask=%s complemented=%b replace=%b plus=%b dense_out=%b \
+     formats=%b s=%g\nc=%s\nbits=%s"
+    (Array.length k.c)
+    (match k.mask_kind with
+    | `None -> "none" | `Dense -> "dense" | `Sparse -> "sparse"
+    | `Self -> "self")
+    k.complemented k.replace k.plus k.dense_out k.formats k.s
+    (Helpers.print_vec k.c)
+    (String.concat "" (Array.to_list (Array.map (fun b -> if b then "1" else "0") k.bits)))
+
+let prop_scalar_all k =
+  Format_stats.with_enabled k.formats (fun () ->
+      let n = Array.length k.c in
+      let make () =
+        let v = Dense_ref.svector_of_vec f64 k.c in
+        if k.dense_out then Svector.densify v;
+        v
+      in
+      let out = make () and via_list = make () in
+      let mask =
+        match k.mask_kind with
+        | `None -> Mask.No_vmask
+        | `Dense ->
+          Mask.Vmask { dense = Array.copy k.bits; complemented = k.complemented }
+        | `Sparse ->
+          let idx =
+            List.filter (fun i -> k.bits.(i)) (List.init n Fun.id)
+          in
+          Mask.Vmask_sparse
+            { size = n; idx = Array.of_list idx; complemented = k.complemented }
+        | `Self -> Mask.vmask ~complemented:k.complemented out
+      in
+      let accum = if k.plus then Some (Binop.plus f64) else None in
+      let expected =
+        Dense_ref.write_vec ~mask ~accum:(Dense_ref.accum_f accum)
+          ~replace:k.replace k.c (Array.make n (Some k.s))
+      in
+      Assign.vector_scalar ~mask ?accum ~replace:k.replace ~out k.s
+        Index_set.All;
+      Assign.vector_scalar ~mask ?accum ~replace:k.replace ~out:via_list k.s
+        (Index_set.List (Array.init n Fun.id));
+      Dense_ref.vec_of_svector out = expected
+      && Svector.equal out via_list
+      && Svector.is_dense out = Svector.is_dense via_list)
+
+let qcheck_scalar_all =
+  Helpers.to_alcotest
+    (Helpers.qtest ~count:500
+       "assign scalar over All ≡ List overlay ≡ dense model (layout too)"
+       (Helpers.arb ~print:print_scalar_all scalar_all_gen)
+       prop_scalar_all)
+
 let suite =
   [ Alcotest.test_case "extract submatrix" `Quick test_extract_submatrix;
     Alcotest.test_case "extract range" `Quick test_extract_range;
@@ -165,4 +252,5 @@ let suite =
       test_assign_duplicate_targets_rejected;
     Alcotest.test_case "assign replace semantics" `Quick
       test_assign_replace_clears_outside_mask;
+    qcheck_scalar_all;
   ]
