@@ -16,8 +16,8 @@
      faults   resilience: warm-path overhead of the hardening and chaos
               equivalence under injected faults, emits BENCH_faults.json
      serve    daemon mode: cold one-shot CLI vs resident warm daemon
-              request latency, multi-session zero-compile check and
-              batched vs unbatched throughput, emits BENCH_serve.json
+              request latency and multi-session zero-compile check,
+              emits BENCH_serve.json
      oocore   out-of-core tiled PageRank: in-memory vs streamed under a
               memory budget (bit-identity + eviction counts), plus the
               checkpointed and delta-restart variants,
@@ -954,7 +954,6 @@ let serve_bench () =
       tcp_addr = None;
       workers = 2;
       queue_cap = 16;
-      batch_window = 0.0005;
       warm_n = n;
       warm = true }
   in
@@ -1015,58 +1014,6 @@ let serve_bench () =
     Array.for_all (fun r -> r = per_session.(0)) per_session
   in
   let compiles_after_warm = compiles () - c_warm in
-  (* batching: same-signature mxv, 4 domains x 8 requests each, fused
-     dispatch vs one dispatch per request *)
-  let m =
-    match Server.Registry.find (Server.Daemon.registry st) "g" with
-    | Some m -> m
-    | None -> failwith "serve bench: graph lost"
-  in
-  let sr = Jit.Op_spec.arithmetic in
-  let u = Svector.of_dense Dtype.FP64 (Array.make n 1.0) in
-  let expected =
-    Entries.to_alist (Jit.Kernels.mxv Dtype.FP64 sr ~transpose:false m u)
-  in
-  let per_domain = 8 and domains = 4 in
-  let requests = per_domain * domains in
-  let unbatched_ms =
-    wall (fun () ->
-        let ds =
-          Array.init domains (fun _ ->
-              Domain.spawn (fun () ->
-                  for _ = 1 to per_domain do
-                    ignore
-                      (Jit.Kernels.mxv Dtype.FP64 sr ~transpose:false m u)
-                  done))
-        in
-        Array.iter Domain.join ds)
-  in
-  let bat = Server.Batcher.create ~window_s:0.0005 () in
-  let key =
-    Server.Batcher.key_of ~op:`Mxv ~graph:"g" ~transpose:false ~sr ~u
-  in
-  let batched_ok = Atomic.make true in
-  let batched_ms =
-    wall (fun () ->
-        let ds =
-          Array.init domains (fun _ ->
-              Domain.spawn (fun () ->
-                  for _ = 1 to per_domain do
-                    match Server.Batcher.run bat key ~sr ~m u with
-                    | Ok entries ->
-                      if entries <> expected then
-                        Atomic.set batched_ok false
-                    | Error _ -> Atomic.set batched_ok false
-                  done))
-        in
-        Array.iter Domain.join ds)
-  in
-  let rps ms = float_of_int requests /. (ms /. 1000.0) in
-  let coalesced =
-    match List.assoc_opt "batched" (Server.Batcher.counters bat) with
-    | Some c -> c
-    | None -> 0
-  in
   Printf.printf "cold one-shot pagerank: %.1f ms (%d compiles)\n" cold_ms
     cold_compiles;
   Printf.printf "daemon warm-up: %.1f ms; steady-state request: %.3f ms \
@@ -1075,9 +1022,6 @@ let serve_bench () =
   Printf.printf "multi-session: 4 sessions, identical=%b, compiles after \
                  warm-up: %d\n"
     identical compiles_after_warm;
-  Printf.printf "mxv throughput: unbatched %.0f req/s, batched %.0f req/s \
-                 (%d of %d coalesced)\n"
-    (rps unbatched_ms) (rps batched_ms) coalesced requests;
   let oc = open_out "BENCH_serve.json" in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
@@ -1093,12 +1037,7 @@ let serve_bench () =
   out "  \"multi_session\": { \"sessions\": 4, \"identical\": %b, \
        \"compiles_after_warm\": %d },\n"
     identical compiles_after_warm;
-  out "  \"zero_compiles_after_warm\": %b,\n" (compiles_after_warm = 0);
-  out "  \"batching\": { \"requests\": %d, \"domains\": %d, \
-       \"unbatched_rps\": %.1f, \"batched_rps\": %.1f, \"coalesced\": %d, \
-       \"batched_identical\": %b }\n"
-    requests domains (rps unbatched_ms) (rps batched_ms) coalesced
-    (Atomic.get batched_ok);
+  out "  \"zero_compiles_after_warm\": %b\n" (compiles_after_warm = 0);
   out "}\n";
   close_out oc;
   print_endline "wrote BENCH_serve.json";

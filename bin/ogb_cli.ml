@@ -408,32 +408,12 @@ let doctor_cmd =
 
 (* -- serve subcommand: the multi-tenant graph-service daemon -- *)
 
-let serve sock addr workers queue batch_window warm_n no_warm =
-  let base = Server.Daemon.default_config () in
-  let cfg =
-    { Server.Daemon.sock_path =
-        (match sock with Some p -> p | None -> base.Server.Daemon.sock_path);
-      tcp_addr =
-        (match addr with
-        | Some a -> (
-          match String.rindex_opt a ':' with
-          | Some i ->
-            let h = String.sub a 0 i in
-            Some
-              ( (if h = "" then "127.0.0.1" else h),
-                int_of_string
-                  (String.sub a (i + 1) (String.length a - i - 1)) )
-          | None -> Some ("127.0.0.1", int_of_string a))
-        | None -> base.Server.Daemon.tcp_addr);
-      workers =
-        (if workers > 0 then workers else base.Server.Daemon.workers);
-      queue_cap = (if queue > 0 then queue else base.Server.Daemon.queue_cap);
-      batch_window =
-        (if batch_window >= 0.0 then batch_window
-         else base.Server.Daemon.batch_window);
-      warm_n = (if warm_n > 0 then warm_n else base.Server.Daemon.warm_n);
-      warm = base.Server.Daemon.warm && not no_warm }
-  in
+(* [--addr] for serve and client: [Ok None] when the flag is absent. *)
+let tcp_addr_arg = function
+  | None -> Ok None
+  | Some a -> Result.map Option.some (Server.Daemon.parse_addr a)
+
+let run_daemon cfg =
   (* Block SIGTERM/SIGINT in every thread (domains and reader threads
      inherit this mask) and receive them on a dedicated sigwait thread
      below.  A Sys.set_signal handler would only run once some thread
@@ -473,6 +453,25 @@ let serve sock addr workers queue batch_window warm_n no_warm =
     Printf.printf "ogb serve: stopped\n%!";
     0
 
+let serve sock addr workers queue warm_n no_warm =
+  match tcp_addr_arg addr with
+  | Error e ->
+    Printf.eprintf "error: %s\n" e;
+    1
+  | Ok addr ->
+    let base = Server.Daemon.default_config () in
+    run_daemon
+      { Server.Daemon.sock_path =
+          (match sock with Some p -> p | None -> base.Server.Daemon.sock_path);
+        tcp_addr =
+          (match addr with Some _ -> addr | None -> base.Server.Daemon.tcp_addr);
+        workers =
+          (if workers > 0 then workers else base.Server.Daemon.workers);
+        queue_cap =
+          (if queue > 0 then queue else base.Server.Daemon.queue_cap);
+        warm_n = (if warm_n > 0 then warm_n else base.Server.Daemon.warm_n);
+        warm = base.Server.Daemon.warm && not no_warm }
+
 let serve_cmd =
   let sock =
     Arg.(
@@ -485,7 +484,9 @@ let serve_cmd =
       value
       & opt (some string) None
       & info [ "addr" ]
-          ~doc:"Also listen on TCP host:port (default: \\$OGB_SERVE_ADDR).")
+          ~doc:
+            "Also listen on TCP $(i,port), $(i,:port) or $(i,host:port) \
+             (default: \\$OGB_SERVE_ADDR).")
   in
   let workers =
     Arg.(
@@ -498,12 +499,6 @@ let serve_cmd =
       value & opt int 0
       & info [ "queue" ]
           ~doc:"Admission-queue bound; overflow is shed (0 = env/default).")
-  in
-  let batch_window =
-    Arg.(
-      value & opt float (-1.0)
-      & info [ "batch-window" ]
-          ~doc:"Seconds a batch leader holds same-signature products open.")
   in
   let warm_n =
     Arg.(
@@ -519,27 +514,18 @@ let serve_cmd =
        ~doc:
          "Run the multi-tenant graph-service daemon: line-delimited JSON \
           over a Unix socket, shared warm JIT cache, per-session operator \
-          contexts, admission control and same-signature request batching. \
-          SIGTERM/SIGINT shut it down cleanly.")
-    Term.(
-      const serve $ sock $ addr $ workers $ queue $ batch_window $ warm_n
-      $ no_warm)
+          contexts and admission control.  mxv/vxm requests dispatch \
+          straight to the JIT kernels.  SIGTERM/SIGINT shut it down \
+          cleanly.")
+    Term.(const serve $ sock $ addr $ workers $ queue $ warm_n $ no_warm)
 
 (* -- client subcommand -- *)
 
 let client sock addr abort requests =
-  let addr =
-    Option.bind addr (fun a ->
-        match String.rindex_opt a ':' with
-        | Some i ->
-          let h = String.sub a 0 i in
-          Option.map
-            (fun p -> ((if h = "" then "127.0.0.1" else h), p))
-            (int_of_string_opt
-               (String.sub a (i + 1) (String.length a - i - 1)))
-        | None -> Option.map (fun p -> ("127.0.0.1", p)) (int_of_string_opt a))
-  in
-  match Server.Client.connect ?sock ?addr () with
+  match
+    Result.bind (tcp_addr_arg addr) (fun addr ->
+        Server.Client.connect ?sock ?addr ())
+  with
   | Error e ->
     Printf.eprintf "error: %s\n" e;
     1
@@ -585,7 +571,8 @@ let client_cmd =
     Arg.(
       value
       & opt (some string) None
-      & info [ "addr" ] ~doc:"TCP host:port of the daemon.")
+      & info [ "addr" ]
+          ~doc:"TCP $(i,port), $(i,:port) or $(i,host:port) of the daemon.")
   in
   let abort =
     Arg.(
@@ -685,22 +672,28 @@ let analyze algo n warm effects schedule =
     Printf.printf "== plan verification (y = A.T@u + A.T@v, verified at every \
                    rewrite stage)\n%s"
       (Analysis.Verify.report plan);
-    (match Analysis.Races.find ~assume_formats:true plan with
+    let csc_races () =
+      List.filter
+        (fun (h : Analysis.Effects.hazard) ->
+          h.Analysis.Effects.cls = Analysis.Effects.Csc_cache)
+        (Analysis.Effects.find ~assume_formats:true plan)
+    in
+    (match csc_races () with
     | [] -> Printf.printf "races: none\n"
-    | conflicts ->
+    | races ->
       List.iter
-        (fun c -> Printf.printf "race: %s\n" (Analysis.Races.describe c))
-        conflicts;
+        (fun h -> Printf.printf "race: %s\n" (Analysis.Effects.describe h))
+        races;
       ignore
         (Format_stats.with_enabled true (fun () ->
-             Analysis.Races.enforce ~strategy:Analysis.Races.Prebuild plan));
-      (match Analysis.Races.find ~assume_formats:true plan with
+             Analysis.Effects.remedy ~strategy:Analysis.Effects.Prebuild plan));
+      (match csc_races () with
       | [] -> Printf.printf "remedied: CSC indexes prebuilt; scheduler-safe\n"
       | remaining ->
         failed := true;
         List.iter
-          (fun c ->
-            Printf.printf "UNREMEDIED race: %s\n" (Analysis.Races.describe c))
+          (fun h ->
+            Printf.printf "UNREMEDIED race: %s\n" (Analysis.Effects.describe h))
           remaining));
     if effects then begin
       Printf.printf

@@ -1,15 +1,14 @@
 (* Static effect system over plan DAGs.
 
-   Races (PR 3) knew one shared mutable location: a leaf matrix's lazily
-   built CSC cache.  This module infers a read/write footprint for every
-   plan node over every location class execution can actually touch, and
-   derives scheduler hazards from footprint overlap — the CSC detector
-   falls out as the [Csc_cache] instance (Races is now a filter over
-   this analysis), and the vector representation switch surfaces a class
-   Races could not see: [Svector.unsafe_indices]/[unsafe_values]
-   sparsify a dense operand destructively (and [unsafe_dense] densifies
-   a sparse one), so two scheduler-concurrent kernels reading the same
-   physical dense vector both rebuild its sparse side at once.
+   This module infers a read/write footprint for every plan node over
+   every location class execution can actually touch, and derives
+   scheduler hazards from footprint overlap.  A leaf matrix's lazily
+   built CSC cache is the [Csc_cache] instance (what [ogb analyze]
+   reports as races); the vector representation switch is the other:
+   [Svector.unsafe_indices]/[unsafe_values] sparsify a dense operand
+   destructively (and [unsafe_dense] densifies a sparse one), so two
+   scheduler-concurrent kernels reading the same physical dense vector
+   both rebuild its sparse side at once.
 
    Locations are keyed by the *physical* backing storage, not the leaf
    node id: two distinct containers wrapping one [Svector]/[Smatrix]
@@ -403,7 +402,7 @@ let kind_to_string = function
   | Read_write -> "read-write"
 
 let cls_to_string = function
-  | Csc_cache -> "CSC side-cache"
+  | Csc_cache -> "CSC cache"
   | Rep_switch -> "sparse/dense representation"
 
 let describe h =

@@ -7,7 +7,7 @@
     lazily converted storage sides:
 
     - a matrix's CSC cache, built on first transposed dispatch
-      ([Csc_cache] — the special case the old [Races] pass knew);
+      ([Csc_cache]);
     - a vector's sparse/dense representation, flipped in place by the
       kernel array ABI ([Rep_switch] — [Svector.unsafe_indices]
       sparsifies a dense operand destructively, so two concurrent

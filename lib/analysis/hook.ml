@@ -1,7 +1,3 @@
-let to_effects_strategy = function
-  | Races.Prebuild -> Effects.Prebuild
-  | Races.Edge -> Effects.Edge
-
 (* The effect analysis is mandatory but must degrade loudly rather than
    take the pipeline down with it: a hazard verdict propagates (that is
    the analysis doing its job), anything else — including the armed
@@ -14,9 +10,7 @@ let run_effects fix_races plan ~stage =
       raise (Fault.Injected "analysis.effects.exn");
     match fix_races with
     | Some strategy ->
-      let found =
-        Effects.remedy ~strategy:(to_effects_strategy strategy) plan
-      in
+      let found = Effects.remedy ~strategy plan in
       Jit.Jit_stats.record_effects_hazard ~count:(List.length found);
       (match Effects.find plan with
       | [] -> ()
@@ -38,7 +32,7 @@ let checker fix_races plan ~stage =
   Verify.check ~stage plan;
   if stage = "pre-schedule" then run_effects fix_races plan ~stage
 
-let install ?(fix_races = Some Races.Prebuild) () =
+let install ?(fix_races = Some Effects.Prebuild) () =
   Exec.Verify_hook.install (checker fix_races)
 
 let uninstall () = Exec.Verify_hook.uninstall ()

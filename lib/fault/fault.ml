@@ -23,7 +23,6 @@ let points =
     "sched.worker.slow";  (* worker domain stalls on a node *)
     "serve.accept.exn";  (* daemon accept loop raises on a connection *)
     "serve.session.exn";  (* session handler dies mid-request *)
-    "serve.batch.partial";  (* one member of a coalesced batch fails *)
     "analysis.effects.exn";  (* effect analysis dies mid-check (degrade loudly) *)
     "tile.read.corrupt";  (* on-disk tile truncated/garbage before verify *)
     "tile.write.enospc";  (* tile-store device full on a spill/checkpoint *)

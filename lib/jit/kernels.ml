@@ -26,16 +26,8 @@ let matvec_arg (type a) (m : a Smatrix.t) (u : a Svector.t) flag : a matvec_arg
     Smatrix.ncols m,
     flag )
 
-(* The dispatch half of [mxv], factored out so a coalesced batch of
-   same-signature products (the server's request batcher) pays for one
-   cache lookup and shares one fetched kernel across every member.
-   The layout decision comes from the representative operand
-   [u0]; the returned [run] is correct for any conformant vector (both
-   the pull and the scatter loop accept arbitrary fills), so batch
-   members keyed to the same signature stay bit-identical to their
-   solo dispatches. *)
-let mxv_plan (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
-    ?(direction = `Auto) ~transpose m (u0 : a Svector.t) =
+let mxv (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
+    ?(direction = `Auto) ~transpose m (u : a Svector.t) =
   (* Direction choice for the transposed product: a filled-in frontier
      favors pulling over the CSC side (one gather per output position);
      a sparse frontier favors the CSR scatter.  Both accumulate each
@@ -51,7 +43,7 @@ let mxv_plan (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
     match direction with
     | `Pull -> true
     | `Push -> false
-    | `Auto -> Svector.size u0 >= 32 && 4 * Svector.nvals u0 >= Svector.size u0
+    | `Auto -> Svector.size u >= 32 && 4 * Svector.nvals u >= Svector.size u
   in
   let sig_ =
     Kernel_sig.make ~op:"mxv"
@@ -80,39 +72,26 @@ let mxv_plan (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
   let kernel : Obj.t -> Obj.t =
     Obj.obj (Dispatch.get sig_ ~build ~native_source ())
   in
+  if transpose && Format_stats.enabled () then
+    if use_pull then Format_stats.record_pull ()
+    else Format_stats.record_push ();
   (* ABI flag for mxv: true selects the scatter (transposed) loop.  The
      pull dispatch hands the gather loop the CSC arrays with swapped
      dimensions, which computes the transposed product directly. *)
-  let run (u : a Svector.t) =
-    if transpose && Format_stats.enabled () then
-      if use_pull then Format_stats.record_pull ()
-      else Format_stats.record_push ();
-    let arg : a matvec_arg =
-      if use_pull then
-        ( Smatrix.unsafe_colptr m,
-          Smatrix.unsafe_rowidx m,
-          Smatrix.unsafe_cvals m,
-          Svector.unsafe_indices u,
-          Svector.unsafe_values u,
-          Svector.nvals u,
-          Smatrix.ncols m,
-          Smatrix.nrows m,
-          false )
-      else matvec_arg m u transpose
-    in
-    let result = kernel (Obj.repr arg) in
-    entries_of_pair (Obj.obj result : int array * a array)
+  let arg : a matvec_arg =
+    if use_pull then
+      ( Smatrix.unsafe_colptr m,
+        Smatrix.unsafe_rowidx m,
+        Smatrix.unsafe_cvals m,
+        Svector.unsafe_indices u,
+        Svector.unsafe_values u,
+        Svector.nvals u,
+        Smatrix.ncols m,
+        Smatrix.nrows m,
+        false )
+    else matvec_arg m u transpose
   in
-  (sig_, run)
-
-let mxv dt sr ?direction ~transpose m u =
-  snd (mxv_plan dt sr ?direction ~transpose m u) u
-
-let mxv_batch dt sr ~transpose m = function
-  | [] -> []
-  | u0 :: _ as us ->
-    let _, run = mxv_plan dt sr ~transpose m u0 in
-    List.map run us
+  entries_of_pair (Obj.obj (kernel (Obj.repr arg)) : int array * a array)
 
 (* "⊕ can no longer change this accumulator" — the early-exit predicate
    of the masked pull.  Only saturating monoids have one; constant-false
@@ -175,9 +154,8 @@ let mxv_pull_masked (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
   in
   entries_of_pair (Obj.obj (kernel (Obj.repr arg)) : int array * a array)
 
-(* Batch seam for [vxm], mirroring {!mxv_plan}. *)
-let vxm_plan (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose
-    (m : a Smatrix.t) =
+let vxm (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose
+    (u : a Svector.t) (m : a Smatrix.t) =
   let sig_ =
     Kernel_sig.make ~op:"vxm"
       ~dtypes:[ ("T", Dtype.name dt) ]
@@ -207,19 +185,8 @@ let vxm_plan (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose
   in
   (* Semantic transpose means the gather loop, which the shared kernel
      body runs when the ABI flag is false. *)
-  let run (u : a Svector.t) =
-    let result = kernel (Obj.repr (matvec_arg m u (not transpose))) in
-    entries_of_pair (Obj.obj result : int array * a array)
-  in
-  (sig_, run)
-
-let vxm dt sr ~transpose u m = snd (vxm_plan dt sr ~transpose m) u
-
-let vxm_batch dt sr ~transpose m = function
-  | [] -> []
-  | us ->
-    let _, run = vxm_plan dt sr ~transpose m in
-    List.map run us
+  let result = kernel (Obj.repr (matvec_arg m u (not transpose))) in
+  entries_of_pair (Obj.obj result : int array * a array)
 
 let vxm_dense (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
     ((uvls, uocc) : a array * bool array) (m : a Smatrix.t) :

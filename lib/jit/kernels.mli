@@ -39,19 +39,6 @@ val mxv_pull_masked :
     the semiring's ⊕ saturates (BFS's lor; non-saturating monoids gather
     exhaustively).  The all-array ABI compiles natively. *)
 
-val mxv_batch :
-  'a Dtype.t ->
-  Op_spec.semiring ->
-  transpose:bool ->
-  'a Smatrix.t ->
-  'a Svector.t list ->
-  'a Entries.t list
-(** Coalesced dispatch for a batch of same-signature products: the
-    kernel is resolved once (one cache lookup, at most one compile) from
-    the first operand's layout, then applied to every vector in order.
-    Results are element-wise identical to mapping {!mxv}, provided the
-    operands share the layout class the batcher keys on. *)
-
 val vxm :
   'a Dtype.t ->
   Op_spec.semiring ->
@@ -59,16 +46,6 @@ val vxm :
   'a Svector.t ->
   'a Smatrix.t ->
   'a Entries.t
-
-val vxm_batch :
-  'a Dtype.t ->
-  Op_spec.semiring ->
-  transpose:bool ->
-  'a Smatrix.t ->
-  'a Svector.t list ->
-  'a Entries.t list
-(** Batch twin of {!vxm}; matrix-first like {!mxv_batch} so the two
-    share a call shape in the server's batcher. *)
 
 val vxm_dense :
   'a Dtype.t ->

@@ -5,7 +5,6 @@ type config = {
   tcp_addr : (string * int) option;
   workers : int;
   queue_cap : int;
-  batch_window : float;
   warm_n : int;
   warm : bool;
 }
@@ -18,23 +17,23 @@ let env_int name default =
     | Some n -> n
     | None -> default)
 
-let env_float name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some f -> f
-    | None -> default)
-
+(* Digits only: [int_of_string_opt] would also take "0x1f", "+80" or
+   "1_000".  The range check matters because [Unix.bind] keeps only the
+   low 16 bits of the port. *)
 let parse_addr s =
-  match String.rindex_opt s ':' with
-  | None -> None
-  | Some i -> (
-    let host = String.sub s 0 i in
-    let host = if host = "" then "127.0.0.1" else host in
-    match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-    | Some p when p > 0 -> Some (host, p)
-    | _ -> None)
+  let host, port =
+    match String.rindex_opt s ':' with
+    | None -> ("", s)
+    | Some i ->
+      (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+  in
+  let host = if host = "" then "127.0.0.1" else host in
+  if port = "" || not (String.for_all (fun c -> c >= '0' && c <= '9') port)
+  then Error (Printf.sprintf "address %S: expected port, :port or host:port" s)
+  else
+    match int_of_string_opt port with
+    | Some p when p >= 1 && p <= 65535 -> Ok (host, p)
+    | _ -> Error (Printf.sprintf "address %S: port outside 1..65535" s)
 
 let default_sock () =
   Filename.concat
@@ -46,10 +45,15 @@ let default_config () =
       (match Sys.getenv_opt "OGB_SERVE_SOCK" with
       | Some p when p <> "" -> p
       | _ -> default_sock ());
-    tcp_addr = Option.bind (Sys.getenv_opt "OGB_SERVE_ADDR") parse_addr;
+    tcp_addr =
+      Option.bind (Sys.getenv_opt "OGB_SERVE_ADDR") (fun a ->
+          match parse_addr a with
+          | Ok hp -> Some hp
+          | Error e ->
+            Printf.eprintf "ogb serve: ignoring OGB_SERVE_ADDR: %s\n%!" e;
+            None);
     workers = max 1 (env_int "OGB_SERVE_WORKERS" 4);
     queue_cap = max 1 (env_int "OGB_SERVE_QUEUE" 16);
-    batch_window = Float.max 0.0 (env_float "OGB_SERVE_BATCH_WINDOW" 0.001);
     warm_n = max 2 (env_int "OGB_SERVE_WARM_N" 256);
     warm = Sys.getenv_opt "OGB_SERVE_NO_WARM" = None }
 
@@ -68,7 +72,6 @@ type job = {
 type state = {
   cfg : config;
   reg : Registry.t;
-  bat : Batcher.t;
   queue : job Admission.t;
   slock : Mutex.t;
   mutable sessions_total : int;
@@ -83,7 +86,6 @@ type state = {
 }
 
 let registry s = s.reg
-let batcher s = s.bat
 let shutdown_requested s = Atomic.get s.shutdown_req
 
 let bump s f = Mutex.protect s.slock (fun () -> f s)
@@ -101,7 +103,6 @@ let serve_counters s =
         ("queue_depth", Admission.depth s.queue) ])
   @ (let sh = List.assoc "shed" (Admission.counters s.queue) in
      [ ("shed", sh) ])
-  @ Batcher.counters s.bat
 
 (* Warm the JIT over every kernel signature the tier-1 encodings can
    reach at vertex count [n]; repeated per [load] at the real graph
@@ -140,7 +141,6 @@ let create_state cfg =
   let s =
     { cfg;
       reg = Registry.create ();
-      bat = Batcher.create ~window_s:cfg.batch_window ();
       queue = Admission.create ~cap:cfg.queue_cap;
       slock = Mutex.create ();
       sessions_total = 0;
@@ -323,14 +323,20 @@ let handle_product s id req ~which =
   (* The operator comes from the session's context stack — the DSL's
      [with] semantics carried over the wire. *)
   let sr = Ogb.Context.current_semiring () in
-  let key = Batcher.key_of ~op:which ~graph:name ~transpose ~sr ~u in
-  match Batcher.run s.bat key ~sr ~m u with
-  | Ok entries ->
+  (* A kernel exception answers this request with an error; letting it
+     reach [handle] could read as an injected fault and kill the session. *)
+  match
+    Entries.to_alist
+      (match which with
+      | `Mxv -> Jit.Kernels.mxv Dtype.FP64 sr ~transpose m u
+      | `Vxm -> Jit.Kernels.vxm Dtype.FP64 sr ~transpose u m)
+  with
+  | entries ->
     ok id
       [ ("n", Json.Num (float_of_int (Svector.size u)));
         ("nvals", Json.Num (float_of_int (List.length entries)));
         ("result", entries_json entries) ]
-  | Error e -> err id e
+  | exception e -> err id (Printexc.to_string e)
 
 let handle_health s id req =
   let probe = Json.bool_field ~default:true "probe" req in

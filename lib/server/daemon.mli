@@ -15,29 +15,33 @@
 
     The request path is: reader thread (one per connection, pipelined)
     → admission queue (bounded; overflow sheds) → worker domain →
-    {!handle} → response.  Same-signature [mxv]/[vxm] requests landing
-    together coalesce in the {!Batcher}.
+    {!handle} → response.  [mxv]/[vxm] requests call
+    {!Jit.Kernels.mxv}/[vxm] directly; a kernel exception answers only
+    that request with an error.
 
     Failure containment: [serve.accept.exn] costs one connection,
-    [serve.session.exn] one session, [serve.batch.partial] one batch
-    member — the daemon survives all three and reports them through
-    [health]. *)
+    [serve.session.exn] one session — the daemon survives both and
+    reports them through [health]. *)
 
 type config = {
   sock_path : string;  (** Unix-domain socket path *)
   tcp_addr : (string * int) option;  (** extra TCP listener *)
   workers : int;  (** worker domains draining the admission queue *)
   queue_cap : int;  (** admission-queue bound; overflow sheds *)
-  batch_window : float;  (** batch-coalescing window, seconds *)
   warm_n : int;  (** vertex count the startup warm-up assumes *)
   warm : bool;  (** run the warm-up at startup and on [load] *)
 }
 
 val default_config : unit -> config
 (** From the [OGB_SERVE_*] environment: [OGB_SERVE_SOCK],
-    [OGB_SERVE_ADDR] (host:port), [OGB_SERVE_WORKERS] (4),
-    [OGB_SERVE_QUEUE] (16), [OGB_SERVE_BATCH_WINDOW] (seconds, 0.001), [OGB_SERVE_WARM_N]
-    (256), [OGB_SERVE_NO_WARM]. *)
+    [OGB_SERVE_ADDR] (read by {!parse_addr}; a bad value is reported on
+    stderr and ignored), [OGB_SERVE_WORKERS] (4), [OGB_SERVE_QUEUE]
+    (16), [OGB_SERVE_WARM_N] (256), [OGB_SERVE_NO_WARM]. *)
+
+val parse_addr : string -> (string * int, string) result
+(** [port], [:port] or [host:port] (host defaults to 127.0.0.1).
+    [Error] for a port that is not all digits or lies outside
+    1..65535. *)
 
 (** {2 In-process core}
 
@@ -48,7 +52,7 @@ val default_config : unit -> config
 type state
 
 val create_state : config -> state
-(** Builds the registry/batcher/queue and, unless [warm] is off, warms
+(** Builds the registry and queue and, unless [warm] is off, warms
     the JIT over every tier-1 kernel signature at [warm_n]. *)
 
 val handle : state -> Session.t -> Json.t -> Json.t
@@ -61,11 +65,10 @@ val handle : state -> Session.t -> Json.t -> Json.t
 
 val serve_counters : state -> (string * int) list
 (** [sessions], [active], [requests], [errors], [shed],
-    [accept_failures], [session_kills], [queue_depth] plus the batcher
-    counters. *)
+    [accept_failures], [session_kills], [warm_sigs], [warm_compiles],
+    [queue_depth]. *)
 
 val registry : state -> Registry.t
-val batcher : state -> Batcher.t
 val shutdown_requested : state -> bool
 
 (** {2 The daemon} *)

@@ -6,7 +6,7 @@
 open Gbtl
 module Plan = Exec.Plan
 module Verify = Analysis.Verify
-module Races = Analysis.Races
+module Effects = Analysis.Effects
 
 let f64 = Dtype.FP64
 
@@ -100,37 +100,42 @@ let race_plan () =
   Exec.Rewrite.run plan;
   plan
 
+(* The CSC-cache hazards among a hazard list: the races these cases
+   are about. *)
+let csc hs =
+  List.filter (fun (h : Effects.hazard) -> h.Effects.cls = Effects.Csc_cache) hs
+
 let test_race_found () =
   let plan = race_plan () in
-  (match Format_stats.with_enabled false (fun () -> Races.find plan) with
+  (match Format_stats.with_enabled false (fun () -> csc (Effects.find plan)) with
   | [] -> ()
   | _ -> Alcotest.fail "format layer disabled: no CSC build, no race");
-  match Races.find ~assume_formats:true plan with
-  | [ c ] ->
-    (match c.Races.kind with
-    | Races.Write_write -> ()
-    | Races.Read_write -> Alcotest.fail "expected a write-write conflict");
-    if not (Helpers.contains_substring (Races.describe c) "CSC cache") then
-      Alcotest.failf "describe: %s" (Races.describe c)
-  | cs -> Alcotest.failf "expected exactly one conflict, got %d" (List.length cs)
+  match csc (Effects.find ~assume_formats:true plan) with
+  | [ h ] ->
+    (match h.Effects.kind with
+    | Effects.Write_write -> ()
+    | Effects.Read_write -> Alcotest.fail "expected a write-write conflict");
+    if not (Helpers.contains_substring (Effects.describe h) "CSC cache") then
+      Alcotest.failf "describe: %s" (Effects.describe h)
+  | hs -> Alcotest.failf "expected exactly one conflict, got %d" (List.length hs)
 
 let test_race_remedy_prebuild () =
   Format_stats.with_enabled true (fun () ->
       let plan = race_plan () in
-      (match Races.enforce ~strategy:Races.Prebuild plan with
+      (match csc (Effects.remedy ~strategy:Effects.Prebuild plan) with
       | [ _ ] -> ()
-      | cs -> Alcotest.failf "expected one conflict, got %d" (List.length cs));
+      | hs -> Alcotest.failf "expected one conflict, got %d" (List.length hs));
       Alcotest.(check int) "prebuild clears the conflict" 0
-        (List.length (Races.find plan)))
+        (List.length (csc (Effects.find plan))))
 
 let test_race_remedy_edge () =
   Format_stats.with_enabled true (fun () ->
       let plan = race_plan () in
-      (match Races.enforce ~strategy:Races.Edge plan with
+      (match csc (Effects.remedy ~strategy:Effects.Edge plan) with
       | [ _ ] -> ()
-      | cs -> Alcotest.failf "expected one conflict, got %d" (List.length cs));
+      | hs -> Alcotest.failf "expected one conflict, got %d" (List.length hs));
       Alcotest.(check int) "edge serializes the pair" 0
-        (List.length (Races.find plan));
+        (List.length (csc (Effects.find plan)));
       (* the extra dependency edge must not have broken verification *)
       Verify.check ~stage:"query" plan)
 

@@ -1,8 +1,8 @@
 (* Server suite: the daemon's in-process core driven from concurrent
    domains — shared JIT cache across sessions (bit-identical results,
    no duplicate compiles), operator-context isolation between sessions,
-   request batching, admission shed, the serve.* fault containment
-   points, the wire codec, and one real socket round trip. *)
+   admission shed, the serve.* fault containment points, the wire codec,
+   [host:port] parsing, and one real socket round trip. *)
 
 open Gbtl
 module Pool = Parallel.Pool
@@ -39,13 +39,12 @@ let with_domains n f =
   Pool.set_domains n;
   Fun.protect ~finally:Pool.clear_domains_override f
 
-let mk_state ?(warm = false) ?(window = 0.0) () =
+let mk_state ?(warm = false) () =
   D.create_state
     { D.sock_path = "/tmp/ogb-serve-test-unused.sock";
       tcp_addr = None;
       workers = 2;
       queue_cap = 16;
-      batch_window = window;
       warm_n = 32;
       warm }
 
@@ -279,49 +278,6 @@ let test_context_isolation () =
     (handle st a "{\"op\": \"context\", \"action\": \"pop\"}");
   Alcotest.(check int) "A depth after pop" 0 (depth a)
 
-(* ---- request batching ---- *)
-
-let test_batching () =
-  Fault.suspended @@ fun () ->
-  with_fresh_jit @@ fun () ->
-  with_domains 4 @@ fun () ->
-  let m =
-    Graphs.Convert.matrix_of_edges f64
-      (Graphs.Edge_list.symmetrize
-         (Graphs.Generators.erdos_renyi_paper
-            (Graphs.Rng.create ~seed:7) ~nvertices:128))
-  in
-  let sr = Jit.Op_spec.arithmetic in
-  let u = Svector.of_dense f64 (Array.make 128 1.0) in
-  let expected =
-    Entries.to_alist (Jit.Kernels.mxv f64 sr ~transpose:false m u)
-  in
-  let bat = Server.Batcher.create ~window_s:0.3 () in
-  let key = Server.Batcher.key_of ~op:`Mxv ~graph:"g" ~transpose:false ~sr ~u in
-  let doms =
-    Array.init 3 (fun _ ->
-        Domain.spawn (fun () -> Server.Batcher.run bat key ~sr ~m u))
-  in
-  let results = Array.map Domain.join doms in
-  Array.iter
-    (fun r ->
-      match r with
-      | Ok entries ->
-        Alcotest.(check int) "same length" (List.length expected)
-          (List.length entries);
-        List.iter2
-          (fun (i, x) (i', x') ->
-            Alcotest.(check int) "idx" i i';
-            Alcotest.(check (float 0.0)) "val" x x')
-          expected entries
-      | Error e -> Alcotest.fail e)
-    results;
-  let c = Server.Batcher.counters bat in
-  Alcotest.(check bool) "requests coalesced" true
-    (List.assoc "batched" c >= 2);
-  Alcotest.(check bool) "fused dispatch happened" true
-    (List.assoc "batches" c >= 1)
-
 (* ---- update op: malformed coordinates are rejected, not truncated ---- *)
 
 let test_update_rejects_fractional_coords () =
@@ -472,47 +428,27 @@ let test_session_exn_containment () =
   let r2 = handle st (Server.Session.create ()) "{\"op\": \"ping\", \"id\": 2}" in
   Alcotest.(check string) "next session fine" "ok" (status r2)
 
-(* ---- fault containment: serve.batch.partial ---- *)
+(* ---- host:port parsing (OGB_SERVE_ADDR, serve/client --addr) ---- *)
 
-let test_batch_partial_containment () =
-  with_fresh_jit @@ fun () ->
-  with_domains 4 @@ fun () ->
-  Fault.disarm ();
-  Fun.protect ~finally:Fault.disarm @@ fun () ->
-  let m =
-    Graphs.Convert.matrix_of_edges f64 (Graphs.Generators.complete 64)
+let test_parse_addr () =
+  let show = function
+    | Ok (h, p) -> Printf.sprintf "Ok %s:%d" h p
+    | Error _ -> "Error"
   in
-  let sr = Jit.Op_spec.arithmetic in
-  let u = Svector.of_dense f64 (Array.make 64 1.0) in
-  let expected =
-    Fault.suspended (fun () ->
-        Entries.to_alist (Jit.Kernels.mxv f64 sr ~transpose:false m u))
-  in
-  let bat = Server.Batcher.create ~window_s:0.3 () in
-  let key = Server.Batcher.key_of ~op:`Mxv ~graph:"g" ~transpose:false ~sr ~u in
-  Fault.arm [ ("serve.batch.partial", Fault.Once) ];
-  let doms =
-    Array.init 3 (fun _ ->
-        Domain.spawn (fun () -> Server.Batcher.run bat key ~sr ~m u))
-  in
-  let results = Array.to_list (Array.map Domain.join doms) in
-  let oks = List.filter Result.is_ok results in
-  let errs = List.filter Result.is_error results in
-  Alcotest.(check int) "exactly one member degraded" 1 (List.length errs);
-  Alcotest.(check int) "the rest completed" 2 (List.length oks);
   List.iter
-    (fun r ->
-      match r with
-      | Ok entries ->
-        List.iter2
-          (fun (i, x) (i', x') ->
-            Alcotest.(check int) "idx" i i';
-            Alcotest.(check (float 0.0)) "val" x x')
-          expected entries
-      | Error _ -> ())
-    oks;
-  Alcotest.(check int) "partial failure counted" 1
-    (List.assoc "partial_failures" (Server.Batcher.counters bat))
+    (fun (input, expected) ->
+      Alcotest.(check string) (Printf.sprintf "%S" input) expected
+        (show (D.parse_addr input)))
+    [ ("7000", "Ok 127.0.0.1:7000");
+      (":7000", "Ok 127.0.0.1:7000");
+      ("h:7000", "Ok h:7000");
+      ("0", "Error");
+      ("65535", "Ok 127.0.0.1:65535");
+      ("65536", "Error");
+      ("70000", "Error");
+      ("x:abc", "Error");
+      ("", "Error");
+      ("h:", "Error") ]
 
 (* ---- doctor --json / health body ---- *)
 
@@ -559,7 +495,6 @@ let test_socket_end_to_end () =
       tcp_addr = None;
       workers = 2;
       queue_cap = 8;
-      batch_window = 0.0;
       warm_n = 32;
       warm = false }
   in
@@ -630,16 +565,14 @@ let suite =
     Alcotest.test_case "shared cache across sessions" `Slow
       test_shared_cache_sessions;
     Alcotest.test_case "context isolation" `Quick test_context_isolation;
-    Alcotest.test_case "request batching" `Quick test_batching;
     Alcotest.test_case "update rejects non-integral coordinates" `Quick
       test_update_rejects_fractional_coords;
     Alcotest.test_case "mxv rejects malformed vector indices" `Quick
       test_mxv_rejects_bad_indices;
     Alcotest.test_case "serve.session.exn containment" `Quick
       test_session_exn_containment;
-    Alcotest.test_case "serve.batch.partial containment" `Quick
-      test_batch_partial_containment;
     Alcotest.test_case "run: every registered algorithm and tier" `Quick
       test_run_every_registered_tier;
+    Alcotest.test_case "addr parsing" `Quick test_parse_addr;
     Alcotest.test_case "doctor/health json" `Quick test_health_json;
     Alcotest.test_case "socket end-to-end" `Slow test_socket_end_to_end ]
