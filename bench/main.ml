@@ -8,7 +8,8 @@
    Experiments:
      fig10    four algorithms x three tiers on ER graphs, |E|=|V|^1.5
      fig11    container lifecycle: file read / construct / extract
-     compile  JIT pipeline: cold compile vs disk vs memory dispatch
+     compile  JIT pipeline: cold compile vs disk vs memory dispatch, then
+              warm native vs closure backend per registry algorithm
      table1   Table I notation conformance (executable check)
      ablation design-choice ablations (masked mxm, deferred eval, reuse)
      formats  CSR-only vs format-aware dispatch (PageRank, BFS),
@@ -273,6 +274,100 @@ let kernel_workload () =
              (f64v n)) );
   ]
 
+(* Warm native vs closure: what a compiled plugin buys once it is
+   loaded.  Each registry algorithm's native and dsl tiers run under
+   both backends on the same graph; one warm-up call, then the median
+   [first quartile, third quartile] of [warm_reps] registry timings. *)
+let warm_reps = 7
+
+let quartiles xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let at q =
+    let pos = q *. float_of_int (Array.length a - 1) in
+    let i = int_of_float pos in
+    let frac = pos -. float_of_int i in
+    if i + 1 >= Array.length a then a.(i)
+    else a.(i) +. (frac *. (a.(i + 1) -. a.(i)))
+  in
+  (at 0.25, at 0.5, at 0.75)
+
+let loop_free_fp64 spec =
+  match Server.Graph_spec.parse spec with
+  | `Edges g ->
+    let g =
+      { g with
+        Graphs.Edge_list.edges =
+          List.filter (fun (s, d, _) -> s <> d) g.Graphs.Edge_list.edges }
+    in
+    Graphs.Convert.matrix_of_edges Dtype.FP64 (Graphs.Edge_list.symmetrize g)
+  | `File _ | `Error _ -> invalid_arg ("graph spec " ^ spec)
+
+let warm_backends () =
+  print_endline "== Warm native vs closure (registry algorithms) ==";
+  let er = "er:n=256,seed=7" and rmat = "rmat:scale=12,ef=16,seed=7" in
+  let rows =
+    List.filter_map
+      (fun (e : Algorithms.Registry.entry) ->
+        if List.mem Algorithms.Registry.Dsl e.tiers then Some (er, e) else None)
+      Algorithms.Registry.all
+    @ List.map
+        (fun name -> (rmat, Option.get (Algorithms.Registry.find name)))
+        [ "pagerank"; "bfs"; "tc"; "bc" ]
+  in
+  let graphs = List.map (fun spec -> (spec, loop_free_fp64 spec)) [ er; rmat ] in
+  let time_row (spec, (e : Algorithms.Registry.entry)) tier =
+    let m = List.assoc spec graphs in
+    let run () = (e.run tier m ~src:0).Algorithms.Registry.ms in
+    ignore (run ());
+    Gc.full_major ();
+    quartiles (List.init warm_reps (fun _ -> run ()))
+  in
+  let tiers = [ Algorithms.Registry.Native; Algorithms.Registry.Dsl ] in
+  (* one backend at a time: the memory cache is keyed by signature, not
+     by backend, so it is emptied at each switch *)
+  let columns =
+    List.map
+      (fun (label, backend) ->
+        Jit.Dispatch.set_backend backend;
+        Jit.Dispatch.clear_memory_cache ();
+        ( label,
+          List.concat_map
+            (fun row -> List.map (fun tier -> time_row row tier) tiers)
+            rows ))
+      ((if Jit.Native_backend.available () then
+          [ ("native", Jit.Dispatch.Native) ]
+        else [])
+      @ [ ("closure", Jit.Dispatch.Closure) ])
+  in
+  Jit.Dispatch.set_backend Jit.Dispatch.Auto;
+  Jit.Dispatch.clear_memory_cache ();
+  Jit.Disk_cache.clear ();
+  Printf.printf
+    "cores: %d; %d warm calls after one warm-up; ms as median [q1, q3]\n"
+    (Domain.recommended_domain_count ())
+    warm_reps;
+  Printf.printf "%-28s %-16s" "graph" "algorithm.tier";
+  List.iter (fun (label, _) -> Printf.printf " %-24s" label) columns;
+  print_newline ();
+  List.iteri
+    (fun i (spec, name) ->
+      Printf.printf "%-28s %-16s" spec name;
+      List.iter
+        (fun (_, cells) ->
+          let q1, med, q3 = List.nth cells i in
+          Printf.printf " %-24s" (Printf.sprintf "%.2f [%.2f, %.2f]" med q1 q3))
+        columns;
+      print_newline ())
+    (List.concat_map
+       (fun (spec, (e : Algorithms.Registry.entry)) ->
+         List.map
+           (fun tier ->
+             (spec, e.name ^ "." ^ Algorithms.Registry.tier_name tier))
+           tiers)
+       rows);
+  print_newline ()
+
 let compile_experiment () =
   print_endline "== Compile-time experiment: the Fig. 9 dispatch pipeline ==";
   Printf.printf "backend: %s\n\n" (Jit.Native_backend.explain ());
@@ -311,7 +406,8 @@ let compile_experiment () =
   print_endline
     "expected shape (paper): compilation dominates the first call and is\n\
      amortized away by the disk cache across runs and the memory cache\n\
-     within a run; steady-state dispatch is microseconds."
+     within a run; steady-state dispatch is microseconds.\n";
+  warm_backends ()
 
 (* ---------------------------------------------------------------- *)
 (* Table I: executable notation conformance                          *)

@@ -44,7 +44,6 @@ let dir () =
 
 let source_path hash = Filename.concat (dir ()) (Printf.sprintf "Kern_%s.ml" hash)
 let cmxs_path hash = Filename.concat (dir ()) (Printf.sprintf "Kern_%s.cmxs" hash)
-let marker_path hash = Filename.concat (dir ()) (Printf.sprintf "Kern_%s.built" hash)
 let stderr_path hash = Filename.concat (dir ()) (Printf.sprintf "Kern_%s.stderr" hash)
 let sum_path hash = Filename.concat (dir ()) (Printf.sprintf "Kern_%s.sum" hash)
 let lock_path hash = Filename.concat (dir ()) (Printf.sprintf "Kern_%s.lock" hash)
@@ -91,11 +90,6 @@ let read_source hash =
   else None
 
 let has_cmxs hash = Sys.file_exists (cmxs_path hash)
-let has_marker hash = Sys.file_exists (marker_path hash)
-
-let touch_marker hash =
-  match write_file_atomic (marker_path hash) "" with
-  | Ok () | Error _ -> ()
 
 (* -- content checksums -- *)
 
@@ -212,9 +206,10 @@ let clear () =
   in
   Array.iter
     (fun f ->
-      (* Kern_* covers sources, plugins, markers, checksums, locks and
-         quarantined artifacts; probe_* and bare *.stderr cover what the
-         availability probe and pre-hardening builds left behind. *)
+      (* Kern_* covers sources, plugins, checksums, locks, quarantined
+         artifacts and the build markers older closure backends wrote;
+         probe_* and bare *.stderr cover what the availability probe and
+         pre-hardening builds left behind. *)
       if prefixed "Kern_" f || prefixed "probe_" f || suffixed ".stderr" f then
         try Sys.remove (Filename.concat d f) with Sys_error _ -> ())
     (Sys.readdir d)

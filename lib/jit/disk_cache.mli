@@ -17,7 +17,6 @@ val source_path : string -> string
 (** [source_path hash] — where the generated source for a kernel lives. *)
 
 val cmxs_path : string -> string
-val marker_path : string -> string
 
 val stderr_path : string -> string
 (** Compiler diagnostics for the hash ([Kern_<hash>.stderr], so
@@ -33,8 +32,6 @@ val store_source : string -> string -> (unit, string) result
 
 val read_source : string -> string option
 val has_cmxs : string -> bool
-val has_marker : string -> bool
-val touch_marker : string -> unit
 
 val store_sums : string -> unit
 (** Record checksums of the stored source and compiled plugin (called

@@ -34,16 +34,12 @@ let inflight : (string, inflight_entry) Hashtbl.t = Hashtbl.create 16
    must not corrupt. *)
 let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-let closure_compile ~key ~hash ~build ~source =
-  (* The closure backend still runs codegen when available and persists
-     the source plus a build marker, mirroring the native pipeline's disk
-     artifacts; the "compiled module" is the specialized closure. *)
+(* The closure backend's "compile": run [build] (a family's functor
+   applied to the operator closures, or a GBTL wrapper).  It keeps
+   nothing on disk. *)
+let closure_compile ~key ~build =
   let t0 = now () in
   let kernel = build () in
-  (match source with
-  | Some src -> ignore (Disk_cache.store_source hash src)
-  | None -> ());
-  Disk_cache.touch_marker hash;
   Jit_stats.record_compile ~native:false ~seconds:(now () -. t0);
   Jit_stats.record_signature key ~hit:false;
   kernel
@@ -64,7 +60,7 @@ let native_compile ~key ~hash ~src ~build =
     | Error _ ->
       Jit_stats.record_native_failure ();
       Breaker.failure ();
-      closure_compile ~key ~hash ~build ~source:(Some src)
+      closure_compile ~key ~build
   in
   let cached_valid =
     Disk_cache.has_cmxs hash
@@ -88,19 +84,15 @@ let native_compile ~key ~hash ~src ~build =
 
 (* Build/compile the kernel for a missing key (runs with no lock held). *)
 let produce sig_ ~key ~build ~native_source =
-  let hash = Kernel_sig.hash_key sig_ in
-  let source = match native_source with Some f -> f ~key | None -> None in
-  match effective_backend (), source with
-  | `Native, Some src ->
-    if Breaker.allow () then native_compile ~key ~hash ~src ~build
-    else closure_compile ~key ~hash ~build ~source:(Some src)
-  | `Native, None | `Closure, _ ->
-    if Disk_cache.has_marker hash then begin
-      Jit_stats.record_disk_hit ();
-      Jit_stats.record_signature key ~hit:true;
-      build ()
-    end
-    else closure_compile ~key ~hash ~build ~source
+  let source =
+    match effective_backend (), native_source with
+    | `Native, Some f -> f ~key
+    | `Native, None | `Closure, _ -> None
+  in
+  match source with
+  | Some src when Breaker.allow () ->
+    native_compile ~key ~hash:(Kernel_sig.hash_key sig_) ~src ~build
+  | Some _ | None -> closure_compile ~key ~build
 
 let rec get sig_ ~build ?native_source () =
   let key = Kernel_sig.key sig_ in

@@ -2,8 +2,9 @@
 
     Lookup order is memory table → disk cache → compile.  "Compile" means
     [ocamlopt -shared] + [Dynlink] under the native backend, or closure
-    instantiation (template instantiation without the external compiler)
-    under the closure backend.  Every step is recorded in {!Jit_stats}.
+    instantiation (a kernel family's functor applied to the operator
+    closures, without the external compiler) under the closure backend,
+    which has no disk level.  Every step is recorded in {!Jit_stats}.
 
     Dispatch is domain-safe, and compilation never blocks unrelated
     lookups: the global lock guards only the kernel table, while a

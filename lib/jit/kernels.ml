@@ -5,26 +5,131 @@ let semiring_ops (sr : Op_spec.semiring) =
     ("identity", sr.Op_spec.add_identity);
     ("mul", sr.Op_spec.mul_op) ]
 
+let dtypes dt = [ ("T", Dtype.name dt) ]
+
 let entries_of_pair (type a) ((idx, vals) : int array * a array) =
   Entries.of_arrays_unsafe idx vals ~len:(Array.length idx)
 
-(* -- vector family: array ABI with native codegen -- *)
+(* -- vector family: each loop body is written once (bodies/, generated
+   into Loops) and dispatched as a native plugin of its text or as its
+   functor applied to a closure prelude -- *)
 
-type 'a matvec_arg =
-  int array * int array * 'a array * int array * 'a array * int * int * int
-  * bool
+(* Closure preludes: the operators instantiated at the dtype, bound to
+   the names the loop bodies use. *)
+let semiring_prelude (type a) ~swap (dt : a Dtype.t) (sr : Op_spec.semiring) :
+    (module Loop_sig.SATURATING with type t = a) =
+  let s = Op_spec.instantiate_semiring dt sr in
+  let mul = Semiring.mul s in
+  let saturates = Codegen.saturates ~dtype:(Dtype.name dt) sr.Op_spec.add_op in
+  (module struct
+    type t = a
 
-let matvec_arg (type a) (m : a Smatrix.t) (u : a Svector.t) flag : a matvec_arg
+    let add_ = Semiring.add s
+    let mul_ = if swap then fun x y -> mul y x else mul
+    let identity_ = Semiring.zero s
+    let sat_ = if saturates then Dtype.to_bool dt else fun _ -> false
+  end)
+
+let binop_prelude (type a) (dt : a Dtype.t) op :
+    (module Loop_sig.BINOP with type t = a) =
+  (module struct
+    type t = a
+
+    let op_ = (Binop.of_name op dt).Binop.f
+    let zero_ = Dtype.zero dt
+  end)
+
+(* an apply chain, innermost first, as one function *)
+let chain_fn (type a) (dt : a Dtype.t) chain : a -> a =
+  let instantiate u = (Op_spec.instantiate_unary dt u).Unaryop.f in
+  match List.map instantiate chain with
+  | [ f ] -> f
+  | fs -> fun v -> List.fold_left (fun acc f -> f acc) v fs
+
+let unary_prelude (type a) (dt : a Dtype.t) chain :
+    (module Loop_sig.UNARY with type t = a) =
+  (module struct
+    type t = a
+
+    let f_ = chain_fn dt chain
+    let zero_ = Dtype.zero dt
+  end)
+
+let monoid_prelude (type a) (dt : a Dtype.t) ~op ~identity :
+    (module Loop_sig.MONOID with type t = a) =
+  let m = Op_spec.instantiate_monoid dt ~op ~identity in
+  (module struct
+    type t = a
+
+    let op_ = m.Monoid.op.Binop.f
+    let identity_ = m.Monoid.identity
+  end)
+
+module type KERNEL = sig
+  val kernel : Obj.t -> Obj.t
+end
+
+(* the semiring families take a SEMIRING, the masked pull a SATURATING *)
+module type SEMIRING_LOOP = functor (_ : Loop_sig.SATURATING) -> KERNEL
+module type BINOP_LOOP = functor (_ : Loop_sig.BINOP) -> KERNEL
+module type FUSED_LOOP = functor (_ : Loop_sig.FUSED) -> KERNEL
+module type UNARY_LOOP = functor (_ : Loop_sig.UNARY) -> KERNEL
+module type MONOID_LOOP = functor (_ : Loop_sig.MONOID) -> KERNEL
+
+(* A family at one operator choice: the closure build (its functor over
+   the closure prelude) and the native source (its text after the
+   literal prelude). *)
+let semiring_family (type a) ?(swap = false) ?(sat = false) (dt : a Dtype.t)
+    sr (module L : SEMIRING_LOOP) text =
+  ( (fun () ->
+      let module K = L ((val semiring_prelude ~swap dt sr)) in
+      Obj.repr K.kernel),
+    fun ~key ->
+      Codegen.semiring_source ~swap ~sat ~dtype:(Dtype.name dt) ~sr ~key text )
+
+let binop_family (type a) (dt : a Dtype.t) op (module L : BINOP_LOOP) text =
+  ( (fun () ->
+      let module K = L ((val binop_prelude dt op)) in
+      Obj.repr K.kernel),
+    fun ~key -> Codegen.op_source ~op ~dtype:(Dtype.name dt) ~key text )
+
+let unary_family (type a) (dt : a Dtype.t) chain (module L : UNARY_LOOP) text
     =
-  ( Smatrix.unsafe_rowptr m,
-    Smatrix.unsafe_colidx m,
-    Smatrix.unsafe_values m,
+  ( (fun () ->
+      let module K = L ((val unary_prelude dt chain)) in
+      Obj.repr K.kernel),
+    fun ~key -> Codegen.op_source ~f:chain ~dtype:(Dtype.name dt) ~key text )
+
+let monoid_family (type a) (dt : a Dtype.t) ~op ~identity
+    (module L : MONOID_LOOP) text =
+  ( (fun () ->
+      let module K = L ((val monoid_prelude dt ~op ~identity)) in
+      Obj.repr K.kernel),
+    fun ~key ->
+      Codegen.op_source ~op ~identity ~dtype:(Dtype.name dt) ~key text )
+
+let get sig_ (build, native_source) : Obj.t -> Obj.t =
+  Obj.obj (Dispatch.get sig_ ~build ~native_source ())
+
+let semiring_sig ~op ?formats ?flags dt sr =
+  Kernel_sig.make ~op ~dtypes:(dtypes dt) ~operators:(semiring_ops sr) ?formats
+    ?flags ()
+
+let run (type r) (k : Obj.t -> Obj.t) arg : r = Obj.obj (k (Obj.repr arg))
+
+(* The matvec ABI: CSR (or swapped CSC) arrays, the sparse operand, the
+   dimensions and the loop choice (true = scatter, false = gather). *)
+let matvec_arg (type a) ~rowptr ~colidx ~(values : a array) ~nrows ~ncols
+    (u : a Svector.t) scatter =
+  ( rowptr,
+    colidx,
+    values,
     Svector.unsafe_indices u,
     Svector.unsafe_values u,
     Svector.nvals u,
-    Smatrix.nrows m,
-    Smatrix.ncols m,
-    flag )
+    nrows,
+    ncols,
+    scatter )
 
 let mxv (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
     ?(direction = `Auto) ~transpose m (u : a Svector.t) =
@@ -45,65 +150,30 @@ let mxv (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
     | `Push -> false
     | `Auto -> Svector.size u >= 32 && 4 * Svector.nvals u >= Svector.size u
   in
-  let sig_ =
-    Kernel_sig.make ~op:"mxv"
-      ~dtypes:[ ("T", Dtype.name dt) ]
-      ~operators:(semiring_ops sr)
-      ~formats:(if use_pull then [ ("a", "csc") ] else [])
-      ~flags:(if transpose then [ "transpose_a" ] else [])
-      ()
-  in
-  let build () =
-    let s = Op_spec.instantiate_semiring dt sr in
-    let add = Semiring.add s and mul = Semiring.mul s in
-    let dummy = Semiring.zero s in
-    Obj.repr (fun (arg : Obj.t) ->
-        let arp, aci, avs, uidx, uvls, un, nrows, ncols, tr =
-          (Obj.obj arg : a matvec_arg)
-        in
-        Obj.repr
-          (Array_kernels.mxv ~add ~mul ~dummy ~nrows ~ncols ~transpose:tr
-             (arp, aci, avs) (uidx, uvls, un)))
-  in
-  let native_source ~key =
-    if use_pull then Codegen.mxv_pull_source ~dtype:(Dtype.name dt) ~sr ~key
-    else Codegen.mxv_source ~dtype:(Dtype.name dt) ~sr ~key
-  in
-  let kernel : Obj.t -> Obj.t =
-    Obj.obj (Dispatch.get sig_ ~build ~native_source ())
+  let kernel =
+    get
+      (semiring_sig ~op:"mxv"
+         ~formats:(if use_pull then [ ("a", "csc") ] else [])
+         ~flags:(if transpose then [ "transpose_a" ] else [])
+         dt sr)
+      (semiring_family dt sr (module Loops.Matvec) Loops.matvec)
   in
   if transpose && Format_stats.enabled () then
     if use_pull then Format_stats.record_pull ()
     else Format_stats.record_push ();
-  (* ABI flag for mxv: true selects the scatter (transposed) loop.  The
-     pull dispatch hands the gather loop the CSC arrays with swapped
+  (* The pull dispatch hands the gather loop the CSC arrays with swapped
      dimensions, which computes the transposed product directly. *)
-  let arg : a matvec_arg =
+  let arg =
     if use_pull then
-      ( Smatrix.unsafe_colptr m,
-        Smatrix.unsafe_rowidx m,
-        Smatrix.unsafe_cvals m,
-        Svector.unsafe_indices u,
-        Svector.unsafe_values u,
-        Svector.nvals u,
-        Smatrix.ncols m,
-        Smatrix.nrows m,
-        false )
-    else matvec_arg m u transpose
+      matvec_arg ~rowptr:(Smatrix.unsafe_colptr m)
+        ~colidx:(Smatrix.unsafe_rowidx m) ~values:(Smatrix.unsafe_cvals m)
+        ~nrows:(Smatrix.ncols m) ~ncols:(Smatrix.nrows m) u false
+    else
+      matvec_arg ~rowptr:(Smatrix.unsafe_rowptr m)
+        ~colidx:(Smatrix.unsafe_colidx m) ~values:(Smatrix.unsafe_values m)
+        ~nrows:(Smatrix.nrows m) ~ncols:(Smatrix.ncols m) u transpose
   in
-  entries_of_pair (Obj.obj (kernel (Obj.repr arg)) : int array * a array)
-
-(* "⊕ can no longer change this accumulator" — the early-exit predicate
-   of the masked pull.  Only saturating monoids have one; constant-false
-   keeps the gather exhaustive (and still correct) for the rest.  Must
-   stay in sync with Codegen.saturating_expr_cls. *)
-let saturating_check (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) :
-    a -> bool =
-  match sr.Op_spec.add_op with
-  | "LogicalOr" -> Dtype.to_bool dt
-  | "Plus" | "Max" -> (
-    match dt with Dtype.Bool -> fun b -> b | _ -> fun _ -> false)
-  | _ -> fun _ -> false
+  entries_of_pair (run kernel arg : int array * a array)
 
 let mxv_pull_masked (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
     ~(visited : bool array) (m : a Smatrix.t)
@@ -114,111 +184,54 @@ let mxv_pull_masked (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
      itself (complemented) and the exit predicate comes from the
      semiring, so the whole ABI is concrete arrays and the kernel
      compiles natively. *)
-  let sig_ =
-    Kernel_sig.make ~op:"mxv"
-      ~dtypes:[ ("T", Dtype.name dt) ]
-      ~operators:(semiring_ops sr)
-      ~formats:[ ("a", "csc"); ("u", "dense") ]
-      ~flags:[ "masked_pull"; "transpose_a" ]
-      ()
+  let kernel =
+    get
+      (semiring_sig ~op:"mxv"
+         ~formats:[ ("a", "csc"); ("u", "dense") ]
+         ~flags:[ "masked_pull"; "transpose_a" ]
+         dt sr)
+      (semiring_family ~sat:true dt sr
+         (module Loops.Mxv_pull_masked)
+         Loops.mxv_pull_masked)
   in
-  let build () =
-    let s = Op_spec.instantiate_semiring dt sr in
-    let add = Semiring.add s and mul = Semiring.mul s in
-    let dummy = Semiring.zero s in
-    let stop = saturating_check dt sr in
-    Obj.repr (fun (arg : Obj.t) ->
-        let acp, ari, avs, uvls, uocc, visited, ncols =
-          (Obj.obj arg
-            : int array * int array * a array * a array * bool array
-              * bool array * int)
-        in
-        Obj.repr
-          (Array_kernels.mxv_pull_masked ~add ~mul ~dummy ~stop ~ncols ~visited
-             (acp, ari, avs) (uvls, uocc)))
-  in
-  let native_source ~key =
-    Codegen.mxv_pull_masked_source ~dtype:(Dtype.name dt) ~sr ~key
-  in
-  let kernel : Obj.t -> Obj.t =
-    Obj.obj (Dispatch.get sig_ ~build ~native_source ())
-  in
-  let arg =
-    ( Smatrix.unsafe_colptr m,
-      Smatrix.unsafe_rowidx m,
-      Smatrix.unsafe_cvals m,
-      uvls,
-      uocc,
-      visited,
-      Smatrix.ncols m )
-  in
-  entries_of_pair (Obj.obj (kernel (Obj.repr arg)) : int array * a array)
+  entries_of_pair
+    (run kernel
+       ( Smatrix.unsafe_colptr m,
+         Smatrix.unsafe_rowidx m,
+         Smatrix.unsafe_cvals m,
+         uvls,
+         uocc,
+         visited,
+         Smatrix.ncols m )
+      : int array * a array)
 
 let vxm (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose
     (u : a Svector.t) (m : a Smatrix.t) =
-  let sig_ =
-    Kernel_sig.make ~op:"vxm"
-      ~dtypes:[ ("T", Dtype.name dt) ]
-      ~operators:(semiring_ops sr)
-      ~flags:(if transpose then [ "transpose_a" ] else [])
-      ()
+  (* the matvec loops with ⊗'s operands swapped: u A scatters along A's
+     rows, u Aᵀ gathers *)
+  let kernel =
+    get
+      (semiring_sig ~op:"vxm"
+         ~flags:(if transpose then [ "transpose_a" ] else [])
+         dt sr)
+      (semiring_family ~swap:true dt sr (module Loops.Matvec) Loops.matvec)
   in
-  let build () =
-    let s = Op_spec.instantiate_semiring dt sr in
-    let add = Semiring.add s and mul = Semiring.mul s in
-    let dummy = Semiring.zero s in
-    Obj.repr (fun (arg : Obj.t) ->
-        let arp, aci, avs, uidx, uvls, un, nrows, ncols, flag =
-          (Obj.obj arg : a matvec_arg)
-        in
-        (* ABI flag false = gather loop; Array_kernels.vxm gathers when
-           its [transpose] is true. *)
-        Obj.repr
-          (Array_kernels.vxm ~add ~mul ~dummy ~nrows ~ncols
-             ~transpose:(not flag) (uidx, uvls, un) (arp, aci, avs)))
+  let arg =
+    matvec_arg ~rowptr:(Smatrix.unsafe_rowptr m)
+      ~colidx:(Smatrix.unsafe_colidx m) ~values:(Smatrix.unsafe_values m)
+      ~nrows:(Smatrix.nrows m) ~ncols:(Smatrix.ncols m) u (not transpose)
   in
-  let native_source ~key =
-    Codegen.vxm_source ~dtype:(Dtype.name dt) ~sr ~key
-  in
-  let kernel : Obj.t -> Obj.t =
-    Obj.obj (Dispatch.get sig_ ~build ~native_source ())
-  in
-  (* Semantic transpose means the gather loop, which the shared kernel
-     body runs when the ABI flag is false. *)
-  let result = kernel (Obj.repr (matvec_arg m u (not transpose))) in
-  entries_of_pair (Obj.obj result : int array * a array)
+  entries_of_pair (run kernel arg : int array * a array)
 
 let vxm_dense (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
     ((uvls, uocc) : a array * bool array) (m : a Smatrix.t) :
     a array * bool array =
-  let sig_ =
-    Kernel_sig.make ~op:"vxm"
-      ~dtypes:[ ("T", Dtype.name dt) ]
-      ~operators:(semiring_ops sr)
-      ~formats:[ ("u", "dense"); ("w", "dense") ]
-      ()
+  let kernel =
+    get
+      (semiring_sig ~op:"vxm" ~formats:[ ("u", "dense"); ("w", "dense") ] dt sr)
+      (semiring_family dt sr (module Loops.Vxm_dense) Loops.vxm_dense)
   in
-  let build () =
-    let s = Op_spec.instantiate_semiring dt sr in
-    let add = Semiring.add s and mul = Semiring.mul s in
-    let dummy = Semiring.zero s in
-    Obj.repr (fun (arg : Obj.t) ->
-        let uvls, uocc, arp, aci, avs, nrows, ncols =
-          (Obj.obj arg
-            : a array * bool array * int array * int array * a array * int
-              * int)
-        in
-        Obj.repr
-          (Array_kernels.vxm_dense ~add ~mul ~dummy ~nrows ~ncols (uvls, uocc)
-             (arp, aci, avs)))
-  in
-  let native_source ~key =
-    Codegen.vxm_dense_source ~dtype:(Dtype.name dt) ~sr ~key
-  in
-  let kernel : Obj.t -> Obj.t =
-    Obj.obj (Dispatch.get sig_ ~build ~native_source ())
-  in
-  let arg =
+  run kernel
     ( uvls,
       uocc,
       Smatrix.unsafe_rowptr m,
@@ -226,8 +239,6 @@ let vxm_dense (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
       Smatrix.unsafe_values m,
       Smatrix.nrows m,
       Smatrix.ncols m )
-  in
-  (Obj.obj (kernel (Obj.repr arg)) : a array * bool array)
 
 let vxm_pull_dense (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
     ((uvls, uocc) : a array * bool array) (m : a Smatrix.t) :
@@ -236,82 +247,38 @@ let vxm_pull_dense (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
      one local accumulator) per output position instead of a
      read-modify-write scatter — the fast path for an iterated product
      such as PageRank, where building the CSC side once is amortized
-     over every iteration.  Rows ascend within each column, so the fold
-     order (and the result) is identical to the scatter. *)
-  let sig_ =
-    Kernel_sig.make ~op:"vxm"
-      ~dtypes:[ ("T", Dtype.name dt) ]
-      ~operators:(semiring_ops sr)
-      ~formats:[ ("a", "csc"); ("u", "dense"); ("w", "dense") ]
-      ()
+     over every iteration. *)
+  let kernel =
+    get
+      (semiring_sig ~op:"vxm"
+         ~formats:[ ("a", "csc"); ("u", "dense"); ("w", "dense") ]
+         dt sr)
+      (semiring_family dt sr (module Loops.Vxm_pull_dense) Loops.vxm_pull_dense)
   in
-  let build () =
-    let s = Op_spec.instantiate_semiring dt sr in
-    let add = Semiring.add s and mul = Semiring.mul s in
-    let dummy = Semiring.zero s in
-    Obj.repr (fun (arg : Obj.t) ->
-        let uvls, uocc, acp, ari, avs, ncols =
-          (Obj.obj arg
-            : a array * bool array * int array * int array * a array * int)
-        in
-        Obj.repr
-          (Array_kernels.vxm_pull_dense ~add ~mul ~dummy ~ncols (acp, ari, avs)
-             (uvls, uocc)))
-  in
-  let native_source ~key =
-    Codegen.vxm_pull_dense_source ~dtype:(Dtype.name dt) ~sr ~key
-  in
-  let kernel : Obj.t -> Obj.t =
-    Obj.obj (Dispatch.get sig_ ~build ~native_source ())
-  in
-  let arg =
+  run kernel
     ( uvls,
       uocc,
       Smatrix.unsafe_colptr m,
       Smatrix.unsafe_rowidx m,
       Smatrix.unsafe_cvals m,
       Smatrix.ncols m )
-  in
-  (Obj.obj (kernel (Obj.repr arg)) : a array * bool array)
 
 let vxm_tile_acc (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
     ~(tile_tag : string) ~(r0 : int) ~(c0 : int) (tile : a Smatrix.t)
     ((uvls, uocc) : a array * bool array)
     ((acc, occ) : a array * bool array) : unit =
-  (* Tile continuation of [vxm_pull_dense]: the tile shape rides in the
-     signature's formats field, so each tiling compiles (and caches) its
-     own module — the out-of-core analogue of the CSR/CSC format key.
-     Exactness of the streamed product rests on folding each output
-     column in ascending global row order across tiles, which a per-tile
-     continuation preserves. *)
-  let sig_ =
-    Kernel_sig.make ~op:"vxm_tile"
-      ~dtypes:[ ("T", Dtype.name dt) ]
-      ~operators:(semiring_ops sr)
-      ~formats:
-        [ ("a", "csc"); ("u", "dense"); ("w", "dense"); ("tile", tile_tag) ]
-      ()
+  (* The tile shape rides in the signature's formats field, so each
+     tiling compiles (and caches) its own module — the out-of-core
+     analogue of the CSR/CSC format key. *)
+  let kernel =
+    get
+      (semiring_sig ~op:"vxm_tile"
+         ~formats:
+           [ ("a", "csc"); ("u", "dense"); ("w", "dense"); ("tile", tile_tag) ]
+         dt sr)
+      (semiring_family dt sr (module Loops.Vxm_tile_acc) Loops.vxm_tile_acc)
   in
-  let build () =
-    let s = Op_spec.instantiate_semiring dt sr in
-    let add = Semiring.add s and mul = Semiring.mul s in
-    Obj.repr (fun (arg : Obj.t) ->
-        let uvls, uocc, r0, acp, ari, avs, c0, tncols, acc, occ =
-          (Obj.obj arg
-            : a array * bool array * int * int array * int array * a array
-              * int * int * a array * bool array)
-        in
-        Array_kernels.vxm_tile_acc ~add ~mul ~r0 ~c0 ~tncols (acp, ari, avs)
-          (uvls, uocc) (acc, occ);
-        Obj.repr ())
-  in
-  let native_source ~key =
-    Codegen.vxm_tile_acc_source ~dtype:(Dtype.name dt) ~sr ~key
-  in
-  let kernel : Obj.t -> Obj.t =
-    Obj.obj (Dispatch.get sig_ ~build ~native_source ())
-  in
-  let arg =
+  run kernel
     ( uvls,
       uocc,
       r0,
@@ -322,135 +289,75 @@ let vxm_tile_acc (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
       Smatrix.ncols tile,
       acc,
       occ )
-  in
-  ignore (kernel (Obj.repr arg))
 
-type 'a ewise_arg = int array * 'a array * int * int array * 'a array * int
+let ewise_name = function `Add -> "ewise_add_v" | `Mult -> "ewise_mult_v"
 
-type 'a dense_pair_arg = 'a array * bool array * 'a array * bool array
+let sparse_pair_arg (type a) (u : a Svector.t) (v : a Svector.t) =
+  ( Svector.unsafe_indices u,
+    Svector.unsafe_values u,
+    Svector.nvals u,
+    Svector.unsafe_indices v,
+    Svector.unsafe_values v,
+    Svector.nvals v )
 
 let ewise_v_dense (type a) kind (dt : a Dtype.t) ~op
     ((avls, aocc) : a array * bool array) ((bvls, bocc) : a array * bool array)
     : a array * bool array =
-  let kind_name =
-    match kind with `Add -> "ewise_add_v" | `Mult -> "ewise_mult_v"
+  let kernel =
+    get
+      (Kernel_sig.make ~op:(ewise_name kind) ~dtypes:(dtypes dt)
+         ~operators:[ ("op", op) ]
+         ~formats:[ ("u", "dense"); ("v", "dense") ]
+         ())
+      (match kind with
+      | `Add ->
+        binop_family dt op
+          (module Loops.Ewise_add_dense)
+          Loops.ewise_add_dense
+      | `Mult ->
+        binop_family dt op
+          (module Loops.Ewise_mult_dense)
+          Loops.ewise_mult_dense)
   in
-  let sig_ =
-    Kernel_sig.make ~op:kind_name
-      ~dtypes:[ ("T", Dtype.name dt) ]
-      ~operators:[ ("op", op) ]
-      ~formats:[ ("u", "dense"); ("v", "dense") ]
-      ()
-  in
-  let build () =
-    let f = (Binop.of_name op dt).Binop.f in
-    let dummy = Dtype.zero dt in
-    Obj.repr (fun (arg : Obj.t) ->
-        let avls, aocc, bvls, bocc = (Obj.obj arg : a dense_pair_arg) in
-        let result =
-          match kind with
-          | `Add ->
-            Array_kernels.ewise_add_dense ~op:f ~dummy (avls, aocc)
-              (bvls, bocc)
-          | `Mult ->
-            Array_kernels.ewise_mult_dense ~op:f ~dummy (avls, aocc)
-              (bvls, bocc)
-        in
-        Obj.repr result)
-  in
-  let native_source ~key =
-    Codegen.ewise_dense_source ~kind ~dtype:(Dtype.name dt) ~op ~key
-  in
-  let kernel : Obj.t -> Obj.t =
-    Obj.obj (Dispatch.get sig_ ~build ~native_source ())
-  in
-  let arg : a dense_pair_arg = (avls, aocc, bvls, bocc) in
-  (Obj.obj (kernel (Obj.repr arg)) : a array * bool array)
+  run kernel (avls, aocc, bvls, bocc)
 
 let apply_v_dense (type a) (dt : a Dtype.t) (f : Op_spec.unary)
     ((avls, aocc) : a array * bool array) : a array * bool array =
-  let sig_ =
-    Kernel_sig.make ~op:"apply_v"
-      ~dtypes:[ ("T", Dtype.name dt) ]
-      ~operators:[ ("f", Op_spec.unary_name f) ]
-      ~formats:[ ("u", "dense") ]
-      ()
+  let kernel =
+    get
+      (Kernel_sig.make ~op:"apply_v" ~dtypes:(dtypes dt)
+         ~operators:[ ("f", Op_spec.unary_name f) ]
+         ~formats:[ ("u", "dense") ]
+         ())
+      (unary_family dt [ f ] (module Loops.Apply_dense) Loops.apply_dense)
   in
-  let build () =
-    let g = (Op_spec.instantiate_unary dt f).Unaryop.f in
-    let dummy = Dtype.zero dt in
-    Obj.repr (fun (arg : Obj.t) ->
-        let avls, aocc = (Obj.obj arg : a array * bool array) in
-        Obj.repr (Array_kernels.apply_dense ~f:g ~dummy (avls, aocc)))
-  in
-  let native_source ~key =
-    Codegen.apply_dense_source ~dtype:(Dtype.name dt) ~f ~key
-  in
-  let kernel : Obj.t -> Obj.t =
-    Obj.obj (Dispatch.get sig_ ~build ~native_source ())
-  in
-  (Obj.obj (kernel (Obj.repr (avls, aocc))) : a array * bool array)
+  run kernel (avls, aocc)
 
 let reduce_v_scalar_dense (type a) (dt : a Dtype.t) ~op ~identity
     ((avls, aocc) : a array * bool array) : a =
-  let sig_ =
-    Kernel_sig.make ~op:"reduce_v_scalar"
-      ~dtypes:[ ("T", Dtype.name dt) ]
-      ~operators:[ ("op", op); ("identity", identity) ]
-      ~formats:[ ("u", "dense") ]
-      ()
+  let kernel =
+    get
+      (Kernel_sig.make ~op:"reduce_v_scalar" ~dtypes:(dtypes dt)
+         ~operators:[ ("op", op); ("identity", identity) ]
+         ~formats:[ ("u", "dense") ]
+         ())
+      (monoid_family dt ~op ~identity (module Loops.Reduce_dense)
+         Loops.reduce_dense)
   in
-  let build () =
-    let m = Op_spec.instantiate_monoid dt ~op ~identity in
-    let f = m.Monoid.op.Binop.f and id = m.Monoid.identity in
-    Obj.repr (fun (arg : Obj.t) ->
-        let avls, aocc = (Obj.obj arg : a array * bool array) in
-        Obj.repr (Array_kernels.reduce_dense ~op:f ~identity:id (avls, aocc)))
-  in
-  let native_source ~key =
-    Codegen.reduce_dense_source ~dtype:(Dtype.name dt) ~op ~identity ~key
-  in
-  let kernel : Obj.t -> Obj.t =
-    Obj.obj (Dispatch.get sig_ ~build ~native_source ())
-  in
-  (Obj.obj (kernel (Obj.repr (avls, aocc))) : a)
+  run kernel (avls, aocc)
 
 let ewise_v (type a) kind (dt : a Dtype.t) ~op (u : a Svector.t)
     (v : a Svector.t) =
-  let kind_name = match kind with `Add -> "ewise_add_v" | `Mult -> "ewise_mult_v" in
-  let sig_ =
-    Kernel_sig.make ~op:kind_name
-      ~dtypes:[ ("T", Dtype.name dt) ]
-      ~operators:[ ("op", op) ]
-      ()
+  let kernel =
+    get
+      (Kernel_sig.make ~op:(ewise_name kind) ~dtypes:(dtypes dt)
+         ~operators:[ ("op", op) ]
+         ())
+      (match kind with
+      | `Add -> binop_family dt op (module Loops.Ewise_add) Loops.ewise_add
+      | `Mult -> binop_family dt op (module Loops.Ewise_mult) Loops.ewise_mult)
   in
-  let build () =
-    let f = (Binop.of_name op dt).Binop.f in
-    Obj.repr (fun (arg : Obj.t) ->
-        let aidx, avls, an, bidx, bvls, bn = (Obj.obj arg : a ewise_arg) in
-        let result =
-          match kind with
-          | `Add -> Array_kernels.ewise_add_v ~op:f (aidx, avls, an) (bidx, bvls, bn)
-          | `Mult ->
-            Array_kernels.ewise_mult_v ~op:f (aidx, avls, an) (bidx, bvls, bn)
-        in
-        Obj.repr result)
-  in
-  let native_source ~key =
-    Codegen.ewise_source ~kind ~dtype:(Dtype.name dt) ~op ~key
-  in
-  let kernel : Obj.t -> Obj.t =
-    Obj.obj (Dispatch.get sig_ ~build ~native_source ())
-  in
-  let arg : a ewise_arg =
-    ( Svector.unsafe_indices u,
-      Svector.unsafe_values u,
-      Svector.nvals u,
-      Svector.unsafe_indices v,
-      Svector.unsafe_values v,
-      Svector.nvals v )
-  in
-  entries_of_pair (Obj.obj (kernel (Obj.repr arg)) : int array * a array)
+  entries_of_pair (run kernel (sparse_pair_arg u v) : int array * a array)
 
 let ewise_fused_v (type a) kind (dt : a Dtype.t) ~op ~chain (u : a Svector.t)
     (v : a Svector.t) =
@@ -459,161 +366,96 @@ let ewise_fused_v (type a) kind (dt : a Dtype.t) ~op ~chain (u : a Svector.t)
     | `Add -> "ewise_add_fused_v"
     | `Mult -> "ewise_mult_fused_v"
   in
-  let chain_name =
-    String.concat ";" (List.map Op_spec.unary_name chain)
-  in
-  let sig_ =
-    Kernel_sig.make ~op:kind_name
-      ~dtypes:[ ("T", Dtype.name dt) ]
-      ~operators:[ ("op", op); ("chain", chain_name) ]
-      ()
-  in
-  let build () =
-    let raw = (Binop.of_name op dt).Binop.f in
-    let fs =
-      List.map (fun u -> (Op_spec.instantiate_unary dt u).Unaryop.f) chain
-    in
-    let g v = List.fold_left (fun acc f -> f acc) v fs in
-    Obj.repr (fun (arg : Obj.t) ->
-        let aidx, avls, an, bidx, bvls, bn = (Obj.obj arg : a ewise_arg) in
-        let ridx, rvls =
-          match kind with
-          | `Add ->
-            Array_kernels.ewise_add_v ~op:raw (aidx, avls, an) (bidx, bvls, bn)
-          | `Mult ->
-            Array_kernels.ewise_mult_v ~op:raw (aidx, avls, an)
-              (bidx, bvls, bn)
+  let chain_name = String.concat ";" (List.map Op_spec.unary_name chain) in
+  let fused (module L : FUSED_LOOP) text =
+    ( (fun () ->
+        let module K =
+          L (struct
+            include (val binop_prelude dt op)
+
+            let f_ = chain_fn dt chain
+          end)
         in
-        (* the chain runs over every output value, passthroughs included *)
-        for k = 0 to Array.length rvls - 1 do
-          rvls.(k) <- g rvls.(k)
-        done;
-        Obj.repr (ridx, rvls))
+        Obj.repr K.kernel),
+      fun ~key ->
+        Codegen.op_source ~op ~f:chain ~dtype:(Dtype.name dt) ~key text )
   in
-  let native_source ~key =
-    Codegen.ewise_fused_source ~kind ~dtype:(Dtype.name dt) ~op ~chain ~key
+  let kernel =
+    get
+      (Kernel_sig.make ~op:kind_name ~dtypes:(dtypes dt)
+         ~operators:[ ("op", op); ("chain", chain_name) ]
+         ())
+      (match kind with
+      | `Add -> fused (module Loops.Ewise_add_fused) Loops.ewise_add_fused
+      | `Mult -> fused (module Loops.Ewise_mult_fused) Loops.ewise_mult_fused)
   in
-  let kernel : Obj.t -> Obj.t =
-    Obj.obj (Dispatch.get sig_ ~build ~native_source ())
-  in
-  let arg : a ewise_arg =
-    ( Svector.unsafe_indices u,
-      Svector.unsafe_values u,
-      Svector.nvals u,
-      Svector.unsafe_indices v,
-      Svector.unsafe_values v,
-      Svector.nvals v )
-  in
-  entries_of_pair (Obj.obj (kernel (Obj.repr arg)) : int array * a array)
+  entries_of_pair (run kernel (sparse_pair_arg u v) : int array * a array)
+
+let sparse_arg (type a) (u : a Svector.t) =
+  (Svector.unsafe_indices u, Svector.unsafe_values u, Svector.nvals u)
 
 let apply_chain_v (type a) (dt : a Dtype.t) ~chain (u : a Svector.t) =
-  (* One compiled module for a whole [fk (... (f1 x))] apply chain over a
-     vector (the nonblocking engine's apply∘apply fusion); [chain] is
-     innermost-first, like [ewise_fused_v]. *)
+  (* One kernel for a whole [fk (... (f1 x))] apply chain over a vector
+     (the nonblocking engine's apply∘apply fusion); [chain] is
+     innermost-first, like [ewise_fused_v].  Closure only. *)
   let chain_name = String.concat ";" (List.map Op_spec.unary_name chain) in
-  let sig_ =
-    Kernel_sig.make ~op:"apply_chain_v"
-      ~dtypes:[ ("T", Dtype.name dt) ]
-      ~operators:[ ("chain", chain_name) ]
-      ()
+  let build, _ = unary_family dt chain (module Loops.Apply) Loops.apply in
+  let kernel : Obj.t -> Obj.t =
+    Obj.obj
+      (Dispatch.get
+         (Kernel_sig.make ~op:"apply_chain_v" ~dtypes:(dtypes dt)
+            ~operators:[ ("chain", chain_name) ]
+            ())
+         ~build ())
   in
-  let build () =
-    let fs =
-      List.map (fun u -> (Op_spec.instantiate_unary dt u).Unaryop.f) chain
-    in
-    let g v = List.fold_left (fun acc f -> f acc) v fs in
-    Obj.repr (fun (arg : Obj.t) ->
-        let aidx, avls, an = (Obj.obj arg : int array * a array * int) in
-        Obj.repr (Array_kernels.apply_v ~f:g (aidx, avls, an)))
-  in
-  let kernel : Obj.t -> Obj.t = Obj.obj (Dispatch.get sig_ ~build ()) in
-  let arg =
-    (Svector.unsafe_indices u, Svector.unsafe_values u, Svector.nvals u)
-  in
-  entries_of_pair (Obj.obj (kernel (Obj.repr arg)) : int array * a array)
+  entries_of_pair (run kernel (sparse_arg u) : int array * a array)
 
 let ewise_mult_reduce_v (type a) (dt : a Dtype.t) ~op ~monoid_op ~identity
     (u : a Svector.t) (v : a Svector.t) : a =
-  (* eWiseMult feeding a scalar reduce, fused into one pass (the
-     nonblocking engine's mult∘reduce rewrite): the intersection kernel's
-     output values are folded on the fly instead of materializing the
-     intermediate vector.  Entry order matches the unfused pipeline, so
-     the result is bit-identical. *)
-  let sig_ =
-    Kernel_sig.make ~op:"ewise_mult_reduce_v"
-      ~dtypes:[ ("T", Dtype.name dt) ]
-      ~operators:[ ("op", op); ("monoid", monoid_op); ("identity", identity) ]
-      ()
-  in
+  (* eWiseMult feeding a scalar reduce in one kernel (the nonblocking
+     engine's mult∘reduce rewrite): the intersection's values are folded
+     in entry order, so the result is bit-identical to the unfused
+     pipeline.  Closure only. *)
   let build () =
-    let f = (Binop.of_name op dt).Binop.f in
-    let m = Op_spec.instantiate_monoid dt ~op:monoid_op ~identity in
-    let acc_f = m.Monoid.op.Binop.f and id = m.Monoid.identity in
-    Obj.repr (fun (arg : Obj.t) ->
-        let aidx, avls, an, bidx, bvls, bn = (Obj.obj arg : a ewise_arg) in
-        let _, rvls =
-          Array_kernels.ewise_mult_v ~op:f (aidx, avls, an) (bidx, bvls, bn)
-        in
-        Obj.repr
-          (Array_kernels.reduce_v ~op:acc_f ~identity:id
-             ([||], rvls, Array.length rvls)))
+    let module M = Loops.Ewise_mult ((val binop_prelude dt op)) in
+    let module R =
+      Loops.Reduce ((val monoid_prelude dt ~op:monoid_op ~identity))
+    in
+    Obj.repr (fun arg ->
+        let _, vls = (Obj.obj (M.kernel arg) : int array * a array) in
+        R.kernel (Obj.repr (vls, Array.length vls)))
   in
-  let kernel : Obj.t -> Obj.t = Obj.obj (Dispatch.get sig_ ~build ()) in
-  let arg : a ewise_arg =
-    ( Svector.unsafe_indices u,
-      Svector.unsafe_values u,
-      Svector.nvals u,
-      Svector.unsafe_indices v,
-      Svector.unsafe_values v,
-      Svector.nvals v )
+  let kernel : Obj.t -> Obj.t =
+    Obj.obj
+      (Dispatch.get
+         (Kernel_sig.make ~op:"ewise_mult_reduce_v" ~dtypes:(dtypes dt)
+            ~operators:
+              [ ("op", op); ("monoid", monoid_op); ("identity", identity) ]
+            ())
+         ~build ())
   in
-  (Obj.obj (kernel (Obj.repr arg)) : a)
+  run kernel (sparse_pair_arg u v)
 
 let apply_v (type a) (dt : a Dtype.t) (f : Op_spec.unary) (u : a Svector.t) =
-  let sig_ =
-    Kernel_sig.make ~op:"apply_v"
-      ~dtypes:[ ("T", Dtype.name dt) ]
-      ~operators:[ ("f", Op_spec.unary_name f) ]
-      ()
+  let kernel =
+    get
+      (Kernel_sig.make ~op:"apply_v" ~dtypes:(dtypes dt)
+         ~operators:[ ("f", Op_spec.unary_name f) ]
+         ())
+      (unary_family dt [ f ] (module Loops.Apply) Loops.apply)
   in
-  let build () =
-    let g = (Op_spec.instantiate_unary dt f).Unaryop.f in
-    Obj.repr (fun (arg : Obj.t) ->
-        let aidx, avls, an = (Obj.obj arg : int array * a array * int) in
-        Obj.repr (Array_kernels.apply_v ~f:g (aidx, avls, an)))
-  in
-  let native_source ~key = Codegen.apply_source ~dtype:(Dtype.name dt) ~f ~key in
-  let kernel : Obj.t -> Obj.t =
-    Obj.obj (Dispatch.get sig_ ~build ~native_source ())
-  in
-  let arg =
-    (Svector.unsafe_indices u, Svector.unsafe_values u, Svector.nvals u)
-  in
-  entries_of_pair (Obj.obj (kernel (Obj.repr arg)) : int array * a array)
+  entries_of_pair (run kernel (sparse_arg u) : int array * a array)
 
 let reduce_v_scalar (type a) (dt : a Dtype.t) ~op ~identity (u : a Svector.t) :
     a =
-  let sig_ =
-    Kernel_sig.make ~op:"reduce_v_scalar"
-      ~dtypes:[ ("T", Dtype.name dt) ]
-      ~operators:[ ("op", op); ("identity", identity) ]
-      ()
+  let kernel =
+    get
+      (Kernel_sig.make ~op:"reduce_v_scalar" ~dtypes:(dtypes dt)
+         ~operators:[ ("op", op); ("identity", identity) ]
+         ())
+      (monoid_family dt ~op ~identity (module Loops.Reduce) Loops.reduce)
   in
-  let build () =
-    let m = Op_spec.instantiate_monoid dt ~op ~identity in
-    let f = m.Monoid.op.Binop.f and id = m.Monoid.identity in
-    Obj.repr (fun (arg : Obj.t) ->
-        let avls, an = (Obj.obj arg : a array * int) in
-        Obj.repr (Array_kernels.reduce_v ~op:f ~identity:id ([||], avls, an)))
-  in
-  let native_source ~key =
-    Codegen.reduce_source ~dtype:(Dtype.name dt) ~op ~identity ~key
-  in
-  let kernel : Obj.t -> Obj.t =
-    Obj.obj (Dispatch.get sig_ ~build ~native_source ())
-  in
-  let arg = (Svector.unsafe_values u, Svector.nvals u) in
-  (Obj.obj (kernel (Obj.repr arg)) : a)
+  run kernel (Svector.unsafe_values u, Svector.nvals u)
 
 (* -- matrix family: closure kernels wrapping the GBTL operations -- *)
 
@@ -621,10 +463,6 @@ let mask_flags = function
   | Mask.No_mmask -> []
   | Mask.Mmask { complemented; _ } ->
     if complemented then [ "mask"; "mask_complement" ] else [ "mask" ]
-
-type 'a mxm_arg =
-  int array * int array * 'a array * int array * int array * 'a array * int
-  * int
 
 let mxm (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose_a
     ~transpose_b ~mask (a : a Smatrix.t) (b : a Smatrix.t) : a Smatrix.t =
@@ -644,29 +482,12 @@ let mxm (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose_a
       Error.raise_dims ~op:"mxm"
         ~expected:(Printf.sprintf "inner dimension %d" (Smatrix.ncols a))
         ~actual:(string_of_int (Smatrix.nrows b));
-    let sig_ =
-      Kernel_sig.make ~op:"mxm"
-        ~dtypes:[ ("T", Dtype.name dt) ]
-        ~operators:(semiring_ops sr)
-        ~flags:[ "gustavson" ] ()
+    let kernel =
+      get
+        (semiring_sig ~op:"mxm" ~flags:[ "gustavson" ] dt sr)
+        (semiring_family dt sr (module Loops.Mxm) Loops.mxm)
     in
-    let build () =
-      let s = Op_spec.instantiate_semiring dt sr in
-      let add = Semiring.add s and mul = Semiring.mul s in
-      let dummy = Semiring.zero s in
-      Obj.repr (fun (arg : Obj.t) ->
-          let arp, aci, avs, brp, bci, bvs, nrows_a, ncols_b =
-            (Obj.obj arg : a mxm_arg)
-          in
-          Obj.repr
-            (Array_kernels.mxm_gustavson ~add ~mul ~dummy ~nrows_a ~ncols_b
-               (arp, aci, avs) (brp, bci, bvs)))
-    in
-    let native_source ~key = Codegen.mxm_source ~dtype:(Dtype.name dt) ~sr ~key in
-    let kernel : Obj.t -> Obj.t =
-      Obj.obj (Dispatch.get sig_ ~build ~native_source ())
-    in
-    let arg : a mxm_arg =
+    let arg =
       ( Smatrix.unsafe_rowptr a,
         Smatrix.unsafe_colidx a,
         Smatrix.unsafe_values a,
@@ -677,7 +498,7 @@ let mxm (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose_a
         Smatrix.ncols b )
     in
     let rowptr, colidx, values =
-      (Obj.obj (kernel (Obj.repr arg)) : int array * int array * a array)
+      (run kernel arg : int array * int array * a array)
     in
     Smatrix.of_csr_unsafe dt ~nrows:(Smatrix.nrows a) ~ncols:(Smatrix.ncols b)
       ~rowptr ~colidx ~values

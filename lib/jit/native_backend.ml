@@ -237,7 +237,6 @@ let probe () =
           (fun path -> try Sys.remove path with Sys_error _ -> ())
           [ Disk_cache.source_path hash;
             Disk_cache.cmxs_path hash;
-            Disk_cache.marker_path hash;
             Disk_cache.stderr_path hash;
             Disk_cache.sum_path hash;
             Filename.concat (Disk_cache.dir ())

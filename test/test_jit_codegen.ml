@@ -214,6 +214,147 @@ let test_reduce_all_monoids =
          ("Max", "MaxIdentity"); ("LogicalOr", "False");
          ("LogicalAnd", "True") ])
 
+(* The families the cases above never reach: the CSC pull of the
+   transposed product (only above size 32 and 1/4 fill), the masked pull
+   with its early exit, the dense-frontier products and the tile
+   continuation, the dense elementwise/apply/reduce variants and the
+   fused merge+chain module. *)
+
+let dense_pair (type a) (dt : a Dtype.t) (v : a Svector.t) =
+  let n = Svector.size v in
+  let vls = Array.make n (Dtype.zero dt) and occ = Array.make n false in
+  Svector.iter (fun i x -> vls.(i) <- x; occ.(i) <- true) v;
+  (vls, occ)
+
+let full_pair (type a) (dt : a Dtype.t) rng n =
+  (Array.init n (fun _ -> Dtype.of_int dt (Graphs.Rng.int rng 9 - 4)),
+   Array.make n true)
+
+let dense_list (type a) (dt : a Dtype.t) ((vls, occ) : a array * bool array) =
+  List.init (Array.length vls) (fun i ->
+      (occ.(i), if occ.(i) then Dtype.to_string dt vls.(i) else ""))
+
+let check_dense label c n =
+  Alcotest.check Alcotest.(list (pair bool string)) label c n
+
+let sr_name (sr : Jit.Op_spec.semiring) =
+  Printf.sprintf "%s/%s/%s" sr.Jit.Op_spec.add_op sr.Jit.Op_spec.add_identity
+    sr.Jit.Op_spec.mul_op
+
+let semiring_families (type a) (dt : a Dtype.t) sr seed () =
+  let rng = Graphs.Rng.create ~seed in
+  let name fam = Printf.sprintf "%s %s %s" fam (Dtype.name dt) (sr_name sr) in
+  (* CSC pull: a transposed product over a filled 40-vector *)
+  let m = rand_mat dt rng 40 24 in
+  let u = rand_vec dt rng 40 in
+  let n, c =
+    run_both (fun () ->
+        entries_list dt (Jit.Kernels.mxv dt sr ~transpose:true m u))
+  in
+  Alcotest.check Alcotest.(list (pair int string)) (name "mxv csc pull") c n;
+  (* masked pull: every third output visited *)
+  let visited = Array.init 24 (fun i -> i mod 3 = 0) in
+  let n, c =
+    run_both (fun () ->
+        entries_list dt
+          (Jit.Kernels.mxv_pull_masked dt sr ~visited m (dense_pair dt u)))
+  in
+  Alcotest.check Alcotest.(list (pair int string)) (name "mxv_pull_masked") c n;
+  (* dense-frontier scatter and pull, partial and full occupancy *)
+  let full = full_pair dt rng 40 in
+  List.iter
+    (fun (label, pair) ->
+      let n, c =
+        run_both (fun () -> dense_list dt (Jit.Kernels.vxm_dense dt sr pair m))
+      in
+      check_dense (name ("vxm_dense " ^ label)) c n;
+      let n, c =
+        run_both (fun () ->
+            dense_list dt (Jit.Kernels.vxm_pull_dense dt sr pair m))
+      in
+      check_dense (name ("vxm_pull_dense " ^ label)) c n)
+    [ ("partial", dense_pair dt u); ("full", full) ];
+  (* tile continuation into an accumulator that already holds entries *)
+  let tile = rand_mat dt rng 16 10 in
+  let run () =
+    let acc = Array.make 24 (Dtype.zero dt) and occ = Array.make 24 false in
+    for i = 0 to 23 do
+      if i mod 2 = 0 then begin
+        acc.(i) <- Dtype.of_int dt (i mod 5 - 2);
+        occ.(i) <- true
+      end
+    done;
+    Jit.Kernels.vxm_tile_acc dt sr ~tile_tag:"16x10" ~r0:20 ~c0:8 tile
+      (dense_pair dt u) (acc, occ);
+    dense_list dt (acc, occ)
+  in
+  let n, c = run_both run in
+  check_dense (name "vxm_tile_acc") c n
+
+let dense_ops_families (type a) (dt : a Dtype.t) seed () =
+  let rng = Graphs.Rng.create ~seed in
+  let u = rand_vec dt rng 20 and v = rand_vec dt rng 20 in
+  let du = dense_pair dt u and dv = dense_pair dt v in
+  let dname = Dtype.name dt in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun (kind, kname) ->
+          let n, c =
+            run_both (fun () ->
+                dense_list dt (Jit.Kernels.ewise_v_dense kind dt ~op du dv))
+          in
+          check_dense (Printf.sprintf "ewise_v_dense %s %s %s" kname dname op) c n;
+          let chain : Jit.Op_spec.unary list =
+            [ Named "AdditiveInverse";
+              Bound { op = "Times"; side = `Second; const = 3.0 } ]
+          in
+          let n, c =
+            run_both (fun () ->
+                entries_list dt (Jit.Kernels.ewise_fused_v kind dt ~op ~chain u v))
+          in
+          Alcotest.check
+            Alcotest.(list (pair int string))
+            (Printf.sprintf "ewise_fused_v %s %s %s" kname dname op)
+            c n)
+        [ (`Add, "add"); (`Mult, "mult") ])
+    [ "Plus"; "Minus"; "Times"; "Min"; "LogicalOr" ];
+  List.iter
+    (fun (f : Jit.Op_spec.unary) ->
+      let n, c =
+        run_both (fun () -> dense_list dt (Jit.Kernels.apply_v_dense dt f du))
+      in
+      check_dense
+        (Printf.sprintf "apply_v_dense %s %s" dname (Jit.Op_spec.unary_name f))
+        c n)
+    [ Named "Identity"; Named "AdditiveInverse"; Named "LogicalNot";
+      Bound { op = "Times"; side = `Second; const = 0.85 };
+      Bound { op = "Minus"; side = `First; const = 1.0 } ];
+  List.iter
+    (fun (op, identity) ->
+      let n, c =
+        run_both (fun () ->
+            Dtype.to_string dt
+              (Jit.Kernels.reduce_v_scalar_dense dt ~op ~identity du))
+      in
+      Alcotest.check Alcotest.string
+        (Printf.sprintf "reduce_v_scalar_dense %s %s" dname op)
+        c n)
+    [ ("Plus", "Zero"); ("Times", "One"); ("Min", "MinIdentity");
+      ("Max", "MaxIdentity"); ("LogicalOr", "False"); ("LogicalAnd", "True") ]
+
+let test_remaining_families =
+  check_all "remaining"
+    (List.concat_map
+       (fun sr ->
+         [ semiring_families Dtype.FP64 sr 51;
+           semiring_families Dtype.Int64 sr 52;
+           semiring_families Dtype.Bool sr 53 ])
+       codegen_semirings
+    @ [ dense_ops_families Dtype.FP64 61;
+        dense_ops_families Dtype.Int64 62;
+        dense_ops_families Dtype.Bool 63 ])
+
 let test_disk_cache_roundtrip () =
   if not native_available then Alcotest.skip ()
   else
@@ -273,5 +414,7 @@ let suite =
       test_apply_all_ops;
     Alcotest.test_case "reduce: native = closure (6 monoids)" `Quick
       test_reduce_all_monoids;
+    Alcotest.test_case "pull, dense and fused families: native = closure"
+      `Quick test_remaining_families;
     Alcotest.test_case "disk cache roundtrip" `Quick test_disk_cache_roundtrip;
   ]
