@@ -4,11 +4,12 @@
    every location class execution can actually touch, and derives
    scheduler hazards from footprint overlap.  A leaf matrix's lazily
    built CSC cache is the [Csc_cache] instance (what [ogb analyze]
-   reports as races); the vector representation switch is the other:
-   [Svector.unsafe_indices]/[unsafe_values] sparsify a dense operand
-   destructively (and [unsafe_dense] densifies a sparse one), so two
-   scheduler-concurrent kernels reading the same physical dense vector
-   both rebuild its sparse side at once.
+   reports as races); the vector representation switch is the other.
+   Kernels read vectors through [Svector.sparse_view]/[dense_view],
+   which never convert, so the switch is modelled conservatively: a
+   kernel reading a dense vector still counts as a writer of its
+   representation, and the Prebuild remedy sparsifies it (value-
+   preserving) before the plan runs.
 
    Locations are keyed by the *physical* backing storage, not the leaf
    node id: two distinct containers wrapping one [Svector]/[Smatrix]
@@ -121,8 +122,9 @@ let build_canon plan order =
 (* -- per-node effect inference -- *)
 
 (* Dependency positions through which executing [n] may build a CSC
-   index: transposed Mat×Vec (pull dispatch decides at runtime — unless
-   the schedule pinned push, which never leaves the CSR side) and
+   index: transposed Mat×Vec and untransposed Vec×Mat (pull dispatch
+   decides at runtime — unless the schedule pinned push, which never
+   leaves the CSR side) and
    unmasked Mat×Mat reading a transposed operand through the CSC
    transpose view. *)
 let csc_touch_positions plan n =
@@ -134,16 +136,17 @@ let csc_touch_positions plan n =
     match ka, kb, masked with
     | Plan.K_mat, Plan.K_vec, _ ->
       if transpose_a && layout <> Plan.L_csc_push then [ 0 ] else []
+    | Plan.K_vec, Plan.K_mat, _ -> if transpose_b then [] else [ 1 ]
     | Plan.K_mat, Plan.K_mat, None ->
       (if transpose_a then [ 0 ] else [])
       @ (if transpose_b then [ 1 ] else [])
     | _, _, _ -> [])
   | _ -> []
 
-(* Ops that hand vector operands to a kernel through the destructive
-   array ABI (unsafe_indices/unsafe_values sparsify a dense operand in
-   place).  Extract/Select read through the non-destructive accessors,
-   and Transpose is the identity. *)
+(* Ops that hand vector operands to a kernel through the array ABI —
+   modelled as representation writers (see the header); Extract/Select
+   read through the container accessors, and Transpose is the
+   identity. *)
 let destructive_vec_reader n =
   match n.Plan.op with
   | Plan.MatMul _ | Plan.Ewise _ | Plan.ApplyChain _ | Plan.EwiseApply _
@@ -237,16 +240,16 @@ let footprints_canon ?(assume_formats = false) plan =
           match leaf_info d with
           | Some (owner, _, `Vec dense) ->
             push (Vec_entries owner, Read);
-            (* a dense operand is sparsified in place by the array ABI
+            (* a dense operand counts as a representation write
                regardless of the format toggle *)
             if dense && destructive_vec_reader n then
               push (Vec_rep owner, Write)
           | Some _ | None ->
             push (Node_out d, Read);
-            (* intermediates are built sparse and auto-densified when
-               the format layer finds it worthwhile — statically: any
-               vector at or above the densify floor may come out dense,
-               and the next kernel will sparsify it back *)
+            (* intermediates come out dense when the format layer's
+               fill rules say so — statically: any vector at or above
+               the densify floor may be dense when the next kernel
+               reads it *)
             let unstable =
               match vec_size infos d with
               | Some sz -> sz >= densify_floor

@@ -8,10 +8,11 @@
 
     - a matrix's CSC cache, built on first transposed dispatch
       ([Csc_cache]);
-    - a vector's sparse/dense representation, flipped in place by the
-      kernel array ABI ([Rep_switch] — [Svector.unsafe_indices]
-      sparsifies a dense operand destructively, so two concurrent
-      kernel consumers of one physical dense vector race).
+    - a vector's sparse/dense representation ([Rep_switch]).  Kernel
+      reads never convert a vector ([Svector.sparse_view]/
+      [dense_view]), so the class is a conservative model in which
+      every kernel consumer of a dense vector writes its
+      representation.
 
     Locations are canonical by {e physical} backing storage: distinct
     containers (or a vector [Transpose], the identity on its container)

@@ -62,7 +62,8 @@ let run () =
         add
           (Printf.sprintf "false positive: %s" (Effects.describe (List.hd l))));
       (* seeded representation hazard: a dense vector with two unordered
-         kernel consumers (the array ABI sparsifies it in place) *)
+         kernel consumers (Effects models each as a representation
+         writer) *)
       let u64 = vec 64 1.0 and w1 = vec 64 2.0 and w2 = vec 64 3.0 in
       let p3 =
         plan_of (with_arith (fun () -> (!!u64 +: !!w1) +: (!!u64 +: !!w2)))

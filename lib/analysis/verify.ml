@@ -197,8 +197,9 @@ let infer ?(stage = "query") plan =
                   rc
             end
           | Some _, (S_vec _ | S_scalar) ->
-            (* the runtime ignores a mask on a non-Mat×Mat product; the
-               rewrite pipeline never plants one there *)
+            (* a vector mask of the result's size goes into the mat×vec
+               kernel; the runtime leaves any other mask to the write
+               step, which reports the mismatch *)
             ());
           { shape; dtype }
         | Plan.Ewise { transpose_a = ta; transpose_b = tb; _ } -> (

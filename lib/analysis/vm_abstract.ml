@@ -10,8 +10,8 @@ module Ks = Jit.Kernel_sig
    [emit_eval]/[emit_operand] mirror [Expr.eval]/[Expr.eval_operand]
    decision for decision, but instead of dispatching each kernel they
    record its signature.  Where the concrete evaluator picks a variant
-   at runtime (mxv push vs. pull), both variants are emitted — warm-up
-   wants a superset.
+   at runtime (mxv push vs. pull, a sparse vs. a dense operand), every
+   variant is emitted — warm-up wants a superset.
    ================================================================== *)
 
 type collector = { seen : (string, unit) Hashtbl.t; mutable sigs : Ks.t list }
@@ -71,6 +71,28 @@ let rec strip = function
     (e, not t)
   | e -> (e, false)
 
+let dense_uv = [ ("u", "dense"); ("v", "dense") ]
+
+(* Every signature [Jit.Kernels]' mat×vec product keys at its default
+   direction: a row gather pulls over the CSR arrays, a column gather
+   (Aᵀu, uA) pulls over the CSC side when the operand is dense and
+   pushes along the CSR rows when it is sparse; a vector mask turns a
+   pull into the masked pull. *)
+let emit_product col ~vxm ~transpose ?mask dts ops =
+  let op = if vxm then "vxm" else "mxv" in
+  let by_cols = transpose <> vxm in
+  let flags = if transpose then [ "transpose_a" ] else [] in
+  let csc = if by_cols then [ ("a", "csc") ] else [] in
+  let make formats flags =
+    Ks.make ~op ~dtypes:dts ~operators:ops ~formats ~flags ()
+  in
+  emit_sig col (make [] flags);
+  emit_sig col (make (csc @ [ ("u", "dense"); ("w", "dense") ]) flags);
+  match mask with
+  | Some { E.container = C.Vec _; _ } ->
+    emit_sig col (make (csc @ [ ("u", "dense") ]) ("masked_pull" :: flags))
+  | Some { E.container = C.Mat _; _ } | None -> ()
+
 let rec emit_operand col e =
   let core, transposed = strip e in
   (match core with E.Transpose _ -> () | core -> emit_eval col core);
@@ -108,23 +130,8 @@ and emit_eval col ?mask e =
           in
           emit_sig col (Ks.make ~op:"mxm" ~dtypes:dts ~operators:ops ~flags ())
         end)
-    | `Mat, `Vec ->
-      (* push dispatch always possible; the pull variant only under
-         transpose, decided by runtime fill ratio — emit both *)
-      emit_sig col
-        (Ks.make ~op:"mxv" ~dtypes:dts ~operators:ops
-           ~flags:(if ta then [ "transpose_a" ] else [])
-           ());
-      if ta then
-        emit_sig col
-          (Ks.make ~op:"mxv" ~dtypes:dts ~operators:ops
-             ~formats:[ ("a", "csc") ]
-             ~flags:[ "transpose_a" ] ())
-    | `Vec, `Mat ->
-      emit_sig col
-        (Ks.make ~op:"vxm" ~dtypes:dts ~operators:ops
-           ~flags:(if tb then [ "transpose_a" ] else [])
-           ())
+    | `Mat, `Vec -> emit_product col ~vxm:false ~transpose:ta ?mask dts ops
+    | `Vec, `Mat -> emit_product col ~vxm:true ~transpose:tb ?mask dts ops
     | `Vec, `Vec -> (* runtime error; the verifier's domain *) ())
   | E.EwiseAdd { a; b; op } -> emit_ewise col `Add op a b e
   | E.EwiseMult { a; b; op } -> emit_ewise col `Mult op a b e
@@ -145,7 +152,18 @@ and emit_eval col ?mask e =
         (Ks.make ~op:kind_name
            ~dtypes:[ ("T", dt_name e) ]
            ~operators:[ ("op", op); ("chain", chain_name) ]
-           ())
+           ());
+      (* dense operands: the dense merge, then the chain's dense apply *)
+      emit_sig col
+        (Ks.make
+           ~op:(match kind with `Add -> "ewise_add_v" | `Mult -> "ewise_mult_v")
+           ~dtypes:[ ("T", dt_name e) ]
+           ~operators:[ ("op", op) ] ~formats:dense_uv ());
+      emit_sig col
+        (Ks.make ~op:"apply_v"
+           ~dtypes:[ ("T", dt_name e) ]
+           ~operators:[ ("f", chain_name) ]
+           ~formats:[ ("u", "dense") ] ())
     | None -> (
       let _, transposed = emit_operand col x in
       (* a fresh computed temporary is mapped in place — no kernel *)
@@ -154,11 +172,14 @@ and emit_eval col ?mask e =
       let fname = Jit.Op_spec.unary_name f in
       match xkind x with
       | `Vec ->
-        if not fresh then
+        if not fresh then begin
+          emit_sig col
+            (Ks.make ~op:"apply_v" ~dtypes:dts ~operators:[ ("f", fname) ] ());
           emit_sig col
             (Ks.make ~op:"apply_v" ~dtypes:dts
                ~operators:[ ("f", fname) ]
-               ())
+               ~formats:[ ("u", "dense") ] ())
+        end
       | `Mat ->
         if not (fresh && not transposed) then
           emit_sig col
@@ -190,7 +211,10 @@ and emit_ewise col kind op a b whole =
     let kn =
       match kind with `Add -> "ewise_add_v" | `Mult -> "ewise_mult_v"
     in
-    emit_sig col (Ks.make ~op:kn ~dtypes:dts ~operators:[ ("op", op) ] ())
+    emit_sig col (Ks.make ~op:kn ~dtypes:dts ~operators:[ ("op", op) ] ());
+    emit_sig col
+      (Ks.make ~op:kn ~dtypes:dts ~operators:[ ("op", op) ] ~formats:dense_uv
+         ())
   | `Mat, `Mat ->
     let kn =
       match kind with `Add -> "ewise_add_m" | `Mult -> "ewise_mult_m"
@@ -214,7 +238,13 @@ let emit_reduce col ~op ~identity e =
     (Ks.make ~op:kn
        ~dtypes:[ ("T", dt_name e) ]
        ~operators:[ ("op", op); ("identity", identity) ]
-       ())
+       ());
+  if xkind e = `Vec then
+    emit_sig col
+      (Ks.make ~op:kn
+         ~dtypes:[ ("T", dt_name e) ]
+         ~operators:[ ("op", op); ("identity", identity) ]
+         ~formats:[ ("u", "dense") ] ())
 
 let expr_signatures ?mask e =
   let col = new_collector () in
@@ -281,18 +311,22 @@ let amask = function
   | VMask m -> Some m
   | _ -> None
 
-(* Mirror of [Ops.set]/[Ops.update]'s force step: the structural mask
-   reaches the expression only for matrix targets ([Ops.prune_mask]);
+(* Mirror of [Ops.set]/[Ops.update]'s force step: the mask reaches the
+   expression when its kind matches the target's ([Ops.prune_mask]);
    the write itself goes through the library, no kernels. *)
 let emit_set col target mask e =
   let mask =
-    if C.is_matrix target then
-      match mask with
-      | Some (Ogb.Ops.Mask mc) -> Some { E.container = mc; complemented = false }
-      | Some (Ogb.Ops.Mask_complement mc) ->
-        Some { E.container = mc; complemented = true }
-      | None -> None
-    else None
+    match mask with
+    | Some (Ogb.Ops.Mask mc) -> Some { E.container = mc; complemented = false }
+    | Some (Ogb.Ops.Mask_complement mc) ->
+      Some { E.container = mc; complemented = true }
+    | None -> None
+  in
+  let mask =
+    match mask with
+    | Some spec when C.is_matrix spec.E.container = C.is_matrix target ->
+      mask
+    | Some _ | None -> None
   in
   emit_eval col ?mask e
 

@@ -13,10 +13,10 @@ let status_to_string = function
   | Skipped reason -> Printf.sprintf "skipped (%s)" reason
 
 (* Stand-in operands.  Sizes are chosen against the runtime dispatch
-   thresholds so the kernel keys exactly the requested signature: mxv
-   pull needs size >= 32 with fill >= 1/4 under the format layer; a
-   4-element, 1-entry vector keeps every other call on its default
-   path. *)
+   thresholds so the kernel keys exactly the requested signature: the
+   mat×vec products get a full 32-vector in the signature's layout and
+   an explicit direction; a 4-element, 1-entry vector keeps every other
+   call on its default path. *)
 
 let sparse_vec dt = Svector.of_coo dt 4 [ (0, Dtype.one dt) ]
 
@@ -47,52 +47,30 @@ let run_recipe (type a) (dt : a Dtype.t) (s : Ks.t) =
   in
   let ( let* ) = Result.bind in
   match s.Ks.op with
-  | "mxv" when has_flag "masked_pull" ->
+  | ("mxv" | "vxm") as op ->
     let* sr = semiring () in
-    let vals, occ = dense_pair dt 4 in
-    Format_stats.with_enabled true (fun () ->
-        ignore
-          (K.mxv_pull_masked dt sr
-             ~visited:(Array.make 4 false)
-             (small_mat dt) (vals, occ)));
-    Ok ()
-  | "mxv" -> (
-    let* sr = semiring () in
-    match fmt "a" with
-    | Some "csc" ->
-      if not (has_flag "transpose_a") then
-        Error "csc mxv signature without transpose_a"
-      else begin
-        (* pull variant: transposed, format layer on, filled-in operand *)
-        let m = Smatrix.create dt 32 32 in
-        let u =
-          Svector.of_coo dt 32 (List.init 32 (fun i -> (i, Dtype.one dt)))
-        in
-        Format_stats.with_enabled true (fun () ->
-            ignore (K.mxv dt sr ~transpose:true m u));
-        Ok ()
-      end
-    | Some other -> Error (Printf.sprintf "unknown mxv matrix format %S" other)
-    | None ->
-      ignore (K.mxv dt sr ~transpose:(has_flag "transpose_a") (small_mat dt)
-                (sparse_vec dt));
-      Ok ())
-  | "vxm" -> (
-    let* sr = semiring () in
-    match fmt "u", fmt "a" with
-    | None, None ->
-      ignore (K.vxm dt sr ~transpose:(has_flag "transpose_a") (sparse_vec dt)
-                (small_mat dt));
+    let vxm = op = "vxm" and transpose = has_flag "transpose_a" in
+    let csc = fmt "a" = Some "csc" in
+    if csc && transpose = vxm then Error "csc signature on a row gather"
+    else begin
+      (* a full 32-vector in the signature's layout (reads never convert
+         it), and the direction the formats name: CSC pulls, CSR
+         pushes *)
+      let u =
+        Svector.of_coo dt 32 (List.init 32 (fun i -> (i, Dtype.one dt)))
+      in
+      if fmt "u" = Some "dense" then Svector.densify u else Svector.sparsify u;
+      let m = Smatrix.create dt 32 32 in
+      let direction = if csc then `Pull else `Push in
+      let mask =
+        if has_flag "masked_pull" then
+          Some (Mask.Vmask { dense = Array.make 32 false; complemented = true })
+        else None
+      in
+      if vxm then ignore (K.Vector.vxm dt sr ~direction ?mask ~transpose u m)
+      else ignore (K.Vector.mxv dt sr ~direction ?mask ~transpose m u);
       Ok ()
-    | Some "dense", None ->
-      ignore (K.vxm_dense dt sr (dense_pair dt 4) (small_mat dt));
-      Ok ()
-    | Some "dense", Some "csc" ->
-      Format_stats.with_enabled true (fun () ->
-          ignore (K.vxm_pull_dense dt sr (dense_pair dt 4) (small_mat dt)));
-      Ok ()
-    | _, _ -> Error "unknown vxm format combination"
-  )
+    end
   | "mxm" ->
     let* sr = semiring () in
     let a = small_mat dt and b = small_mat dt in
@@ -138,14 +116,15 @@ let run_recipe (type a) (dt : a Dtype.t) (s : Ks.t) =
       Ok ()
     | _, _, _ -> Error "signature lacks mult-reduce operators")
   | "apply_v" -> (
-    match opr "f" with
-    | None -> Error "signature lacks the unary operator"
-    | Some f ->
-      let f = Jit.Op_spec.unary_of_name f in
-      (match fmt "u" with
-      | Some "dense" -> ignore (K.apply_v_dense dt f (dense_pair dt 4))
-      | _ -> ignore (K.apply_v dt f (sparse_vec dt)));
-      Ok ())
+    let* chain = unary_chain "f" in
+    match fmt "u", chain with
+    | Some "dense", chain ->
+      ignore (K.apply_chain_dense dt chain (dense_pair dt 4));
+      Ok ()
+    | _, [ f ] ->
+      ignore (K.apply_v dt f (sparse_vec dt));
+      Ok ()
+    | _, _ -> Error "sparse apply_v signature with an operator chain")
   | "apply_m" -> (
     match opr "f" with
     | None -> Error "signature lacks the unary operator"
@@ -188,30 +167,46 @@ let invoke (s : Ks.t) =
       try run_recipe dt s
       with e -> Error (Printexc.to_string e)))
 
+let warm_one s =
+  Jit.Jit_stats.record_warm_request ();
+  if Jit.Dispatch.cached s then { sig_ = s; status = Already_cached }
+  else begin
+    (* a miss on this key is a compile (native or closure), a hit a
+       disk load: per-key tallies, so concurrent warm-ups of other keys
+       do not blur the verdict *)
+    let key = Ks.key s in
+    let _, misses = Jit.Jit_stats.signature_counts key in
+    match invoke s with
+    | Error msg -> { sig_ = s; status = Skipped msg }
+    | Ok () ->
+      if not (Jit.Dispatch.cached s) then
+        { sig_ = s;
+          status = Skipped "recipe dispatched a different signature" }
+      else if snd (Jit.Jit_stats.signature_counts key) > misses then begin
+        Jit.Jit_stats.record_warm_compile ();
+        { sig_ = s; status = Compiled }
+      end
+      else { sig_ = s; status = Loaded }
+  end
+
+(* A cold warm-up is ocamlopt child processes, one per signature: a
+   second domain working through the same list keeps both of a
+   two-core machine's cores busy.  [Jit.Dispatch] compiles different
+   keys concurrently and each key once. *)
 let warm sigs =
-  List.map
-    (fun s ->
-      Jit.Jit_stats.record_warm_request ();
-      if Jit.Dispatch.cached s then { sig_ = s; status = Already_cached }
-      else begin
-        let before = Jit.Jit_stats.snapshot () in
-        match invoke s with
-        | Error msg -> { sig_ = s; status = Skipped msg }
-        | Ok () ->
-          if not (Jit.Dispatch.cached s) then
-            { sig_ = s;
-              status = Skipped "recipe dispatched a different signature" }
-          else begin
-            let after = Jit.Jit_stats.snapshot () in
-            if after.Jit.Jit_stats.compiles > before.Jit.Jit_stats.compiles
-            then begin
-              Jit.Jit_stats.record_warm_compile ();
-              { sig_ = s; status = Compiled }
-            end
-            else if
-              after.Jit.Jit_stats.disk_hits > before.Jit.Jit_stats.disk_hits
-            then { sig_ = s; status = Loaded }
-            else { sig_ = s; status = Compiled }
-          end
-      end)
-    sigs
+  let sigs = Array.of_list sigs in
+  let out = Array.make (Array.length sigs) None in
+  let next = Atomic.make 0 in
+  let rec work () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < Array.length sigs then begin
+      out.(i) <- Some (warm_one sigs.(i));
+      work ()
+    end
+  in
+  let helper =
+    if Array.length sigs > 1 then Some (Domain.spawn work) else None
+  in
+  work ();
+  Option.iter Domain.join helper;
+  Array.to_list (Array.map Option.get out)

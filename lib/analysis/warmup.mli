@@ -4,8 +4,8 @@
 
     Each signature is warmed by invoking the corresponding kernel entry
     point on tiny stand-in operands chosen so the dispatched signature
-    is exactly the requested one (e.g. a 32-element dense vector to
-    force the mxv pull variant, a 4-element sparse one to force push).
+    is exactly the requested one (e.g. a 32-element vector in the
+    signature's layout with the direction its formats name).
     The kernel's {e result} is discarded — only the compile/cache side
     effect matters. *)
 
@@ -18,7 +18,9 @@ type status =
 type outcome = { sig_ : Jit.Kernel_sig.t; status : status }
 
 val warm : Jit.Kernel_sig.t list -> outcome list
-(** Also maintains {!Jit.Jit_stats}' [warm_requests]/[warm_compiles]
-    counters. *)
+(** Outcomes in the order of the list.  Two domains work through it
+    (each compile is an ocamlopt child process, so a cold warm-up keeps
+    two cores busy).  Also maintains {!Jit.Jit_stats}'
+    [warm_requests]/[warm_compiles] counters. *)
 
 val status_to_string : status -> string

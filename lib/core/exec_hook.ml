@@ -26,7 +26,8 @@ let with_sequential f =
    technique the JIT dispatch table uses for kernels. *)
 
 let evaluator : Obj.t option ref = ref None
-(* ?mask:Expr.mask_spec -> Expr.t -> Container.t *)
+(* ?mask:Expr.mask_spec -> Expr.t -> Container.t * bool, the flag saying
+   the mask went into the kernel (Expr.force_masked) *)
 
 let reducer : Obj.t option ref = ref None
 (* op:string -> identity:string -> Expr.t -> float *)

@@ -50,12 +50,56 @@ let unify (Dtype.P _ as packed) c =
   if Dtype.equal_packed (Container.dtype c) packed then c
   else Container.cast packed c
 
-let mmask_of_spec spec =
-  match spec.container with
-  | Container.Mat (dt, m) ->
-    ignore dt;
-    Gbtl.Mask.mmask ~complemented:spec.complemented m
-  | Container.Vec _ -> eerr "matrix operation masked by a vector"
+(* The write mask a top-level product takes into its kernel: a matrix
+   mask for Mat×Mat, a vector mask of the result's size for mat×vec.
+   Any other mask stays with the write step, which reports the
+   mismatch. *)
+let mmask_of_spec = function
+  | Some { container = Container.Mat (_, m); complemented } ->
+    Some (Gbtl.Mask.mmask ~complemented m)
+  | Some { container = Container.Vec _; _ } | None -> None
+
+let vmask_of_spec size = function
+  | Some { container = Container.Vec (_, v); complemented }
+    when Svector.size v = size ->
+    Some (Gbtl.Mask.vmask ~complemented v)
+  | Some { container = Container.Vec _ | Container.Mat _; _ } | None -> None
+
+(* One product of evaluated operands (with their transpose flags) —
+   shared by both evaluators, so they dispatch the same kernels and take
+   a mask under the same rule.  [direction] is the nonblocking planner's
+   pull/push pin for the transposed mat×vec product. *)
+let product ?mask ?direction sr (ca, ta) (cb, tb) =
+  let (Dtype.P dt) = Dtype.promote (Container.dtype ca) (Container.dtype cb) in
+  let ca = unify (Dtype.P dt) ca and cb = unify (Dtype.P dt) cb in
+  match ca, cb with
+  | Container.Mat (_, _), Container.Mat (_, _) ->
+    let ma = Container.as_matrix dt ca and mb = Container.as_matrix dt cb in
+    let mmask = mmask_of_spec mask in
+    let mask = Option.value mmask ~default:Gbtl.Mask.No_mmask in
+    ( Container.Mat
+        (dt, Jit.Kernels.mxm dt sr ~transpose_a:ta ~transpose_b:tb ~mask ma mb),
+      mmask <> None )
+  | Container.Mat (_, _), Container.Vec (_, _) ->
+    let m = Container.as_matrix dt ca and v = Container.as_vector dt cb in
+    let vmask =
+      vmask_of_spec (if ta then Smatrix.ncols m else Smatrix.nrows m) mask
+    in
+    ( Container.Vec
+        ( dt,
+          Jit.Kernels.Vector.mxv dt sr ?direction ?mask:vmask ~transpose:ta m v
+        ),
+      vmask <> None )
+  | Container.Vec (_, _), Container.Mat (_, _) ->
+    let v = Container.as_vector dt ca and m = Container.as_matrix dt cb in
+    let vmask =
+      vmask_of_spec (if tb then Smatrix.nrows m else Smatrix.ncols m) mask
+    in
+    ( Container.Vec
+        (dt, Jit.Kernels.Vector.vxm dt sr ?mask:vmask ~transpose:tb v m),
+      vmask <> None )
+  | Container.Vec (_, _), Container.Vec (_, _) ->
+    eerr "@ between two vectors (use eWiseMult + reduce for a dot product)"
 
 (* Operation fusion toggle (exposed for the ablation benchmark). *)
 let fusion_enabled = ref true
@@ -114,7 +158,19 @@ let rec eval_operand e =
     (c, not t)
   | e -> (eval e, false)
 
-and eval ?mask (e : t) : Container.t =
+(* [eval_masked ?mask e] also says whether [mask] went into the kernel,
+   so that the result holds only mask-allowed entries. *)
+and eval_masked ?mask (e : t) : Container.t * bool =
+  match e with
+  | MatMul { a; b; sr } -> eval_matmul ?mask a b sr
+  | e -> (eval e, false)
+
+and eval_matmul ?mask a b sr =
+  let ca, ta = eval_operand a in
+  let cb, tb = eval_operand b in
+  product ?mask sr (ca, ta) (cb, tb)
+
+and eval (e : t) : Container.t =
   match e with
   | Leaf c -> c
   | Transpose x -> (
@@ -124,39 +180,7 @@ and eval ?mask (e : t) : Container.t =
     | Container.Mat (dt, m), true ->
       Container.Mat (dt, Jit.Kernels.transpose_m dt m)
     | Container.Vec _, true -> c (* vector transpose is the identity *))
-  | MatMul { a; b; sr } -> (
-    let ca, ta = eval_operand a in
-    let cb, tb = eval_operand b in
-    let (Dtype.P dt) =
-      Dtype.promote (Container.dtype ca) (Container.dtype cb)
-    in
-    let ca = unify (Dtype.P dt) ca and cb = unify (Dtype.P dt) cb in
-    match ca, cb with
-    | Container.Mat (_, _), Container.Mat (_, _) ->
-      let ma = Container.as_matrix dt ca and mb = Container.as_matrix dt cb in
-      let mask =
-        match mask with
-        | Some spec -> mmask_of_spec spec
-        | None -> Gbtl.Mask.No_mmask
-      in
-      Container.Mat
-        (dt, Jit.Kernels.mxm dt sr ~transpose_a:ta ~transpose_b:tb ~mask ma mb)
-    | Container.Mat (_, _), Container.Vec (_, _) ->
-      let m = Container.as_matrix dt ca and v = Container.as_vector dt cb in
-      let out_size = if ta then Smatrix.ncols m else Smatrix.nrows m in
-      let entries = Jit.Kernels.mxv dt sr ~transpose:ta m v in
-      let out = Svector.create dt out_size in
-      Svector.replace_contents out entries;
-      Container.Vec (dt, out)
-    | Container.Vec (_, _), Container.Mat (_, _) ->
-      let v = Container.as_vector dt ca and m = Container.as_matrix dt cb in
-      let out_size = if tb then Smatrix.nrows m else Smatrix.ncols m in
-      let entries = Jit.Kernels.vxm dt sr ~transpose:tb v m in
-      let out = Svector.create dt out_size in
-      Svector.replace_contents out entries;
-      Container.Vec (dt, out)
-    | Container.Vec (_, _), Container.Vec (_, _) ->
-      eerr "@ between two vectors (use eWiseMult + reduce for a dot product)")
+  | MatMul { a; b; sr } -> fst (eval_matmul a b sr)
   | EwiseAdd { a; b; op } -> eval_ewise `Add op a b
   | EwiseMult { a; b; op } -> eval_ewise `Mult op a b
   | Apply { f; x } when fused_candidate f x <> None -> (
@@ -174,10 +198,7 @@ and eval ?mask (e : t) : Container.t =
       if Svector.size u <> Svector.size v then
         eerr "element-wise operation on vectors of sizes %d and %d"
           (Svector.size u) (Svector.size v);
-      let entries = Jit.Kernels.ewise_fused_v kind dt ~op ~chain u v in
-      let out = Svector.create dt (Svector.size u) in
-      Svector.replace_contents out entries;
-      Container.Vec (dt, out))
+      Container.Vec (dt, Jit.Kernels.Vector.ewise_fused kind dt ~op ~chain u v))
   | Apply { f; x } -> (
     let c, transposed = eval_operand x in
     (* Operation fusion (the paper's §V planned lazy-evaluation feature):
@@ -192,12 +213,7 @@ and eval ?mask (e : t) : Container.t =
           ~f:(Jit.Op_spec.instantiate_unary dt f).Unaryop.f;
         c
       end
-      else begin
-        let entries = Jit.Kernels.apply_v dt f v in
-        let out = Svector.create dt (Svector.size v) in
-        Svector.replace_contents out entries;
-        Container.Vec (dt, out)
-      end
+      else Container.Vec (dt, Jit.Kernels.Vector.apply dt f v)
     | Container.Mat (dt, m) ->
       if fresh && not transposed then begin
         Smatrix.map_inplace m
@@ -262,10 +278,7 @@ and eval_ewise kind op a b =
     if Svector.size u <> Svector.size v then
       eerr "element-wise operation on vectors of sizes %d and %d"
         (Svector.size u) (Svector.size v);
-    let entries = Jit.Kernels.ewise_v kind dt ~op u v in
-    let out = Svector.create dt (Svector.size u) in
-    Svector.replace_contents out entries;
-    Container.Vec (dt, out)
+    Container.Vec (dt, Jit.Kernels.Vector.ewise kind dt ~op u v)
   | Container.Mat (_, _), Container.Mat (_, _) ->
     let ma = Container.as_matrix dt ca and mb = Container.as_matrix dt cb in
     Container.Mat
@@ -273,16 +286,19 @@ and eval_ewise kind op a b =
   | Container.Vec _, Container.Mat _ | Container.Mat _, Container.Vec _ ->
     eerr "element-wise operation between a vector and a matrix"
 
-let force_blocking ?mask e = eval ?mask e
+let force_blocking_masked ?mask e = eval_masked ?mask e
+let force_blocking ?mask e = fst (eval_masked ?mask e)
 
 (* Terminating operations divert to the nonblocking engine when one is
    installed and the mode asks for it; [lib/exec] registers the hooks at
    initialization (see Exec_hook). *)
-let force ?mask e =
+let force_masked ?mask e =
   match Exec_hook.mode (), !Exec_hook.evaluator with
   | Exec_hook.Nonblocking, Some f ->
-    (Obj.obj f : ?mask:mask_spec -> t -> Container.t) ?mask e
-  | (Exec_hook.Blocking | Exec_hook.Nonblocking), _ -> eval ?mask e
+    (Obj.obj f : ?mask:mask_spec -> t -> Container.t * bool) ?mask e
+  | (Exec_hook.Blocking | Exec_hook.Nonblocking), _ -> eval_masked ?mask e
+
+let force ?mask e = fst (force_masked ?mask e)
 
 let reduce_scalar_blocking ~op ~identity e =
   match eval e with

@@ -6,8 +6,9 @@
     evaluated later — and no kernel runs until the expression reaches a
     terminating operation: assignment into a container ({!Ops.set} /
     {!Ops.update}), {!force}, or a scalar reduce.  Assignment-site
-    evaluation is what lets the output's mask reach the [mxm] kernel (the
-    triangle-counting [B[L] = L @ L.T] optimization). *)
+    evaluation is what lets the output's mask reach the product kernels
+    (the triangle-counting [B[L] = L @ L.T] optimization, BFS's
+    [frontier[~levels] = graph.T @ frontier]). *)
 
 exception Eval_error of string
 
@@ -55,16 +56,39 @@ val select : Gbtl.Select.predicate -> t -> t
 type mask_spec = { container : Container.t; complemented : bool }
 
 val force : ?mask:mask_spec -> t -> Container.t
-(** Evaluate to a fresh container.  The optional mask reaches structural
-    pruning of a top-level [MatMul] (it does {e not} apply write-mask
-    semantics — that is the caller's write step).  Under
-    [Exec_hook.Nonblocking] with an engine installed, evaluation goes
-    through the plan/fuse/schedule pipeline of [lib/exec] instead of the
-    recursive evaluator; results are identical. *)
+(** Evaluate to a fresh container.  The optional mask reaches a
+    top-level product: a matrix mask prunes [Mat×Mat] by structure, a
+    vector mask of the result's size goes into [mat×vec]/[vec×mat] (it
+    does {e not} apply write-mask semantics — that is the caller's write
+    step).  Under [Exec_hook.Nonblocking] with an engine installed,
+    evaluation goes through the plan/fuse/schedule pipeline of
+    [lib/exec] instead of the recursive evaluator; results are
+    identical. *)
+
+val force_masked : ?mask:mask_spec -> t -> Container.t * bool
+(** {!force}, also saying whether the mask went into the kernel: when it
+    did, the result holds only mask-allowed entries and a write with no
+    accumulator into a replaced or empty target may install it as it
+    is. *)
 
 val force_blocking : ?mask:mask_spec -> t -> Container.t
 (** The seed's eager recursive evaluator, regardless of mode.  The
     nonblocking engine uses it as its reference semantics. *)
+
+val force_blocking_masked : ?mask:mask_spec -> t -> Container.t * bool
+(** {!force_blocking} with {!force_masked}'s flag. *)
+
+val product :
+  ?mask:mask_spec ->
+  ?direction:[ `Auto | `Pull | `Push ] ->
+  Jit.Op_spec.semiring ->
+  Container.t * bool ->
+  Container.t * bool ->
+  Container.t * bool
+(** [product ?mask sr (a, ta) (b, tb)] is the [MatMul] step on evaluated
+    operands (each with its transpose flag), as both evaluators run it;
+    the flag is {!force_masked}'s.  [direction] pins the transposed
+    mat×vec product's pull/push choice (default: the fill rule). *)
 
 val reduce_scalar : t -> float
 (** Terminating scalar reduce with the context monoid, cast to float. *)
@@ -77,6 +101,10 @@ val result_dtype : t -> Gbtl.Dtype.packed
 
 val unify : Gbtl.Dtype.packed -> Container.t -> Container.t
 (** Cast to the given dtype when it differs (no copy otherwise). *)
+
+val borrows_container : t -> bool
+(** Does evaluating the expression hand back a user's container (a leaf,
+    possibly under transposes) rather than a fresh one? *)
 
 val set_fusion : bool -> unit
 (** Toggle operation fusion: with fusion on (default), [apply] over a

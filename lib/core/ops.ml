@@ -32,48 +32,43 @@ let accum_binop (type a) (dt : a Dtype.t) = function
   | Some name -> Some (Binop.of_name name dt)
 
 (* The shared write step: temp (the evaluated expression) into target.
-   Whole-container unmasked, unaccumulated assignment moves the evaluated
-   result in wholesale (the paper's no-extra-temporary goal); everything
-   else goes through the full GraphBLAS write semantics. *)
-let write ?mask ?accum ~replace target temp =
+   The result is installed as it is when nothing remains to merge: no
+   mask and no accumulator, or a result the kernel already masked
+   ([masked]) written without an accumulator into a replaced or empty
+   target (the kernel checked the mask against the result, whose shape
+   is checked here).  A [fresh] temp (not a user's container) is
+   installed without a copy.  Everything else goes through the full
+   GraphBLAS write semantics. *)
+let write ?mask ?accum ?(masked = false) ?(fresh = false) ~replace target temp
+    =
   let spec = mask_spec mask in
+  let install ~empty =
+    accum = None && (spec = None || (masked && (replace || empty)))
+  in
   match target with
-  | Container.Vec (dt, out)
-    when spec = None && accum = None
-         && Gbtl.Dtype.equal_packed (Container.dtype temp)
-              (Gbtl.Dtype.P dt) -> (
-    match temp with
-    | Container.Vec (_, _) ->
-      let v = Container.as_vector dt temp in
-      if Svector.size v <> Svector.size out then
-        derr "assigning a vector of size %d to one of size %d"
-          (Svector.size v) (Svector.size out);
-      Svector.replace_contents out (Svector.entries v)
-    | Container.Mat _ -> derr "assigning a matrix result to a vector")
-  | Container.Mat (dt, out)
-    when spec = None && accum = None
-         && Gbtl.Dtype.equal_packed (Container.dtype temp)
-              (Gbtl.Dtype.P dt) -> (
-    match temp with
-    | Container.Mat (_, _) ->
-      let m = Container.as_matrix dt temp in
-      if Smatrix.shape m <> Smatrix.shape out then
-        derr "assigning a %dx%d result to a %dx%d matrix" (Smatrix.nrows m)
-          (Smatrix.ncols m) (Smatrix.nrows out) (Smatrix.ncols out);
-      Smatrix.replace_contents out m
-    | Container.Vec _ -> derr "assigning a vector result to a matrix")
   | Container.Vec (dt, out) ->
-    let temp = Expr.unify (Dtype.P dt) temp in
+    let temp' = Expr.unify (Dtype.P dt) temp in
     let v =
-      match temp with
-      | Container.Vec (_, _) -> Container.as_vector dt temp
+      match temp' with
+      | Container.Vec (_, _) -> Container.as_vector dt temp'
       | Container.Mat _ -> derr "assigning a matrix result to a vector"
     in
     if Svector.size v <> Svector.size out then
       derr "assigning a vector of size %d to one of size %d" (Svector.size v)
         (Svector.size out);
-    Output.write_vector ~mask:(vmask_of spec) ~accum:(accum_binop dt accum)
-      ~replace ~out ~t:(Svector.entries v)
+    (* a mask that does not fit the target never reached the kernel:
+       the write step reports it *)
+    let fits =
+      match spec with
+      | Some { Expr.container = Container.Vec (_, m); _ } ->
+        Svector.size m = Svector.size out
+      | Some { Expr.container = Container.Mat _; _ } | None -> true
+    in
+    if fits && install ~empty:(Svector.nvals out = 0) then
+      Svector.adopt out (if fresh || temp' != temp then v else Svector.dup v)
+    else
+      Output.write_svector ~mask:(vmask_of spec) ~accum:(accum_binop dt accum)
+        ~replace ~out ~t:v
   | Container.Mat (dt, out) ->
     let temp = Expr.unify (Dtype.P dt) temp in
     let m =
@@ -84,22 +79,33 @@ let write ?mask ?accum ~replace target temp =
     if Smatrix.shape m <> Smatrix.shape out then
       derr "assigning a %dx%d result to a %dx%d matrix" (Smatrix.nrows m)
         (Smatrix.ncols m) (Smatrix.nrows out) (Smatrix.ncols out);
-    let t = Array.init (Smatrix.nrows m) (Smatrix.row_entries m) in
-    Output.write_matrix ~mask:(mmask_of spec) ~accum:(accum_binop dt accum)
-      ~replace ~out ~t
+    if install ~empty:(Smatrix.nvals out = 0) then
+      Smatrix.replace_contents out m
+    else begin
+      let t = Array.init (Smatrix.nrows m) (Smatrix.row_entries m) in
+      Output.write_matrix ~mask:(mmask_of spec) ~accum:(accum_binop dt accum)
+        ~replace ~out ~t
+    end
 
+(* The write mask reaches the expression's top-level product when its
+   kind matches the target's (a matrix mask for a matrix target, a
+   vector mask for a vector target); [Rewrite.push_mask] mirrors this
+   for the nonblocking engine.  Anything else stays with the write step,
+   which reports the mismatch. *)
 let prune_mask target mask =
-  (* structural pruning only applies to matrix targets *)
-  match target with
-  | Container.Mat _ -> mask_spec mask
-  | Container.Vec _ -> None
+  match target, mask_spec mask with
+  | Container.Mat _, (Some { Expr.container = Container.Mat _; _ } as spec)
+  | Container.Vec _, (Some { Expr.container = Container.Vec _; _ } as spec) ->
+    spec
+  | (Container.Mat _ | Container.Vec _), _ -> None
 
 let set ?mask ?replace target expr =
   let replace =
     match replace with Some r -> r | None -> Context.replace_flag ()
   in
-  let temp = Expr.force ?mask:(prune_mask target mask) expr in
-  write ?mask ~replace target temp
+  let temp, masked = Expr.force_masked ?mask:(prune_mask target mask) expr in
+  write ?mask ~masked ~fresh:(not (Expr.borrows_container expr)) ~replace target
+    temp
 
 let update ?mask ?accum target expr =
   let accum =

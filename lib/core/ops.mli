@@ -13,8 +13,10 @@ exception Dsl_error of string
 val set : ?mask:mask -> ?replace:bool -> Container.t -> Expr.t -> unit
 (** [C[M, z] = expr].  The replace flag defaults to the context's
     [gb.Replace] entry.  The expression result is upcast/downcast into
-    [C]'s dtype.  A mask on a matrix [@] expression reaches the [mxm]
-    kernel for structural pruning before the write step. *)
+    [C]'s dtype.  A mask on an [@] expression reaches the product
+    kernel (structural pruning for [mxm], the masked pull or a filtered
+    push for mat×vec); with no accumulator and [C] replaced or empty,
+    that result is installed as it is, without the write step's merge. *)
 
 val update : ?mask:mask -> ?accum:string -> Container.t -> Expr.t -> unit
 (** [C[M] += expr] — accumulator from the argument, else the context

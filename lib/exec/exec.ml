@@ -47,18 +47,24 @@ let containment =
 let set_containment b = containment := b
 let containment_enabled () = !containment
 
-let force ?mask e =
+(* The flag says whether the write mask went into the root product
+   ([Rewrite.push_mask] took it off the sink), as {!Ogb.Expr.force_masked}
+   reports it for the blocking evaluator. *)
+let force_masked ?mask e =
   let p = plan_force ?mask e in
+  let pushed = mask <> None && p.Plan.sink_mask = None in
   Verify_hook.run p ~stage:"pre-schedule";
   match Scheduler.run p with
   | Plan.V_cont c, trace ->
     last_trace_ref := Some trace;
-    c
+    (c, pushed)
   | Plan.V_scal _, _ -> invalid_arg "Exec.force: plan produced a scalar"
   | exception ex when !containment ->
     Jit.Jit_stats.record_blocking_fallback ();
     ignore ex;
-    Ogb.Expr.force_blocking ?mask e
+    Ogb.Expr.force_blocking_masked ?mask e
+
+let force ?mask e = fst (force_masked ?mask e)
 
 let reduce ~op ~identity e =
   let p = plan_reduce ~op ~identity e in
@@ -80,8 +86,9 @@ let explain_reduce ~op ~identity e =
 
 (* Hook registration: the closures must have exactly the types the core
    library casts them back to (see Exec_hook). *)
-let force_hook : ?mask:Ogb.Expr.mask_spec -> Ogb.Expr.t -> Ogb.Container.t =
- fun ?mask e -> force ?mask e
+let force_hook :
+    ?mask:Ogb.Expr.mask_spec -> Ogb.Expr.t -> Ogb.Container.t * bool =
+ fun ?mask e -> force_masked ?mask e
 
 let reduce_hook : op:string -> identity:string -> Ogb.Expr.t -> float =
  fun ~op ~identity e -> reduce ~op ~identity e

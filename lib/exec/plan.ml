@@ -329,11 +329,6 @@ let cont = function
   | V_cont c -> c
   | V_scal _ -> perr "expected a container, found a scalar"
 
-let mmask_of_spec (spec : Ogb.Expr.mask_spec) =
-  match spec.Ogb.Expr.container with
-  | C.Mat (_, m) -> Mask.mmask ~complemented:spec.Ogb.Expr.complemented m
-  | C.Vec _ -> raise (Ogb.Expr.Eval_error "matrix operation masked by a vector")
-
 let vec_of_entries dt size entries =
   let out = Svector.create dt size in
   Svector.replace_contents out entries;
@@ -357,45 +352,20 @@ let execute_node _plan n (vals : value array) : value =
     match cont vals.(0) with
     | C.Mat (dt, m) -> V_cont (C.Mat (dt, Jit.Kernels.transpose_m dt m))
     | C.Vec _ as c -> V_cont c (* vector transpose is the identity *))
-  | MatMul { sr; transpose_a = ta; transpose_b = tb; masked; layout } -> (
-    let ca = cont vals.(0) and cb = cont vals.(1) in
-    let (Dtype.P dt) = promote2 ca cb in
-    let ca = Ogb.Expr.unify (Dtype.P dt) ca
-    and cb = Ogb.Expr.unify (Dtype.P dt) cb in
-    match ca, cb with
-    | C.Mat _, C.Mat _ ->
-      let ma = C.as_matrix dt ca and mb = C.as_matrix dt cb in
-      let mask =
-        match masked with
-        | Some spec -> mmask_of_spec spec
-        | None -> Mask.No_mmask
-      in
-      V_cont
-        (C.Mat
-           (dt, Jit.Kernels.mxm dt sr ~transpose_a:ta ~transpose_b:tb ~mask ma mb))
-    | C.Mat _, C.Vec _ ->
-      let m = C.as_matrix dt ca and v = C.as_vector dt cb in
-      let out_size = if ta then Smatrix.ncols m else Smatrix.nrows m in
-      (* the schedule's direction choice overrides the kernel's fill
-         heuristic; both directions are bit-identical by construction *)
-      let direction =
-        match layout with
-        | L_csc_pull -> `Pull
-        | L_csc_push -> `Push
-        | L_default | L_csc -> `Auto
-      in
-      V_cont
-        (vec_of_entries dt out_size
-           (Jit.Kernels.mxv dt sr ~direction ~transpose:ta m v))
-    | C.Vec _, C.Mat _ ->
-      let v = C.as_vector dt ca and m = C.as_matrix dt cb in
-      let out_size = if tb then Smatrix.nrows m else Smatrix.ncols m in
-      V_cont
-        (vec_of_entries dt out_size (Jit.Kernels.vxm dt sr ~transpose:tb v m))
-    | C.Vec _, C.Vec _ ->
-      raise
-        (Ogb.Expr.Eval_error
-           "@ between two vectors (use eWiseMult + reduce for a dot product)"))
+  | MatMul { sr; transpose_a = ta; transpose_b = tb; masked; layout } ->
+    (* the schedule's direction choice overrides the kernel's layout
+       rule; both directions are bit-identical by construction *)
+    let direction =
+      match layout with
+      | L_csc_pull -> `Pull
+      | L_csc_push -> `Push
+      | L_default | L_csc -> `Auto
+    in
+    V_cont
+      (fst
+         (Ogb.Expr.product ?mask:masked ~direction sr
+            (cont vals.(0), ta)
+            (cont vals.(1), tb)))
   | Ewise { kind; op; transpose_a = ta; transpose_b = tb } -> (
     let ca = cont vals.(0) and cb = cont vals.(1) in
     let (Dtype.P dt) = promote2 ca cb in
@@ -405,8 +375,7 @@ let execute_node _plan n (vals : value array) : value =
     | C.Vec _, C.Vec _ ->
       let u = C.as_vector dt ca and v = C.as_vector dt cb in
       check_sizes u v;
-      V_cont
-        (vec_of_entries dt (Svector.size u) (Jit.Kernels.ewise_v kind dt ~op u v))
+      V_cont (C.Vec (dt, Jit.Kernels.Vector.ewise kind dt ~op u v))
     | C.Mat _, C.Mat _ ->
       let ma = C.as_matrix dt ca and mb = C.as_matrix dt cb in
       V_cont
@@ -420,14 +389,8 @@ let execute_node _plan n (vals : value array) : value =
            "element-wise operation between a vector and a matrix"))
   | ApplyChain { chain; transpose } -> (
     match cont vals.(0) with
-    | C.Vec (dt, v) -> (
-      match chain with
-      | [ f ] ->
-        V_cont (vec_of_entries dt (Svector.size v) (Jit.Kernels.apply_v dt f v))
-      | chain ->
-        V_cont
-          (vec_of_entries dt (Svector.size v)
-             (Jit.Kernels.apply_chain_v dt ~chain v)))
+    | C.Vec (dt, v) ->
+      V_cont (C.Vec (dt, Jit.Kernels.Vector.apply_chain dt ~chain v))
     | C.Mat (dt, m) -> (
       match chain with
       | [] -> perr "empty apply chain"
@@ -448,9 +411,7 @@ let execute_node _plan n (vals : value array) : value =
     and cb = Ogb.Expr.unify (Dtype.P dt) cb in
     let u = C.as_vector dt ca and v = C.as_vector dt cb in
     check_sizes u v;
-    V_cont
-      (vec_of_entries dt (Svector.size u)
-         (Jit.Kernels.ewise_fused_v kind dt ~op ~chain u v))
+    V_cont (C.Vec (dt, Jit.Kernels.Vector.ewise_fused kind dt ~op ~chain u v))
   | EwiseMultReduce { op; monoid_op; identity } ->
     let ca = cont vals.(0) and cb = cont vals.(1) in
     let (Dtype.P dt) = promote2 ca cb in

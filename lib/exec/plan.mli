@@ -16,9 +16,9 @@ type layout = L_default | L_csc | L_csc_pull | L_csc_push
     marks a transposed Mat×Vec matmul that will dispatch on the matrix's
     CSC side instead of materializing a transpose; the [_pull]/[_push]
     refinements pin the direction (chosen by the schedule — a pin or the
-    fill heuristic) and {!execute_node} forces it through the kernel's
-    [direction] override.  [L_default]/[L_csc] leave the kernel's own
-    runtime fill heuristic in charge.  Either direction computes
+    leaf operand's layout) and {!execute_node} forces it through the
+    kernel's [direction] override.  [L_default]/[L_csc] leave the
+    kernel's own layout rule (pull a dense operand) in charge.  Either direction computes
     bit-identical results, so the annotation affects time, never
     values. *)
 

@@ -183,18 +183,27 @@ let fuse_mult_reduce plan =
 
 (* -- mask push-down --
    The blocking evaluator hands the sink's write mask to the producing
-   matmul when (and only when) the expression root is a Mat×Mat matmul,
-   letting the kernel prune by mask structure.  Mirror exactly: same
-   gate, same single site. *)
+   product when (and only when) the expression root is a matmul whose
+   result kind matches the mask's: a matrix mask into Mat×Mat, where the
+   kernel prunes by mask structure, a vector mask into mat×vec or
+   vec×mat, where the kernel gathers or keeps only allowed outputs
+   ([Ogb.Expr.product] takes it).  Mirror exactly: same gate, same
+   single site.  A pushed mask leaves the sink, which tells the write
+   step that the result is already masked. *)
 let push_mask plan =
   match plan.Plan.sink_mask with
   | None -> ()
   | Some spec -> (
     let r = Plan.root plan in
+    let kind i = (Plan.node plan r.Plan.deps.(i)).Plan.kind in
     match r.Plan.op with
     | Plan.MatMul m
-      when (Plan.node plan r.Plan.deps.(0)).Plan.kind = Plan.K_mat
-           && (Plan.node plan r.Plan.deps.(1)).Plan.kind = Plan.K_mat ->
+      when match kind 0, kind 1, spec.Ogb.Expr.container with
+           | Plan.K_mat, Plan.K_mat, Ogb.Container.Mat _
+           | Plan.K_mat, Plan.K_vec, Ogb.Container.Vec _
+           | Plan.K_vec, Plan.K_mat, Ogb.Container.Vec _ ->
+             true
+           | _, _, _ -> false ->
       r.Plan.op <- Plan.MatMul { m with masked = Some spec };
       plan.Plan.sink_mask <- None;
       record plan "mask_push"
@@ -206,10 +215,10 @@ let push_mask plan =
    dispatches on the matrix's lazily cached CSC side rather than
    materializing Aᵀ.  The direction each such node takes comes from the
    schedule: a pinned pull/push layout (OGB_SCHEDULE or --schedule)
-   wins; [Auto] falls back to the format layer's fill heuristic when
-   the vector operand is a plan leaf (pull once fill reaches 1/4 of a
-   size-≥32 vector) and otherwise leaves the kernel's runtime heuristic
-   in charge ([L_csc]).  Plan.execute_node forces pinned directions
+   wins; [Auto] takes the kernel's own rule when the vector operand is
+   a plan leaf (pull when it is dense, which the fill rules make it at
+   1/4 of a size-≥32 vector) and otherwise leaves that rule to the
+   kernel at run time ([L_csc]).  Plan.execute_node forces pinned directions
    through the kernel's [direction] override; both directions are
    bit-identical, so this trades time only. *)
 let select_layout ?(schedule = Cost.Schedule.default) plan =
@@ -223,10 +232,8 @@ let select_layout ?(schedule = Cost.Schedule.default) plan =
                && (Plan.node plan n.Plan.deps.(1)).Plan.kind = Plan.K_vec ->
           let heuristic () =
             match (Plan.node plan n.Plan.deps.(1)).Plan.op with
-            | Plan.Leaf c when not (Ogb.Container.is_matrix c) ->
-              let size = Ogb.Container.size c in
-              if size >= 32 && 4 * Ogb.Container.nvals c >= size then
-                Plan.L_csc_pull
+            | Plan.Leaf (Ogb.Container.Vec (_, v)) ->
+              if Gbtl.Svector.is_dense v then Plan.L_csc_pull
               else Plan.L_csc_push
             | _ -> Plan.L_csc
           in

@@ -21,15 +21,17 @@ val fuse_mult_reduce : Plan.t -> unit
     with no intermediate vector. *)
 
 val push_mask : Plan.t -> unit
-(** Move the sink's write mask into the producing root Mat×Mat matmul,
-    exactly when the blocking evaluator would. *)
+(** Move the sink's write mask into the producing root matmul when its
+    kind matches the result's (a matrix mask into Mat×Mat, a vector mask
+    into mat×vec/vec×mat), exactly when the blocking evaluator would.
+    A pushed mask leaves the sink. *)
 
 val select_layout : ?schedule:Cost.Schedule.t -> Plan.t -> unit
 (** When the format layer is on ([Gbtl.Format_stats.enabled]), annotate
     transposed Mat×Vec matmuls with the CSC dispatch the kernel will
     use ({!Plan.layout}).  The schedule's pull/push pin wins; [Auto]
-    refines by the fill heuristic when the vector operand's fill ratio
-    is known at planning time.  Records [csc_dispatch] and
+    takes the kernel's layout rule (pull a dense operand) when the
+    vector operand is a plan leaf.  Records [csc_dispatch] and
     [dir_pull]/[dir_push] events. *)
 
 val run_with : ?schedule:Cost.Schedule.t -> Plan.t -> unit

@@ -82,6 +82,43 @@ let write_vector ~mask ~accum ~replace ~out ~t =
     in
     Svector.replace_contents out result
 
+(* A vector result held in a container.  With both sides sparse the
+   entry merge above runs; otherwise the write runs in one ascending
+   pass over [out]'s dense arrays, in place (the write target is the one
+   container a write may convert), and the fill rules then settle
+   [out]'s layout. *)
+let write_svector ~mask ~accum ~replace ~out ~t =
+  let n = Svector.size out in
+  Mask.v_check_size mask n;
+  if Svector.size t <> n then
+    Error.raise_dims ~op:"write"
+      ~expected:(Printf.sprintf "result size %d" n)
+      ~actual:(Error.size_str (Svector.size t));
+  match mask, accum with
+  | Mask.No_vmask, None -> Svector.adopt out (Svector.dup t)
+  | _, _ when not (Svector.is_dense out || Svector.is_dense t) ->
+    write_vector ~mask ~accum ~replace ~out ~t:(Svector.entries t)
+  | _, _ when n = 0 -> ()
+  | _, _ ->
+    let accum = Option.map (fun (op : _ Binop.t) -> op.Binop.f) accum in
+    let allowed = Mask.v_cursor mask in
+    let tv, tocc = Svector.dense_view t in
+    let cv, cocc = Svector.unsafe_dense out in
+    for i = 0 to n - 1 do
+      if allowed i then begin
+        if tocc.(i) then begin
+          (match accum with
+          | Some f when cocc.(i) -> cv.(i) <- f cv.(i) tv.(i)
+          | Some _ | None -> cv.(i) <- tv.(i));
+          cocc.(i) <- true
+        end
+        else if accum = None then cocc.(i) <- false
+      end
+      else if replace then cocc.(i) <- false
+    done;
+    Svector.replace_dense_unsafe out ~vals:cv ~valid:cocc;
+    Svector.settle out
+
 let write_matrix ~mask ~accum ~replace ~out ~t =
   let nrows = Smatrix.nrows out and ncols = Smatrix.ncols out in
   Mask.m_check_shape mask nrows ncols;

@@ -40,6 +40,20 @@ val write_vector :
     the result in place.  @raise Svector.Dimension_mismatch on mask size
     mismatch. *)
 
+val write_svector :
+  mask:Mask.vmask ->
+  accum:'a Binop.t option ->
+  replace:bool ->
+  out:'a Svector.t ->
+  t:'a Svector.t ->
+  unit
+(** {!write_vector} for a result held in a vector, in either layout;
+    [t] is only read.  When [out] or [t] is dense the write runs in
+    place over [out]'s dense arrays, with no entry merge, and the fill
+    rules ({!Svector.settle}) then pick [out]'s layout.
+    @raise Svector.Dimension_mismatch on a mask or result size
+    mismatch. *)
+
 val write_matrix :
   mask:Mask.mmask ->
   accum:'a Binop.t option ->

@@ -65,8 +65,11 @@ let ensure_capacity v n dummy =
   if Array.length v.idx < n then begin
     let cap = max 8 (max n (2 * Array.length v.idx)) in
     let idx' = Array.make cap 0 and vals' = Array.make cap dummy in
-    Array.blit v.idx 0 idx' 0 v.nvals;
-    Array.blit v.vals 0 vals' 0 v.nvals;
+    (* a dense vector's sparse arrays are stale: nothing to keep *)
+    if v.dense = None then begin
+      Array.blit v.idx 0 idx' 0 v.nvals;
+      Array.blit v.vals 0 vals' 0 v.nvals
+    end;
     v.idx <- idx';
     v.vals <- vals'
   end
@@ -338,13 +341,37 @@ let equal a b =
     true
   with Exit -> false
 
-let unsafe_indices v =
-  do_sparsify ~auto:false v;
-  v.idx
+(* Kernel views: the live arrays when the vector already has the layout
+   asked for, a fresh copy otherwise.  A read never converts the
+   container, so a vector shared by concurrent readers stays as it
+   is. *)
+let sparse_view v =
+  match v.dense with
+  | None -> (v.idx, v.vals, v.nvals)
+  | Some { dvals; valid } ->
+    let n = v.nvals in
+    let idx = Array.make n 0 and vals = Array.make n (Dtype.zero v.dt) in
+    let k = ref 0 in
+    for i = 0 to v.size - 1 do
+      if valid.(i) then begin
+        idx.(!k) <- i;
+        vals.(!k) <- dvals.(i);
+        incr k
+      end
+    done;
+    (idx, vals, n)
 
-let unsafe_values v =
-  do_sparsify ~auto:false v;
-  v.vals
+let dense_view v =
+  match v.dense with
+  | Some { dvals; valid } -> (dvals, valid)
+  | None ->
+    let dvals = Array.make (max v.size 1) (Dtype.zero v.dt) in
+    let valid = Array.make (max v.size 1) false in
+    for k = 0 to v.nvals - 1 do
+      dvals.(v.idx.(k)) <- v.vals.(k);
+      valid.(v.idx.(k)) <- true
+    done;
+    (dvals, valid)
 
 let unsafe_dense v =
   do_densify ~auto:false v;
@@ -352,18 +379,34 @@ let unsafe_dense v =
   | Some { dvals; valid } -> (dvals, valid)
   | None -> assert false
 
+let count_valid size valid =
+  let n = ref 0 in
+  for i = 0 to size - 1 do
+    if valid.(i) then incr n
+  done;
+  !n
+
 let of_dense_unsafe dt ~vals ~valid =
   let size = Array.length valid in
   if Array.length vals <> size then
     Error.raise_dims ~op:"Svector.of_dense_unsafe"
       ~expected:(Printf.sprintf "vals of length %d" size)
       ~actual:(Printf.sprintf "length %d" (Array.length vals));
-  let n = ref 0 in
-  for i = 0 to size - 1 do
-    if valid.(i) then incr n
-  done;
-  { dt; size; nvals = !n; idx = [||]; vals = [||];
+  { dt; size; nvals = count_valid size valid; idx = [||]; vals = [||];
     dense = Some { dvals = vals; valid } }
+
+let of_sparse_unsafe dt size ~idx ~vals ~nvals =
+  if nvals > Array.length idx || nvals > Array.length vals then
+    Error.raise_dims ~op:"Svector.of_sparse_unsafe"
+      ~expected:(Printf.sprintf "arrays of at least %d cells" nvals)
+      ~actual:(Printf.sprintf "lengths %d/%d" (Array.length idx)
+                 (Array.length vals));
+  if nvals > 0 && (idx.(nvals - 1) >= size || idx.(0) < 0) then
+    raise
+      (Index_out_of_bounds
+         (Printf.sprintf "Svector.of_sparse_unsafe: index outside [0, %d)"
+            size));
+  { dt; size; nvals; idx; vals; dense = None }
 
 let replace_dense_unsafe v ~vals ~valid =
   if Array.length valid <> v.size || Array.length vals <> v.size then
@@ -371,12 +414,26 @@ let replace_dense_unsafe v ~vals ~valid =
       ~expected:(Printf.sprintf "arrays of length %d" v.size)
       ~actual:(Printf.sprintf "lengths %d/%d" (Array.length vals)
                  (Array.length valid));
-  let n = ref 0 in
-  for i = 0 to v.size - 1 do
-    if valid.(i) then incr n
-  done;
-  v.nvals <- !n;
+  v.nvals <- count_valid v.size valid;
   v.dense <- Some { dvals = vals; valid }
+
+let settle v =
+  if Format_stats.enabled () then
+    if is_dense v then begin
+      if sparsify_worthwhile v then do_sparsify ~auto:true v
+    end
+    else if densify_worthwhile v then do_densify ~auto:true v
+
+let adopt v t =
+  if t.size <> v.size then
+    Error.raise_dims ~op:"Svector.adopt"
+      ~expected:(Printf.sprintf "size %d" v.size)
+      ~actual:(Error.size_str t.size);
+  v.nvals <- t.nvals;
+  v.idx <- t.idx;
+  v.vals <- t.vals;
+  v.dense <- t.dense;
+  settle v
 
 let pp fmt v =
   Format.fprintf fmt "@[<hov 2>Vector<%s>(size=%d, nvals=%d" (Dtype.name v.dt)

@@ -97,20 +97,44 @@ val pp : Format.formatter -> 'a t -> unit
 (** {2 Direct access for kernels}
 
     Live internal buffers that must not be mutated by callers.  The
-    sparse accessors sparsify first (only the first [nvals] cells are
-    meaningful); {!unsafe_dense} densifies first. *)
+    views never convert the vector: they hand out the live arrays when
+    the vector already has the layout asked for and a fresh copy
+    otherwise. *)
 
-val unsafe_indices : 'a t -> int array
-val unsafe_values : 'a t -> 'a array
+val sparse_view : 'a t -> int array * 'a array * int
+(** [(indices, values, nvals)]: the stored entries in ascending index
+    order, the first [nvals] cells meaningful. *)
+
+val dense_view : 'a t -> 'a array * bool array
+(** [(values, validity)], both of length [size] (length 1 for size-0
+    vectors); values at invalid positions are unspecified. *)
 
 val unsafe_dense : 'a t -> 'a array * bool array
-(** [(values, validity)], both of length [size] (length 1 for size-0
-    vectors). *)
+(** Densifies the vector, then returns its live dense arrays — for a
+    write target that is about to be rewritten in place. *)
 
 val of_dense_unsafe : 'a Dtype.t -> vals:'a array -> valid:bool array -> 'a t
 (** Adopt well-formed dense arrays without copying (kernel results);
     [nvals] is counted from [valid]. @raise Dimension_mismatch *)
 
+val of_sparse_unsafe :
+  'a Dtype.t -> int -> idx:int array -> vals:'a array -> nvals:int -> 'a t
+(** [of_sparse_unsafe dt size ~idx ~vals ~nvals] adopts sorted entry
+    arrays without copying (kernel results); indices must be strictly
+    ascending over the first [nvals] cells.
+    @raise Dimension_mismatch @raise Index_out_of_bounds *)
+
 val replace_dense_unsafe : 'a t -> vals:'a array -> valid:bool array -> unit
 (** Adopt dense arrays (length [size]) as the vector's new contents.
     @raise Dimension_mismatch *)
+
+val settle : 'a t -> unit
+(** Apply the fill rules to the current layout when the format layer
+    is on: a sparse vector at ≥ 1/4 fill (size ≥ 32) turns dense, a
+    dense one below 1/16 turns sparse; anything in between keeps its
+    layout. *)
+
+val adopt : 'a t -> 'a t -> unit
+(** [adopt v t] makes [t]'s storage [v]'s contents without copying,
+    then {!settle}s [v]; [t] must not be used afterwards.
+    @raise Dimension_mismatch on a size mismatch. *)

@@ -88,6 +88,12 @@ let record_fusion kind =
   Hashtbl.replace fusion_table kind
     (1 + Option.value ~default:0 (Hashtbl.find_opt fusion_table kind))
 
+let signature_counts key =
+  Mutex.protect tally_lock @@ fun () ->
+  match Hashtbl.find_opt sig_table key with
+  | Some t -> (t.hits, t.misses)
+  | None -> (0, 0)
+
 let per_signature () =
   Mutex.protect tally_lock @@ fun () ->
   List.sort compare

@@ -65,6 +65,10 @@ val record_fusion : string -> unit
 (** Count one firing of a fusion rewrite (by rewrite name); fed by the
     nonblocking engine's optimizer. *)
 
+val signature_counts : string -> int * int
+(** [(hits, misses)] of one signature key, as {!per_signature} lists
+    them. *)
+
 val per_signature : unit -> (string * int * int) list
 (** [(signature key, hits, misses)] sorted by key. *)
 

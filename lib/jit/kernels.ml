@@ -117,63 +117,194 @@ let semiring_sig ~op ?formats ?flags dt sr =
 
 let run (type r) (k : Obj.t -> Obj.t) arg : r = Obj.obj (k (Obj.repr arg))
 
-(* The matvec ABI: CSR (or swapped CSC) arrays, the sparse operand, the
-   dimensions and the loop choice (true = scatter, false = gather). *)
-let matvec_arg (type a) ~rowptr ~colidx ~(values : a array) ~nrows ~ncols
-    (u : a Svector.t) scatter =
-  ( rowptr,
-    colidx,
-    values,
-    Svector.unsafe_indices u,
-    Svector.unsafe_values u,
-    Svector.nvals u,
-    nrows,
-    ncols,
-    scatter )
+(* -- results --
+   A vector kernel reads each operand in the layout it already has and
+   never converts a container: a dense operand goes to the dense bodies
+   on its (values, validity) arrays, a sparse one to the sparse bodies.
+   The raw result is then handed out as a fresh vector, whose layout the
+   fill rules settle, or as entries for the write step's merge. *)
 
-let mxv (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
-    ?(direction = `Auto) ~transpose m (u : a Svector.t) =
-  (* Direction choice for the transposed product: a filled-in frontier
-     favors pulling over the CSC side (one gather per output position);
-     a sparse frontier favors the CSR scatter.  Both accumulate each
-     output's contributions in ascending source-index order, so the
-     results are bit-identical — which is what lets the plan optimizer
-     override the fill heuristic through [direction] without changing
-     results.  The override is only meaningful for the transposed
-     product with the format layer on; elsewhere it is ignored. *)
-  let use_pull =
-    transpose
-    && Format_stats.enabled ()
-    &&
+type 'a raw =
+  | Sparse of (int array * 'a array)
+  | Dense of ('a array * bool array)
+
+(* dense bodies need a non-empty vector: their arrays have length
+   [max size 1] *)
+let dense_operand u = Svector.is_dense u && Svector.size u > 0
+
+let to_svector (type a) (dt : a Dtype.t) size (raw : a raw) : a Svector.t =
+  let v =
+    match raw with
+    | Sparse (idx, vals) ->
+      Svector.of_sparse_unsafe dt size ~idx ~vals ~nvals:(Array.length idx)
+    | Dense (vals, valid) -> Svector.of_dense_unsafe dt ~vals ~valid
+  in
+  Svector.settle v;
+  v
+
+let to_entries (type a) (raw : a raw) : a Entries.t =
+  match raw with
+  | Sparse (idx, vals) -> entries_of_pair (idx, vals)
+  | Dense (vals, valid) ->
+    let e = Entries.create () in
+    Array.iteri (fun i ok -> if ok then Entries.push e i vals.(i)) valid;
+    e
+
+(* Drop the entries a vector mask does not allow (the push products'
+   filter); the raw arrays are the kernel's own. *)
+let restrict (type a) mask (raw : a raw) : a raw =
+  match mask, raw with
+  | Mask.No_vmask, _ -> raw
+  | _, Dense (_, valid) ->
+    let allowed = Mask.v_cursor mask in
+    Array.iteri (fun i ok -> if ok && not (allowed i) then valid.(i) <- false)
+      valid;
+    raw
+  | _, Sparse (idx, vals) ->
+    let allowed = Mask.v_cursor mask in
+    let n = ref 0 in
+    Array.iteri
+      (fun k i ->
+        if allowed i then begin
+          idx.(!n) <- i;
+          vals.(!n) <- vals.(k);
+          incr n
+        end)
+      idx;
+    Sparse (Array.sub idx 0 !n, Array.sub vals 0 !n)
+
+(* The output positions a mask rules out, as the masked pull's
+   [visited] bitmap; a complemented dense mask already is one. *)
+let blocked size = function
+  | Mask.No_vmask -> Array.make (max size 1) false
+  | Mask.Vmask { dense; complemented = true } -> dense
+  | Mask.Vmask { dense; complemented = false } -> Array.map not dense
+  | Mask.Vmask_sparse { idx; complemented; _ } ->
+    let b = Array.make (max size 1) (not complemented) in
+    Array.iter (fun i -> b.(i) <- complemented) idx;
+    b
+
+(* -- mat×vec products --
+   [w = A ⊕.⊗ u] (mxv) and [w = u ⊕.⊗ A] (vxm), either with A
+   transposed.  An output gathers along A's columns for Aᵀu and uA and
+   along A's rows for Au and uAᵀ.  Every loop folds an output's terms in
+   ascending source order, so direction, layout and mask change time,
+   never values:
+
+   - a row gather always pulls over the CSR arrays;
+   - a column gather pulls over the cached CSC side when [direction]
+     says so or, by default, when the format layer is on and the
+     operand is dense (the fill rules made it so); else it pushes,
+     scattering along the CSR rows;
+   - a dense operand runs vxm_pull_dense (pull) or vxm_dense (push) and
+     yields a dense result, a sparse one runs matvec;
+   - a mask goes into the loop: a pull runs mxv_pull_masked over the
+     allowed outputs only, a push filters its scatter.
+
+   matvec and mxv_pull_masked put the matrix value first in ⊗, the
+   vxm_* bodies the vector value; the prelude swaps ⊗'s operands where
+   the product wants the other order. *)
+let product (type a) ~vxm (dt : a Dtype.t) (sr : Op_spec.semiring) ~direction
+    ~mask ~transpose (m : a Smatrix.t) (u : a Svector.t) : a raw =
+  let op = if vxm then "vxm" else "mxv" in
+  let by_cols = transpose <> vxm in
+  let in_size, out_size =
+    if by_cols then (Smatrix.nrows m, Smatrix.ncols m)
+    else (Smatrix.ncols m, Smatrix.nrows m)
+  in
+  if Svector.size u <> in_size then
+    Error.raise_dims ~op
+      ~expected:(Printf.sprintf "vector size %d" in_size)
+      ~actual:(Error.size_str (Svector.size u));
+  Mask.v_check_size mask out_size;
+  let pull =
+    (not by_cols)
+    ||
     match direction with
     | `Pull -> true
     | `Push -> false
-    | `Auto -> Svector.size u >= 32 && 4 * Svector.nvals u >= Svector.size u
+    | `Auto -> Format_stats.enabled () && Svector.is_dense u
   in
-  let kernel =
-    get
-      (semiring_sig ~op:"mxv"
-         ~formats:(if use_pull then [ ("a", "csc") ] else [])
-         ~flags:(if transpose then [ "transpose_a" ] else [])
-         dt sr)
-      (semiring_family dt sr (module Loops.Matvec) Loops.matvec)
-  in
-  if transpose && Format_stats.enabled () then
-    if use_pull then Format_stats.record_pull ()
-    else Format_stats.record_push ();
-  (* The pull dispatch hands the gather loop the CSC arrays with swapped
-     dimensions, which computes the transposed product directly. *)
-  let arg =
-    if use_pull then
-      matvec_arg ~rowptr:(Smatrix.unsafe_colptr m)
-        ~colidx:(Smatrix.unsafe_rowidx m) ~values:(Smatrix.unsafe_cvals m)
-        ~nrows:(Smatrix.ncols m) ~ncols:(Smatrix.nrows m) u false
+  if by_cols && Format_stats.enabled () then
+    if pull then Format_stats.record_pull () else Format_stats.record_push ();
+  let flags = if transpose then [ "transpose_a" ] else [] in
+  let csc = if by_cols && pull then [ ("a", "csc") ] else [] in
+  (* the gather lists of a pull, or the CSR rows a push scatters along *)
+  let ptr, ids, vals =
+    if by_cols && pull then
+      (Smatrix.unsafe_colptr m, Smatrix.unsafe_rowidx m, Smatrix.unsafe_cvals m)
     else
-      matvec_arg ~rowptr:(Smatrix.unsafe_rowptr m)
-        ~colidx:(Smatrix.unsafe_colidx m) ~values:(Smatrix.unsafe_values m)
-        ~nrows:(Smatrix.nrows m) ~ncols:(Smatrix.ncols m) u transpose
+      (Smatrix.unsafe_rowptr m, Smatrix.unsafe_colidx m, Smatrix.unsafe_values m)
   in
-  entries_of_pair (run kernel arg : int array * a array)
+  let dense = dense_operand u && out_size > 0 in
+  match mask with
+  | (Mask.Vmask _ | Mask.Vmask_sparse _) when pull ->
+    let uvls, uocc = Svector.dense_view u in
+    let kernel =
+      get
+        (semiring_sig ~op
+           ~formats:(csc @ [ ("u", "dense") ])
+           ~flags:("masked_pull" :: flags) dt sr)
+        (semiring_family ~swap:vxm ~sat:true dt sr
+           (module Loops.Mxv_pull_masked)
+           Loops.mxv_pull_masked)
+    in
+    let idx, vls =
+      (run kernel (ptr, ids, vals, uvls, uocc, blocked out_size mask, out_size)
+        : int array * a array)
+    in
+    Sparse (idx, vls)
+  | Mask.No_vmask | Mask.Vmask _ | Mask.Vmask_sparse _ ->
+    let dense_uw = [ ("u", "dense"); ("w", "dense") ] in
+    let raw =
+      if dense && pull then
+        let kernel =
+          get
+            (semiring_sig ~op ~formats:(csc @ dense_uw) ~flags dt sr)
+            (semiring_family ~swap:(not vxm) dt sr
+               (module Loops.Vxm_pull_dense)
+               Loops.vxm_pull_dense)
+        in
+        let uvls, uocc = Svector.dense_view u in
+        Dense (run kernel (uvls, uocc, ptr, ids, vals, out_size))
+      else if dense then
+        let kernel =
+          get
+            (semiring_sig ~op ~formats:dense_uw ~flags dt sr)
+            (semiring_family ~swap:(not vxm) dt sr
+               (module Loops.Vxm_dense)
+               Loops.vxm_dense)
+        in
+        let uvls, uocc = Svector.dense_view u in
+        Dense (run kernel (uvls, uocc, ptr, ids, vals, in_size, out_size))
+      else begin
+        let kernel =
+          get
+            (semiring_sig ~op ~formats:csc ~flags dt sr)
+            (semiring_family ~swap:vxm dt sr (module Loops.Matvec) Loops.matvec)
+        in
+        (* matvec's dimensions: (lists, operand size) for a gather,
+           (operand size, outputs) for a scatter *)
+        let uidx, uvls, un = Svector.sparse_view u in
+        let nrows, ncols =
+          if pull then (out_size, in_size) else (in_size, out_size)
+        in
+        let idx, vls =
+          (run kernel (ptr, ids, vals, uidx, uvls, un, nrows, ncols, not pull)
+            : int array * a array)
+        in
+        Sparse (idx, vls)
+      end
+    in
+    restrict mask raw
+
+let out_size ~vxm ~transpose m =
+  if transpose <> vxm then Smatrix.ncols m else Smatrix.nrows m
+
+let mxv (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
+    ?(direction = `Auto) ~transpose m (u : a Svector.t) =
+  to_entries
+    (product ~vxm:false dt sr ~direction ~mask:Mask.No_vmask ~transpose m u)
 
 let mxv_pull_masked (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
     ~(visited : bool array) (m : a Smatrix.t)
@@ -207,21 +338,9 @@ let mxv_pull_masked (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
 
 let vxm (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose
     (u : a Svector.t) (m : a Smatrix.t) =
-  (* the matvec loops with ⊗'s operands swapped: u A scatters along A's
-     rows, u Aᵀ gathers *)
-  let kernel =
-    get
-      (semiring_sig ~op:"vxm"
-         ~flags:(if transpose then [ "transpose_a" ] else [])
-         dt sr)
-      (semiring_family ~swap:true dt sr (module Loops.Matvec) Loops.matvec)
-  in
-  let arg =
-    matvec_arg ~rowptr:(Smatrix.unsafe_rowptr m)
-      ~colidx:(Smatrix.unsafe_colidx m) ~values:(Smatrix.unsafe_values m)
-      ~nrows:(Smatrix.nrows m) ~ncols:(Smatrix.ncols m) u (not transpose)
-  in
-  entries_of_pair (run kernel arg : int array * a array)
+  to_entries
+    (product ~vxm:true dt sr ~direction:`Auto ~mask:Mask.No_vmask ~transpose m
+       u)
 
 let vxm_dense (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
     ((uvls, uocc) : a array * bool array) (m : a Smatrix.t) :
@@ -293,12 +412,9 @@ let vxm_tile_acc (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
 let ewise_name = function `Add -> "ewise_add_v" | `Mult -> "ewise_mult_v"
 
 let sparse_pair_arg (type a) (u : a Svector.t) (v : a Svector.t) =
-  ( Svector.unsafe_indices u,
-    Svector.unsafe_values u,
-    Svector.nvals u,
-    Svector.unsafe_indices v,
-    Svector.unsafe_values v,
-    Svector.nvals v )
+  let uidx, uvls, un = Svector.sparse_view u in
+  let vidx, vvls, vn = Svector.sparse_view v in
+  (uidx, uvls, un, vidx, vvls, vn)
 
 let ewise_v_dense (type a) kind (dt : a Dtype.t) ~op
     ((avls, aocc) : a array * bool array) ((bvls, bocc) : a array * bool array)
@@ -321,17 +437,23 @@ let ewise_v_dense (type a) kind (dt : a Dtype.t) ~op
   in
   run kernel (avls, aocc, bvls, bocc)
 
-let apply_v_dense (type a) (dt : a Dtype.t) (f : Op_spec.unary)
+let chain_name chain = String.concat ";" (List.map Op_spec.unary_name chain)
+
+(* apply_dense over a whole chain (innermost first); a one-operator
+   chain is apply_v's dense signature *)
+let apply_chain_dense (type a) (dt : a Dtype.t) chain
     ((avls, aocc) : a array * bool array) : a array * bool array =
   let kernel =
     get
       (Kernel_sig.make ~op:"apply_v" ~dtypes:(dtypes dt)
-         ~operators:[ ("f", Op_spec.unary_name f) ]
+         ~operators:[ ("f", chain_name chain) ]
          ~formats:[ ("u", "dense") ]
          ())
-      (unary_family dt [ f ] (module Loops.Apply_dense) Loops.apply_dense)
+      (unary_family dt chain (module Loops.Apply_dense) Loops.apply_dense)
   in
   run kernel (avls, aocc)
+
+let apply_v_dense dt f arg = apply_chain_dense dt [ f ] arg
 
 let reduce_v_scalar_dense (type a) (dt : a Dtype.t) ~op ~identity
     ((avls, aocc) : a array * bool array) : a =
@@ -346,84 +468,140 @@ let reduce_v_scalar_dense (type a) (dt : a Dtype.t) ~op ~identity
   in
   run kernel (avls, aocc)
 
-let ewise_v (type a) kind (dt : a Dtype.t) ~op (u : a Svector.t)
-    (v : a Svector.t) =
-  let kernel =
-    get
-      (Kernel_sig.make ~op:(ewise_name kind) ~dtypes:(dtypes dt)
-         ~operators:[ ("op", op) ]
-         ())
-      (match kind with
-      | `Add -> binop_family dt op (module Loops.Ewise_add) Loops.ewise_add
-      | `Mult -> binop_family dt op (module Loops.Ewise_mult) Loops.ewise_mult)
-  in
-  entries_of_pair (run kernel (sparse_pair_arg u v) : int array * a array)
+let check_pair kind u v =
+  if Svector.size v <> Svector.size u then
+    Error.raise_dims ~op:(ewise_name kind)
+      ~expected:(Printf.sprintf "size %d" (Svector.size u))
+      ~actual:(Error.size_str (Svector.size v))
 
-let ewise_fused_v (type a) kind (dt : a Dtype.t) ~op ~chain (u : a Svector.t)
-    (v : a Svector.t) =
-  let kind_name =
-    match kind with
-    | `Add -> "ewise_add_fused_v"
-    | `Mult -> "ewise_mult_fused_v"
-  in
-  let chain_name = String.concat ";" (List.map Op_spec.unary_name chain) in
-  let fused (module L : FUSED_LOOP) text =
-    ( (fun () ->
-        let module K =
-          L (struct
-            include (val binop_prelude dt op)
+(* eWiseAdd's union is dense when either operand is; eWiseMult's
+   intersection only when both are *)
+let dense_pair kind u v =
+  match kind with
+  | `Add -> dense_operand u || dense_operand v
+  | `Mult -> dense_operand u && dense_operand v
 
-            let f_ = chain_fn dt chain
-          end)
-        in
-        Obj.repr K.kernel),
-      fun ~key ->
-        Codegen.op_source ~op ~f:chain ~dtype:(Dtype.name dt) ~key text )
-  in
-  let kernel =
-    get
-      (Kernel_sig.make ~op:kind_name ~dtypes:(dtypes dt)
-         ~operators:[ ("op", op); ("chain", chain_name) ]
-         ())
-      (match kind with
-      | `Add -> fused (module Loops.Ewise_add_fused) Loops.ewise_add_fused
-      | `Mult -> fused (module Loops.Ewise_mult_fused) Loops.ewise_mult_fused)
-  in
-  entries_of_pair (run kernel (sparse_pair_arg u v) : int array * a array)
+let ewise_raw (type a) kind (dt : a Dtype.t) ~op (u : a Svector.t)
+    (v : a Svector.t) : a raw =
+  check_pair kind u v;
+  if dense_pair kind u v then
+    Dense
+      (ewise_v_dense kind dt ~op (Svector.dense_view u) (Svector.dense_view v))
+  else begin
+    let kernel =
+      get
+        (Kernel_sig.make ~op:(ewise_name kind) ~dtypes:(dtypes dt)
+           ~operators:[ ("op", op) ]
+           ())
+        (match kind with
+        | `Add -> binop_family dt op (module Loops.Ewise_add) Loops.ewise_add
+        | `Mult -> binop_family dt op (module Loops.Ewise_mult) Loops.ewise_mult)
+    in
+    let idx, vls = (run kernel (sparse_pair_arg u v) : int array * a array) in
+    Sparse (idx, vls)
+  end
 
-let sparse_arg (type a) (u : a Svector.t) =
-  (Svector.unsafe_indices u, Svector.unsafe_values u, Svector.nvals u)
+let ewise_v kind dt ~op u v = to_entries (ewise_raw kind dt ~op u v)
 
-let apply_chain_v (type a) (dt : a Dtype.t) ~chain (u : a Svector.t) =
-  (* One kernel for a whole [fk (... (f1 x))] apply chain over a vector
-     (the nonblocking engine's apply∘apply fusion); [chain] is
-     innermost-first, like [ewise_fused_v].  Closure only. *)
-  let chain_name = String.concat ";" (List.map Op_spec.unary_name chain) in
-  let build, _ = unary_family dt chain (module Loops.Apply) Loops.apply in
-  let kernel : Obj.t -> Obj.t =
-    Obj.obj
-      (Dispatch.get
-         (Kernel_sig.make ~op:"apply_chain_v" ~dtypes:(dtypes dt)
-            ~operators:[ ("chain", chain_name) ]
-            ())
-         ~build ())
-  in
-  entries_of_pair (run kernel (sparse_arg u) : int array * a array)
+let ewise_fused_raw (type a) kind (dt : a Dtype.t) ~op ~chain (u : a Svector.t)
+    (v : a Svector.t) : a raw =
+  check_pair kind u v;
+  if dense_pair kind u v then
+    (* the dense merge, then the chain over its occupied slots: the
+       values the fused sparse kernel computes *)
+    Dense
+      (apply_chain_dense dt chain
+         (ewise_v_dense kind dt ~op (Svector.dense_view u)
+            (Svector.dense_view v)))
+  else begin
+    let kind_name =
+      match kind with
+      | `Add -> "ewise_add_fused_v"
+      | `Mult -> "ewise_mult_fused_v"
+    in
+    let fused (module L : FUSED_LOOP) text =
+      ( (fun () ->
+          let module K =
+            L (struct
+              include (val binop_prelude dt op)
+
+              let f_ = chain_fn dt chain
+            end)
+          in
+          Obj.repr K.kernel),
+        fun ~key ->
+          Codegen.op_source ~op ~f:chain ~dtype:(Dtype.name dt) ~key text )
+    in
+    let kernel =
+      get
+        (Kernel_sig.make ~op:kind_name ~dtypes:(dtypes dt)
+           ~operators:[ ("op", op); ("chain", chain_name chain) ]
+           ())
+        (match kind with
+        | `Add -> fused (module Loops.Ewise_add_fused) Loops.ewise_add_fused
+        | `Mult -> fused (module Loops.Ewise_mult_fused) Loops.ewise_mult_fused)
+    in
+    let idx, vls = (run kernel (sparse_pair_arg u v) : int array * a array) in
+    Sparse (idx, vls)
+  end
+
+let ewise_fused_v kind dt ~op ~chain u v =
+  to_entries (ewise_fused_raw kind dt ~op ~chain u v)
+
+let apply_chain_raw (type a) (dt : a Dtype.t) ~chain (u : a Svector.t) : a raw =
+  if dense_operand u then
+    Dense (apply_chain_dense dt chain (Svector.dense_view u))
+  else begin
+    let family = unary_family dt chain (module Loops.Apply) Loops.apply in
+    let kernel =
+      match chain with
+      | [ f ] ->
+        get
+          (Kernel_sig.make ~op:"apply_v" ~dtypes:(dtypes dt)
+             ~operators:[ ("f", Op_spec.unary_name f) ]
+             ())
+          family
+      | chain ->
+        (* a longer chain (the nonblocking engine's apply∘apply fusion)
+           runs as a closure *)
+        Obj.obj
+          (Dispatch.get
+             (Kernel_sig.make ~op:"apply_chain_v" ~dtypes:(dtypes dt)
+                ~operators:[ ("chain", chain_name chain) ]
+                ())
+             ~build:(fst family) ())
+    in
+    let idx, vls =
+      (run kernel (Svector.sparse_view u) : int array * a array)
+    in
+    Sparse (idx, vls)
+  end
+
+let apply_chain_v dt ~chain u = to_entries (apply_chain_raw dt ~chain u)
+let apply_v dt f u = apply_chain_v dt ~chain:[ f ] u
 
 let ewise_mult_reduce_v (type a) (dt : a Dtype.t) ~op ~monoid_op ~identity
     (u : a Svector.t) (v : a Svector.t) : a =
   (* eWiseMult feeding a scalar reduce in one kernel (the nonblocking
      engine's mult∘reduce rewrite): the intersection's values are folded
-     in entry order, so the result is bit-identical to the unfused
-     pipeline.  Closure only. *)
+     in ascending index order, so the result is bit-identical to the
+     unfused pipeline.  Closure only. *)
+  check_pair `Mult u v;
+  let dense = dense_pair `Mult u v in
   let build () =
-    let module M = Loops.Ewise_mult ((val binop_prelude dt op)) in
-    let module R =
-      Loops.Reduce ((val monoid_prelude dt ~op:monoid_op ~identity))
-    in
-    Obj.repr (fun arg ->
-        let _, vls = (Obj.obj (M.kernel arg) : int array * a array) in
-        R.kernel (Obj.repr (vls, Array.length vls)))
+    let monoid = monoid_prelude dt ~op:monoid_op ~identity in
+    if dense then begin
+      let module M = Loops.Ewise_mult_dense ((val binop_prelude dt op)) in
+      let module R = Loops.Reduce_dense ((val monoid)) in
+      Obj.repr (fun arg -> R.kernel (M.kernel arg))
+    end
+    else begin
+      let module M = Loops.Ewise_mult ((val binop_prelude dt op)) in
+      let module R = Loops.Reduce ((val monoid)) in
+      Obj.repr (fun arg ->
+          let _, vls = (Obj.obj (M.kernel arg) : int array * a array) in
+          R.kernel (Obj.repr (vls, Array.length vls)))
+    end
   in
   let kernel : Obj.t -> Obj.t =
     Obj.obj
@@ -431,31 +609,58 @@ let ewise_mult_reduce_v (type a) (dt : a Dtype.t) ~op ~monoid_op ~identity
          (Kernel_sig.make ~op:"ewise_mult_reduce_v" ~dtypes:(dtypes dt)
             ~operators:
               [ ("op", op); ("monoid", monoid_op); ("identity", identity) ]
+            ~formats:
+              (if dense then [ ("u", "dense"); ("v", "dense") ] else [])
             ())
          ~build ())
   in
-  run kernel (sparse_pair_arg u v)
-
-let apply_v (type a) (dt : a Dtype.t) (f : Op_spec.unary) (u : a Svector.t) =
-  let kernel =
-    get
-      (Kernel_sig.make ~op:"apply_v" ~dtypes:(dtypes dt)
-         ~operators:[ ("f", Op_spec.unary_name f) ]
-         ())
-      (unary_family dt [ f ] (module Loops.Apply) Loops.apply)
-  in
-  entries_of_pair (run kernel (sparse_arg u) : int array * a array)
+  if dense then
+    let uvls, uocc = Svector.dense_view u and vvls, vocc = Svector.dense_view v in
+    run kernel (uvls, uocc, vvls, vocc)
+  else run kernel (sparse_pair_arg u v)
 
 let reduce_v_scalar (type a) (dt : a Dtype.t) ~op ~identity (u : a Svector.t) :
     a =
-  let kernel =
-    get
-      (Kernel_sig.make ~op:"reduce_v_scalar" ~dtypes:(dtypes dt)
-         ~operators:[ ("op", op); ("identity", identity) ]
-         ())
-      (monoid_family dt ~op ~identity (module Loops.Reduce) Loops.reduce)
-  in
-  run kernel (Svector.unsafe_values u, Svector.nvals u)
+  if dense_operand u then
+    reduce_v_scalar_dense dt ~op ~identity (Svector.dense_view u)
+  else begin
+    let kernel =
+      get
+        (Kernel_sig.make ~op:"reduce_v_scalar" ~dtypes:(dtypes dt)
+           ~operators:[ ("op", op); ("identity", identity) ]
+           ())
+        (monoid_family dt ~op ~identity (module Loops.Reduce) Loops.reduce)
+    in
+    let _, vls, n = Svector.sparse_view u in
+    run kernel (vls, n)
+  end
+
+(* The same entry points with the result as a fresh vector (the DSL's
+   temporaries): a dense result stays dense, no entry round trip. *)
+module Vector = struct
+  let mxv (type a) (dt : a Dtype.t) sr ?(direction = `Auto)
+      ?(mask = Mask.No_vmask) ~transpose m (u : a Svector.t) : a Svector.t =
+    to_svector dt
+      (out_size ~vxm:false ~transpose m)
+      (product ~vxm:false dt sr ~direction ~mask ~transpose m u)
+
+  let vxm (type a) (dt : a Dtype.t) sr ?(direction = `Auto)
+      ?(mask = Mask.No_vmask) ~transpose (u : a Svector.t) m : a Svector.t =
+    to_svector dt
+      (out_size ~vxm:true ~transpose m)
+      (product ~vxm:true dt sr ~direction ~mask ~transpose m u)
+
+  let ewise kind dt ~op u v =
+    to_svector dt (Svector.size u) (ewise_raw kind dt ~op u v)
+
+  let ewise_fused kind dt ~op ~chain u v =
+    to_svector dt (Svector.size u) (ewise_fused_raw kind dt ~op ~chain u v)
+
+  let apply_chain dt ~chain u =
+    to_svector dt (Svector.size u) (apply_chain_raw dt ~chain u)
+
+  let apply dt f u = apply_chain dt ~chain:[ f ] u
+end
 
 (* -- matrix family: closure kernels wrapping the GBTL operations -- *)
 
@@ -566,26 +771,35 @@ let ewise_m (type a) kind (dt : a Dtype.t) ~op ~transpose_a ~transpose_b
 
 let apply_m (type a) (dt : a Dtype.t) (f : Op_spec.unary) ~transpose
     (a : a Smatrix.t) : a Smatrix.t =
-  let sig_ =
-    Kernel_sig.make ~op:"apply_m"
-      ~dtypes:[ ("T", Dtype.name dt) ]
-      ~operators:[ ("f", Op_spec.unary_name f) ]
-      ~flags:(if transpose then [ "transpose_a" ] else [])
-      ()
+  (* the apply body over the stored values: A's CSR arrays, or for the
+     transposed result its CSC side, which is the CSR of Aᵀ *)
+  let kernel =
+    get
+      (Kernel_sig.make ~op:"apply_m" ~dtypes:(dtypes dt)
+         ~operators:[ ("f", Op_spec.unary_name f) ]
+         ~flags:(if transpose then [ "transpose_a" ] else [])
+         ())
+      (unary_family dt [ f ] (module Loops.Apply) Loops.apply)
   in
-  let build () =
-    let g = Op_spec.instantiate_unary dt f in
-    Obj.repr (fun (a : a Smatrix.t) ->
-        let nrows = if transpose then Smatrix.ncols a else Smatrix.nrows a in
-        let ncols = if transpose then Smatrix.nrows a else Smatrix.ncols a in
-        let out = Smatrix.create dt nrows ncols in
-        Apply_reduce.apply_matrix ~transpose g ~out a;
-        out)
+  let ptr, ids, vals, nrows, ncols =
+    if transpose then
+      ( Smatrix.unsafe_colptr a,
+        Smatrix.unsafe_rowidx a,
+        Smatrix.unsafe_cvals a,
+        Smatrix.ncols a,
+        Smatrix.nrows a )
+    else
+      ( Smatrix.unsafe_rowptr a,
+        Smatrix.unsafe_colidx a,
+        Smatrix.unsafe_values a,
+        Smatrix.nrows a,
+        Smatrix.ncols a )
   in
-  let kernel : a Smatrix.t -> a Smatrix.t =
-    Obj.obj (Dispatch.get sig_ ~build ())
+  let colidx, values =
+    (run kernel (ids, vals, Smatrix.nvals a) : int array * a array)
   in
-  kernel a
+  Smatrix.of_csr_unsafe dt ~nrows ~ncols ~rowptr:(Array.copy ptr) ~colidx
+    ~values
 
 let reduce_rows (type a) (dt : a Dtype.t) ~op ~identity ~transpose
     (a : a Smatrix.t) : a Entries.t =

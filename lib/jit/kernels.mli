@@ -18,12 +18,17 @@ val mxv :
   'a Svector.t ->
   'a Entries.t
 (** Raw result [T = A ⊕.⊗ u] as entries; masking/accumulation happen in
-    the caller's write step.  With [transpose] and the format layer on,
-    a filled-in operand (fill ≥ 1/4, size ≥ 32) dispatches the CSC pull
-    kernel instead of the CSR scatter; results are bit-identical.
-    [direction] (default [`Auto], the fill heuristic) lets the plan
-    optimizer force pull or push for the transposed product; it is
-    ignored when [transpose] is false or the format layer is off. *)
+    the caller's write step.  The loop follows the operand: a dense [u]
+    runs the dense bodies ({!vxm_pull_dense}'s gather, {!vxm_dense}'s
+    scatter) on its arrays, a sparse one the sparse gather/scatter, and
+    [u] is never converted.  With [transpose] and the format layer on,
+    a dense operand (the fill rules make a vector dense at ≥ 1/4 of a
+    size-≥32 vector) pulls over the CSC side, a sparse one scatters
+    along the CSR rows; results are bit-identical.  [direction]
+    (default [`Auto], the operand's layout) lets the plan optimizer
+    force pull or push for the transposed product; it is ignored when
+    [transpose] is false.
+    @raise Dimension_mismatch when [u] does not fit [A]. *)
 
 val mxv_pull_masked :
   'a Dtype.t ->
@@ -46,6 +51,8 @@ val vxm :
   'a Svector.t ->
   'a Smatrix.t ->
   'a Entries.t
+(** [T = u ⊕.⊗ A] ({!mxv}'s loops with ⊗'s operands swapped); [u A]
+    gathers over the CSC side under the same rule as [Aᵀ u]. *)
 
 val vxm_dense :
   'a Dtype.t ->
@@ -123,10 +130,68 @@ val ewise_mult_reduce_v :
   'a
 (** [reduce (u ⊗ v)] in one pass: the eWiseMult intersection kernel's
     output folded with the monoid without materializing the intermediate
-    vector — the nonblocking engine's mult∘reduce fusion. *)
+    vector — the nonblocking engine's mult∘reduce fusion.  Two dense
+    operands run the dense bodies. *)
 
 val reduce_v_scalar :
   'a Dtype.t -> op:string -> identity:string -> 'a Svector.t -> 'a
+
+(** {2 Fresh-vector results}
+
+    {!mxv}, {!vxm}, {!ewise_v}, {!ewise_fused_v}, {!apply_v} and
+    {!apply_chain_v} with the result as a fresh vector — the DSL's
+    temporaries.  A dense operand yields a dense result (eWiseAdd: either
+    operand; eWiseMult: both), with no entry round trip; the format
+    layer's fill rules ({!Svector.settle}) then settle its layout. *)
+
+module Vector : sig
+  val mxv :
+    'a Dtype.t ->
+    Op_spec.semiring ->
+    ?direction:[ `Auto | `Pull | `Push ] ->
+    ?mask:Mask.vmask ->
+    transpose:bool ->
+    'a Smatrix.t ->
+    'a Svector.t ->
+    'a Svector.t
+  (** [mask] (default none) goes into the loop: a pull gathers the
+      allowed outputs only ({!mxv_pull_masked}'s body, with its early
+      exit for a saturating ⊕), a push filters its scatter.  The result
+      holds exactly the allowed entries of the product.
+      @raise Dimension_mismatch when the mask does not fit the result. *)
+
+  val vxm :
+    'a Dtype.t ->
+    Op_spec.semiring ->
+    ?direction:[ `Auto | `Pull | `Push ] ->
+    ?mask:Mask.vmask ->
+    transpose:bool ->
+    'a Svector.t ->
+    'a Smatrix.t ->
+    'a Svector.t
+
+  val ewise :
+    [ `Add | `Mult ] ->
+    'a Dtype.t ->
+    op:string ->
+    'a Svector.t ->
+    'a Svector.t ->
+    'a Svector.t
+
+  val ewise_fused :
+    [ `Add | `Mult ] ->
+    'a Dtype.t ->
+    op:string ->
+    chain:Op_spec.unary list ->
+    'a Svector.t ->
+    'a Svector.t ->
+    'a Svector.t
+
+  val apply : 'a Dtype.t -> Op_spec.unary -> 'a Svector.t -> 'a Svector.t
+
+  val apply_chain :
+    'a Dtype.t -> chain:Op_spec.unary list -> 'a Svector.t -> 'a Svector.t
+end
 
 (** {2 Dense-vector kernel variants}
 
@@ -145,6 +210,14 @@ val ewise_v_dense :
 
 val apply_v_dense :
   'a Dtype.t -> Op_spec.unary -> 'a array * bool array -> 'a array * bool array
+
+val apply_chain_dense :
+  'a Dtype.t ->
+  Op_spec.unary list ->
+  'a array * bool array ->
+  'a array * bool array
+(** {!apply_v_dense} over a whole chain (innermost first); the chain's
+    [;]-joined name is the ["f"] operator of the signature. *)
 
 val reduce_v_scalar_dense :
   'a Dtype.t -> op:string -> identity:string -> 'a array * bool array -> 'a

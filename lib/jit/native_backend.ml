@@ -253,7 +253,13 @@ let probe () =
           | Ok _ -> Ok ()
           | Error e -> Error e)
 
+(* One probe per process: its files are named by the pid, so two
+   domains probing at once would compile into, and clean up, the same
+   paths, and the loser would cache "unavailable" for good. *)
+let probe_lock = Mutex.create ()
+
 let probe_cached () =
+  Mutex.protect probe_lock @@ fun () ->
   match !probe_result with
   | Some r -> r
   | None ->

@@ -24,6 +24,7 @@ let () =
       ("algorithms", Test_algorithms.suite);
       ("workloads", Test_workloads.suite);
       ("formats", Test_formats.suite);
+      ("layout", Test_layout.suite);
       ("extensions", Test_extensions.suite);
       ("analysis", Test_analysis.suite);
       ("effects", Test_effects.suite);

@@ -198,14 +198,19 @@ let keys entry n =
 
 let find_entry name = Option.get (Analysis.Tier1.find name)
 
+(* graph.T @ frontier under the ~levels mask: the column gather's push
+   on a sparse frontier, its pull on a dense one, and the masked pull *)
 let test_abstract_bfs () =
   let ks = keys (find_entry "bfs") 64 in
-  Alcotest.(check int) "bfs reaches two kernels" 2 (List.length ks);
+  Alcotest.(check int) "bfs reaches three kernels" 3 (List.length ks);
   List.iter
     (fun k ->
       Alcotest.(check bool) ("mxv: " ^ k) true
         (Helpers.contains_substring k "mxv|T:bool"))
-    ks
+    ks;
+  let has sub = List.exists (fun k -> Helpers.contains_substring k sub) ks in
+  Alcotest.(check bool) "masked pull" true (has "masked_pull");
+  Alcotest.(check bool) "dense frontier" true (has "u:dense")
 
 let test_abstract_pagerank () =
   let ks = keys (find_entry "pagerank") 64 in
@@ -242,8 +247,10 @@ let test_tier1_names_match_registry () =
 
 (* -- ahead-of-time warm-up: the acceptance criterion -- *)
 
-let test_warm_zero_first_iteration_compiles () =
-  let n = 16 in
+(* n = 16 keeps every vector sparse (below the size-32 densify floor);
+   at n = 64 the frontier and the ranks turn dense, so the warm set must
+   hold the dense-layout signatures too. *)
+let warm_zero_first_iteration_compiles n =
   let sigs =
     Analysis.Tier1.signatures (find_entry "bfs") ~n
     @ Analysis.Tier1.signatures (find_entry "pagerank") ~n
@@ -272,6 +279,9 @@ let test_warm_zero_first_iteration_compiles () =
     (after.Jit.Jit_stats.compiles - before.Jit.Jit_stats.compiles);
   Alcotest.(check int) "zero first-iteration disk loads" 0
     (after.Jit.Jit_stats.disk_hits - before.Jit.Jit_stats.disk_hits)
+
+let test_warm_zero_first_iteration_compiles () =
+  List.iter warm_zero_first_iteration_compiles [ 16; 64 ]
 
 (* -- property: accepted random DAGs stay accepted through the whole
       rewrite pipeline (the hook re-verifies after every pass) -- *)

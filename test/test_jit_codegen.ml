@@ -355,6 +355,46 @@ let test_remaining_families =
         dense_ops_families Dtype.Int64 62;
         dense_ops_families Dtype.Bool 63 ])
 
+(* apply_m runs the apply body over the CSR values (the CSC side for
+   the transposed result): native = closure = the library's
+   Apply_reduce.apply_matrix, structure and bits. *)
+let qcheck_apply_m =
+  Helpers.qtest ~count:60 "apply_m: native = closure = Apply_reduce.apply_matrix"
+    QCheck.(
+      make
+        Gen.(
+          quad (int_range 1 9) (int_range 1 9) (int_range 0 10_000)
+            (pair bool (oneofl [ 0; 1; 2 ]))))
+    (fun (nrows, ncols, seed, (transpose, which)) ->
+      let rng = Graphs.Rng.create ~seed in
+      let a = rand_mat Dtype.FP64 rng nrows ncols in
+      let f =
+        match which with
+        | 0 -> Jit.Op_spec.Named "AdditiveInverse"
+        | 1 -> Jit.Op_spec.Bound { op = "Times"; side = `Second; const = 0.85 }
+        | _ -> Jit.Op_spec.Bound { op = "Minus"; side = `First; const = 0.5 }
+      in
+      let coo m =
+        List.map (fun (r, c, x) -> (r, c, Int64.bits_of_float x)) (Smatrix.to_coo m)
+      in
+      let expected =
+        let out =
+          if transpose then Smatrix.create Dtype.FP64 ncols nrows
+          else Smatrix.create Dtype.FP64 nrows ncols
+        in
+        Apply_reduce.apply_matrix ~transpose
+          (Jit.Op_spec.instantiate_unary Dtype.FP64 f)
+          ~out a;
+        coo out
+      in
+      let run () = coo (Jit.Kernels.apply_m Dtype.FP64 f ~transpose a) in
+      let closure =
+        Jit.Dispatch.clear_memory_cache ();
+        with_backend Jit.Dispatch.Closure run
+      in
+      closure = expected
+      && ((not native_available) || with_backend Jit.Dispatch.Native run = expected))
+
 let test_disk_cache_roundtrip () =
   if not native_available then Alcotest.skip ()
   else
@@ -417,4 +457,5 @@ let suite =
     Alcotest.test_case "pull, dense and fused families: native = closure"
       `Quick test_remaining_families;
     Alcotest.test_case "disk cache roundtrip" `Quick test_disk_cache_roundtrip;
+    Helpers.to_alcotest qcheck_apply_m;
   ]
