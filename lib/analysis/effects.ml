@@ -171,14 +171,17 @@ let vec_size infos id =
    stable under the sparse ABI. *)
 let densify_floor = 32
 
-let footprints_canon ?(assume_formats = false) plan =
+let footprints_canon ?(assume_formats = false) ?infos plan =
   let formats_on = assume_formats || Gbtl.Format_stats.enabled () in
   let order = Plan.topo plan in
   let canon = build_canon plan order in
   let infos =
     (* shape inference refines the representation-stability rule; a
        plan the verifier rejects gets no refinement (conservative) *)
-    try Verify.infer ~stage:"effects" plan with _ -> Hashtbl.create 0
+    match infos with
+    | Some infos -> infos
+    | None -> (
+      try Verify.infer ~stage:"effects" plan with _ -> Hashtbl.create 0)
   in
   let leaf_info id =
     (* canonical owner + observed storage facts, when [id] resolves to
@@ -273,9 +276,8 @@ let footprints ?assume_formats plan =
    Node outputs have exactly one writer — the producer, an ancestor of
    every consumer — so they never conflict and only contribute reads. *)
 
-let find ?assume_formats plan =
-  let order = Plan.topo plan in
-  let canon, fps = footprints_canon ?assume_formats plan in
+let unordered_hazards ?assume_formats ?infos plan order =
+  let canon, fps = footprints_canon ?assume_formats ?infos plan in
   let kind_of id = (Plan.node plan id).Plan.kind in
   let group_of = function
     | Mat_entries l | Mat_csc l -> Some (`Mat l)
@@ -366,6 +368,13 @@ let find ?assume_formats plan =
   let lst = Hashtbl.fold (fun _ h acc -> h :: acc) out [] in
   List.sort (fun x y -> compare (x.a, x.b, x.owner) (y.a, y.b, y.owner)) lst
 
+(* Leaves have no effects, so kernels that run one at a time cannot
+   race: a chain has no unordered pair to look at. *)
+let find ?assume_formats ?infos plan =
+  let order = Plan.topo plan in
+  if Plan.kernel_chain plan order then []
+  else unordered_hazards ?assume_formats ?infos plan order
+
 (* -- remedies --
    Prebuild performs the lazy conversion eagerly, before any domain
    starts: [ensure_csc] for a matrix index, [sparsify] for a dense
@@ -385,8 +394,8 @@ let add_edge pos plan h =
   if not (Array.exists (fun d -> d = first) n.Plan.deps) then
     n.Plan.deps <- Array.append n.Plan.deps [| first |]
 
-let remedy ~strategy plan =
-  let hazards = find plan in
+let remedy ?infos ~strategy plan =
+  let hazards = find ?infos plan in
   let pos : (int, int) Hashtbl.t = Hashtbl.create 32 in
   List.iteri (fun i id -> Hashtbl.replace pos id i) (Plan.topo plan);
   List.iter

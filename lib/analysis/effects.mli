@@ -58,14 +58,22 @@ val footprints : ?assume_formats:bool -> Exec.Plan.t -> footprint list
     (the plan is analyzed as it would run, not under the current
     environment). *)
 
-val find : ?assume_formats:bool -> Exec.Plan.t -> hazard list
+val find :
+  ?assume_formats:bool ->
+  ?infos:(int, Verify.info) Hashtbl.t ->
+  Exec.Plan.t ->
+  hazard list
 (** Hazards between scheduler-unordered node pairs, write-write first
     per location, sorted by [(a, b, owner)].  CSC hazards require
     format-aware dispatch ([assume_formats] or the runtime toggle);
     dense-operand sparsification does not — the array ABI flips a dense
-    vector regardless. *)
+    vector regardless.  [infos] is the plan's {!Verify.infer} result
+    when the caller already has it; without it the shapes are inferred
+    here. *)
 
-val remedy : strategy:strategy -> Exec.Plan.t -> hazard list
+val remedy :
+  ?infos:(int, Verify.info) Hashtbl.t -> strategy:strategy -> Exec.Plan.t ->
+  hazard list
 (** Find and repair: [Prebuild] performs the lazy conversion eagerly
     ([ensure_csc] / [sparsify] — value-preserving) and falls back to a
     dependency edge for intermediates; [Edge] serializes each pair.

@@ -3,23 +3,28 @@
    the analysis doing its job), anything else — including the armed
    ["analysis.effects.exn"] chaos fault — is reported on stderr and
    counted, and the plan runs unchecked. *)
-let run_effects fix_races plan ~stage =
+let run_effects fix_races ~infos plan ~stage =
   try
     Jit.Jit_stats.record_effects_check ();
     if Fault.fire "analysis.effects.exn" then
       raise (Fault.Injected "analysis.effects.exn");
     match fix_races with
-    | Some strategy ->
-      let found = Effects.remedy ~strategy plan in
-      Jit.Jit_stats.record_effects_hazard ~count:(List.length found);
-      (match Effects.find plan with
+    | Some strategy -> (
+      (* the remedy changes storage and edges, never shapes, so the
+         verifier's inference serves both passes; with nothing found
+         there is nothing left to re-check *)
+      match Effects.remedy ~infos ~strategy plan with
       | [] -> ()
-      | remaining ->
-        raise (Effects.Effect_hazard { stage; hazards = remaining }))
+      | found -> (
+        Jit.Jit_stats.record_effects_hazard ~count:(List.length found);
+        match Effects.find ~infos plan with
+        | [] -> ()
+        | remaining ->
+          raise (Effects.Effect_hazard { stage; hazards = remaining })))
     | None ->
       (* verify-only mode: surface the count, let the caller decide *)
       Jit.Jit_stats.record_effects_hazard
-        ~count:(List.length (Effects.find plan))
+        ~count:(List.length (Effects.find ~infos plan))
   with
   | Effects.Effect_hazard _ as e -> raise e
   | e ->
@@ -29,8 +34,8 @@ let run_effects fix_races plan ~stage =
       stage (Printexc.to_string e)
 
 let checker fix_races plan ~stage =
-  Verify.check ~stage plan;
-  if stage = "pre-schedule" then run_effects fix_races plan ~stage
+  let infos = Verify.check_infer ~stage plan in
+  if stage = "pre-schedule" then run_effects fix_races ~infos plan ~stage
 
 let install ?(fix_races = Some Effects.Prebuild) () =
   Exec.Verify_hook.install (checker fix_races)

@@ -1,12 +1,15 @@
 (** Wiring the analyzer into the execution engine.
 
     {!install} registers a checker with {!Exec.Verify_hook}, so the
-    nonblocking pipeline runs {!Verify.check} on every plan at the
-    ["lower"] stage, after each rewrite pass, and at ["pre-schedule"].
+    nonblocking pipeline runs {!Verify.check} at the ["lower"] stage
+    and after each rewrite pass of every plan the planner rewrites (a
+    DAG shape's first force; later forces replay the cached result,
+    see {!Exec.Planner}), and at ["pre-schedule"] on every force.
 
-    The {!Effects} stage is mandatory at ["pre-schedule"].  With a
-    remedy strategy (default {!Effects.Prebuild}) hazards are repaired in
-    place and any survivor raises {!Effects.Effect_hazard}; with
+    The {!Effects} stage is mandatory at ["pre-schedule"] and reuses the
+    verifier's inference from that stage.  With a remedy strategy
+    (default {!Effects.Prebuild}) hazards are repaired in place and any
+    survivor raises {!Effects.Effect_hazard}; with
     [fix_races = None] hazards are counted ({!Jit.Jit_stats}) but
     execution proceeds — the caller asked to observe, not to fix.
 

@@ -359,7 +359,7 @@ let compare_snapshot ~stage ~plan prev infos rinf =
        (miscompile)"
       (info_to_string prev.root) (info_to_string rinf) prev.at stage
 
-let check ~stage plan =
+let check_infer ~stage plan =
   let infos = infer ~stage plan in
   let r = Plan.root plan in
   let rinf =
@@ -384,7 +384,10 @@ let check ~stage plan =
           else others
         in
         snaps := entry :: others
-      end)
+      end);
+  infos
+
+let check ~stage plan = ignore (check_infer ~stage plan)
 
 let report plan =
   let infos = infer plan in

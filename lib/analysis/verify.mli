@@ -45,5 +45,9 @@ val check : stage:string -> Exec.Plan.t -> unit
     (dropped again once the ["pre-schedule"] stage passes).
     @raise Verify_error *)
 
+val check_infer : stage:string -> Exec.Plan.t -> (int, info) Hashtbl.t
+(** {!check}, returning the inference it made (for callers that analyze
+    the same plan next, as the effects stage does). *)
+
 val report : Exec.Plan.t -> string
 (** Human-readable per-node inference listing (CLI [analyze]). *)

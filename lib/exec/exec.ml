@@ -22,15 +22,10 @@ let with_mode = Ogb.Exec_hook.with_mode
 let last_trace_ref = ref None
 let last_trace () = !last_trace_ref
 
-let plan_force ?mask e =
-  let p = Plan.of_expr ?mask e in
-  Planner.optimize p;
-  p
+let plan_force ?mask e = Planner.optimize (Plan.of_expr ?mask e)
 
 let plan_reduce ~op ~identity e =
-  let p = Plan.of_expr_reduce ~op ~identity e in
-  Planner.optimize p;
-  p
+  Planner.optimize (Plan.of_expr_reduce ~op ~identity e)
 
 (* Failure containment (last rung of the degradation ladder): when the
    scheduler fails even after its own sequential re-run, re-evaluate the

@@ -4,7 +4,8 @@
     expression trees eagerly, exactly as before.  Under
     [with_mode Nonblocking] they instead lower into a {!Plan} DAG with
     common-subexpression sharing, run the {!Rewrite} passes through
-    the {!Planner} (the greedy pipeline or a pinned schedule), and
+    the {!Planner} (the greedy pipeline or a pinned schedule, once per
+    DAG shape), and
     execute ready nodes concurrently on a domain pool
     ({!Scheduler}) — producing bit-identical containers.
 

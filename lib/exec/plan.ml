@@ -153,6 +153,34 @@ let drop_dead plan =
   List.iter (Hashtbl.remove plan.tbl) dead;
   List.length dead
 
+(* True when no two non-leaf nodes of [order] (a topological order) can
+   run at once: each one consumes the one before it.  Leaves do nothing
+   when they run, so such a plan has nothing to overlap and nothing to
+   race on. *)
+let kernel_chain plan order =
+  let rec go prev = function
+    | [] -> true
+    | id :: rest -> (
+      let n = node plan id in
+      match n.op with
+      | Leaf _ -> go prev rest
+      | _ ->
+        (match prev with None -> true | Some p -> Array.mem p n.deps)
+        && go (Some id) rest)
+  in
+  go None order
+
+(* A copy with fresh node records and dependency arrays, so a rewrite
+   or an added edge on one never reaches the other; [op] gives each
+   copied node's op. *)
+let copy ?(op = fun n -> n.op) plan =
+  let tbl = Hashtbl.create (Hashtbl.length plan.tbl) in
+  Hashtbl.iter
+    (fun id n ->
+      Hashtbl.replace tbl id { n with op = op n; deps = Array.copy n.deps })
+    plan.tbl;
+  { plan with tbl }
+
 let pp fmt plan =
   List.iter
     (fun id ->
@@ -185,28 +213,128 @@ let fresh plan op deps kind =
   Hashtbl.replace plan.tbl id { id; op; deps; kind };
   id
 
-(* Structural keys for hash-consing.  Only pure, cheaply-keyable ops
-   participate; extract/select (closure predicates, index sets) get
-   unique nodes. *)
-let cse_key op deps =
-  let d = String.concat "," (List.map string_of_int (Array.to_list deps)) in
-  match op with
-  | Transpose -> Some (Printf.sprintf "T(%s)" d)
-  (* layout is excluded from the key: lowering always produces
-     L_default, and select_layout runs only after CSE. *)
-  | MatMul { sr; transpose_a; transpose_b; masked = None; _ } ->
-    Some
-      (Printf.sprintf "mxm(%s/%s/%s,%b,%b)(%s)" sr.Jit.Op_spec.add_op
-         sr.Jit.Op_spec.add_identity sr.Jit.Op_spec.mul_op transpose_a
-         transpose_b d)
+(* -- structural keys --
+   One byte encoding of an op with every parameter, shared by CSE below
+   and the planner's shape key: fixed-width ints, length-prefixed
+   strings, bound constants by their bits.  Ops holding index sets or
+   closures (extract, select) have none. *)
+
+exception No_key
+
+let key_int b i = Buffer.add_int64_le b (Int64.of_int i)
+let key_bool b x = Buffer.add_char b (if x then 't' else 'f')
+
+let key_str b s =
+  key_int b (String.length s);
+  Buffer.add_string b s
+
+let key_unary b = function
+  | Jit.Op_spec.Named s ->
+    Buffer.add_char b 'N';
+    key_str b s
+  | Jit.Op_spec.Bound { op; side; const } ->
+    Buffer.add_char b 'B';
+    key_str b op;
+    key_bool b (side = `First);
+    Buffer.add_int64_le b (Int64.bits_of_float const)
+
+let key_chain b chain =
+  key_int b (List.length chain);
+  List.iter (key_unary b) chain
+
+let key_kind b k = Buffer.add_char b (match k with `Add -> '+' | `Mult -> '*')
+
+(* A container's dtype and dimensions. *)
+let key_shape b c =
+  key_str b (C.dtype_name c);
+  match c with
+  | C.Vec (_, v) ->
+    Buffer.add_char b 'v';
+    key_int b (Svector.size v)
+  | C.Mat (_, m) ->
+    Buffer.add_char b 'm';
+    key_int b (Smatrix.nrows m);
+    key_int b (Smatrix.ncols m)
+
+let key_mask b = function
+  | None -> Buffer.add_char b '-'
+  | Some { Ogb.Expr.container; complemented } ->
+    key_bool b complemented;
+    key_shape b container
+
+let key_op b = function
+  | Leaf c ->
+    (* the shape facts the rewrites read; a vector's layout steers
+       select_layout *)
+    Buffer.add_char b 'L';
+    key_shape b c;
+    (match c with
+    | C.Vec (_, v) -> key_bool b (Svector.is_dense v)
+    | C.Mat _ -> ())
+  | Transpose -> Buffer.add_char b 'T'
+  | MatMul { sr; transpose_a; transpose_b; masked; layout } ->
+    Buffer.add_char b 'M';
+    key_str b sr.Jit.Op_spec.add_op;
+    key_str b sr.Jit.Op_spec.add_identity;
+    key_str b sr.Jit.Op_spec.mul_op;
+    key_bool b transpose_a;
+    key_bool b transpose_b;
+    key_mask b masked;
+    Buffer.add_char b
+      (match layout with
+      | L_default -> 'd'
+      | L_csc -> 'c'
+      | L_csc_pull -> 'p'
+      | L_csc_push -> 'q')
   | Ewise { kind; op; transpose_a; transpose_b } ->
-    Some
-      (Printf.sprintf "ewise_%s(%s,%b,%b)(%s)" (kind_tag kind) op transpose_a
-         transpose_b d)
+    Buffer.add_char b 'E';
+    key_kind b kind;
+    key_str b op;
+    key_bool b transpose_a;
+    key_bool b transpose_b
   | ApplyChain { chain; transpose } ->
-    Some (Printf.sprintf "apply(%s,%b)(%s)" (unary_names chain) transpose d)
+    Buffer.add_char b 'A';
+    key_chain b chain;
+    key_bool b transpose
+  | EwiseApply { kind; op; chain } ->
+    Buffer.add_char b 'F';
+    key_kind b kind;
+    key_str b op;
+    key_chain b chain
+  | EwiseMultReduce { op; monoid_op; identity } ->
+    Buffer.add_char b 'R';
+    key_str b op;
+    key_str b monoid_op;
+    key_str b identity
   | ReduceRows { op; identity; transpose } ->
-    Some (Printf.sprintf "rr(%s/%s,%b)(%s)" op identity transpose d)
+    Buffer.add_char b 'W';
+    key_str b op;
+    key_str b identity;
+    key_bool b transpose
+  | ReduceScalar { op; identity } ->
+    Buffer.add_char b 'S';
+    key_str b op;
+    key_str b identity
+  | ExtractVec _ | ExtractMat _ | Select _ -> raise No_key
+
+let key_node b n =
+  key_op b n.op;
+  Buffer.add_char b
+    (match n.kind with K_vec -> 'v' | K_mat -> 'm' | K_scalar -> 's');
+  key_int b (Array.length n.deps);
+  Array.iter (key_int b) n.deps
+
+(* Hash-consing keys.  Only pure ops participate (lowering produces no
+   mask and no layout on a matmul; select_layout runs after CSE);
+   extract/select get unique nodes. *)
+let cse_key op deps =
+  match op with
+  | Transpose | MatMul { masked = None; _ } | Ewise _ | ApplyChain _
+  | ReduceRows _ ->
+    let b = Buffer.create 64 in
+    key_op b op;
+    Array.iter (key_int b) deps;
+    Some (Buffer.contents b)
   | _ -> None
 
 type builder = {

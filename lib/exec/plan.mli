@@ -94,6 +94,34 @@ val refcounts : t -> (int, int) Hashtbl.t
 val drop_dead : t -> int
 (** Remove nodes unreachable from the root; returns how many died. *)
 
+exception No_key
+
+val key_node : Buffer.t -> node -> unit
+(** Append a byte encoding of a node: its op with every parameter (a
+    leaf by its dtype, dimensions and, for vectors, layout), its kind
+    and its deps.  Two nodes encode alike exactly when lowering and the
+    rewrites treat them alike.  @raise No_key for extract and select
+    nodes (index sets and closure predicates). *)
+
+val key_mask : Buffer.t -> Ogb.Expr.mask_spec option -> unit
+(** Append the mask's presence, complement flag, dtype and
+    dimensions. *)
+
+val key_int : Buffer.t -> int -> unit
+val key_bool : Buffer.t -> bool -> unit
+val key_str : Buffer.t -> string -> unit
+
+val kernel_chain : t -> int list -> bool
+(** [kernel_chain plan (topo plan)]: no two non-leaf nodes can run at
+    once, because each consumes the one before it in topological order
+    (vacuously true for at most one).  Leaves do no work when they run,
+    so such a plan has nothing to overlap and nothing to race on. *)
+
+val copy : ?op:(node -> op) -> t -> t
+(** A copy with fresh node records and dependency arrays: rewriting or
+    adding edges to one never changes the other.  [op] (default: the
+    node's own) gives each copied node's op. *)
+
 val events : t -> (string * int) list
 val cse_merged : t -> int
 val record_event : t -> string -> int -> unit

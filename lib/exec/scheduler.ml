@@ -159,29 +159,48 @@ let run_parallel plan order ndomains =
   (match !failed with Some e -> raise e | None -> ());
   (Hashtbl.find results plan.Plan.root, !events)
 
+(* A plan whose kernels form a chain ({!Plan.kernel_chain}: sssp's
+   [leaf, leaf, mxv], PageRank's fused [ewise, mult_reduce]) has
+   nothing to overlap, so it runs on the caller and wakes no pool
+   helper.  Under a multi-domain budget it keeps the parallel path's
+   ladder: a failed inline attempt counts as a worker failure and gets
+   the sequential re-run.  The budget is only looked up when it
+   decides something. *)
 let run plan =
   let order = Plan.topo plan in
-  let domains =
-    if List.length order <= 1 then 1 else domain_count ()
+  let budget () =
+    match order with [] | [ _ ] -> 1 | _ -> domain_count ()
   in
   let before = Jit.Jit_stats.snapshot () in
   let t0 = now () in
-  let value, node_events, degraded =
-    if domains = 1 then
-      let v, ev = run_sequential plan order in
-      (v, ev, false)
+  (* containment, step 1: re-execute the plan in deterministic
+     sequential order (after a parallel failure the pool is already
+     joined).  A transient fault (one bad worker, a poisoned
+     domain-local state) does not repeat here; a persistent one
+     re-raises to Exec, which falls back to the blocking evaluator. *)
+  let rerun () =
+    Jit.Jit_stats.record_sched_seq_rerun ();
+    let v, ev = run_sequential plan order in
+    (v, ev, true)
+  in
+  let domains, (value, node_events, degraded) =
+    if Plan.kernel_chain plan order then
+      ( 1,
+        match run_sequential plan order with
+        | v, ev -> (v, ev, false)
+        | exception _ when budget () > 1 ->
+          Jit.Jit_stats.record_sched_worker_failure ();
+          rerun () )
     else
-      match run_parallel plan order domains with
-      | v, ev -> (v, ev, false)
-      | exception _ ->
-        (* containment, step 1: the pool is already joined; re-execute
-           the plan in deterministic sequential order.  A transient
-           fault (one bad worker, a poisoned domain-local state) does
-           not repeat here; a persistent one re-raises to Exec, which
-           falls back to the blocking evaluator. *)
-        Jit.Jit_stats.record_sched_seq_rerun ();
+      match budget () with
+      | 1 ->
         let v, ev = run_sequential plan order in
-        (v, ev, true)
+        (1, (v, ev, false))
+      | domains ->
+        ( domains,
+          match run_parallel plan order domains with
+          | v, ev -> (v, ev, false)
+          | exception _ -> rerun () )
   in
   let total_seconds = now () -. t0 in
   let after = Jit.Jit_stats.snapshot () in

@@ -20,12 +20,15 @@ val set_domains : int -> unit
 val clear_domains_override : unit -> unit
 
 val domain_count : unit -> int
-(** Domains the next run will use: 1 under {!Ogb.Exec_hook.force_sequential}
+(** The domain budget of the next run: 1 under {!Ogb.Exec_hook.force_sequential}
     (MiniVM re-entrancy), else the {!set_domains} override, else
     [OGB_DOMAINS], else [min 4 (Domain.recommended_domain_count ())]. *)
 
 val run : Plan.t -> Plan.value * Trace.t
 (** Execute the (already-optimized) plan and return the root value plus
-    the execution trace.  A parallel failure triggers one sequential
-    re-execution; if that fails too the located {!Node_error} is
-    re-raised. *)
+    the execution trace.  A plan whose kernels form a chain
+    ({!Plan.kernel_chain}, e.g. one kernel over leaves) runs on the
+    caller without waking pool helpers.  Under a multi-domain budget
+    a failure — parallel or such an inline run — counts as a worker
+    failure and triggers one sequential re-execution; if that fails too
+    the located {!Node_error} is re-raised. *)

@@ -8,8 +8,12 @@
     - after each pass: ["sink_transpose"], ["apply_chain"],
       ["apply_ewise"], ["mult_reduce"], ["push_mask"],
       ["select_layout"];
-    - ["pre-schedule"] — in {!Exec.run_plan}, right before the domain
-      scheduler starts.
+    - ["pre-schedule"] — in [Exec.force]/[Exec.reduce], right before the
+      domain scheduler starts, on every force.
+
+    The first two run when the planner rewrites a plan, which it does
+    once per DAG shape ({!Planner}); a repeated shape replays the
+    verified result and is checked at ["pre-schedule"] only.
 
     A checker reports a defect by raising; the exception aborts the
     pipeline, rejecting the rewrite as a miscompile before any kernel

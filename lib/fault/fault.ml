@@ -29,7 +29,11 @@ let points =
     "tile.io.exn";  (* tile/checkpoint I/O raises mid-operation *)
     "tile.evict.slow" ]  (* eviction writeback stalls *)
 
-let valid_point p = List.mem p points
+(* read-only after start-up, so shared by every domain without a lock;
+   the scheduler checks two points per plan node *)
+let point_set =
+  Hashtbl.of_seq (List.to_seq (List.map (fun p -> (p, ())) points))
+let valid_point p = Hashtbl.mem point_set p
 
 let check_point p =
   if not (valid_point p) then

@@ -83,10 +83,10 @@ let record_signature key ~hit =
   in
   if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1
 
-let record_fusion kind =
+let record_fusion ?(count = 1) kind =
   Mutex.protect tally_lock @@ fun () ->
   Hashtbl.replace fusion_table kind
-    (1 + Option.value ~default:0 (Hashtbl.find_opt fusion_table kind))
+    (count + Option.value ~default:0 (Hashtbl.find_opt fusion_table kind))
 
 let signature_counts key =
   Mutex.protect tally_lock @@ fun () ->

@@ -61,9 +61,9 @@ val record_signature : string -> hit:bool -> unit
 (** Tally one dispatch of the given {!Kernel_sig.key} as a cache hit
     (memory or disk) or a miss (fresh compile). *)
 
-val record_fusion : string -> unit
-(** Count one firing of a fusion rewrite (by rewrite name); fed by the
-    nonblocking engine's optimizer. *)
+val record_fusion : ?count:int -> string -> unit
+(** Count [count] (default one) firings of a fusion rewrite (by rewrite
+    name); fed by the nonblocking engine's optimizer. *)
 
 val signature_counts : string -> int * int
 (** [(hits, misses)] of one signature key, as {!per_signature} lists

@@ -19,6 +19,7 @@ let () =
       ("vm-bridge", Test_vm_bridge.suite);
       ("expr-random", Test_expr_random.suite);
       ("exec", Test_exec.suite);
+      ("plan-cache", Test_plan_cache.suite);
       ("pprint", Test_pprint.suite);
       ("notation (Table I)", Test_notation.suite);
       ("algorithms", Test_algorithms.suite);

@@ -70,18 +70,38 @@ let test_algorithms_across_domains () =
   Alcotest.(check int) "pagerank iteration count" i1 i4;
   Alcotest.(check bool) "bfs levels" true (Ogb.Container.equal l1 l4)
 
-(* A multi-node nonblocking plan at 2 domains borrows a pool helper
+(* Two independent products joined by an element-wise add: three
+   kernel nodes, the two products ready at once. *)
+let two_products_program () =
+  let open Ogb in
+  let open Ogb.Ops.Infix in
+  let n = 96 in
+  let m =
+    Container.matrix_coo ~nrows:n ~ncols:n
+      (List.init n (fun i ->
+           (i, ((i * 5) + 1) mod n, 1.0 +. float_of_int (i mod 3))))
+  in
+  let u =
+    Container.vector_coo ~size:n (List.init n (fun i -> (i, float_of_int i)))
+  in
+  let v = Container.vector_coo ~size:n [ (3, 2.0); (40, -1.0) ] in
+  let w = Container.vector_empty n in
+  Ops.set w ((!!m @. !!u) +: (!!m @. !!v));
+  Container.vector_entries w
+
+let counter k = List.assoc k (Pool.counters ())
+
+(* A multi-kernel nonblocking plan at 2 domains borrows a pool helper
    ([par_jobs] and [chunks] grow) and its result is bit-identical to
    the 1-domain run.  Freshly spawned helper domains only count as idle
    once they reach their wait loop, so the first plans may run without
    one; retry until a helper is granted. *)
 let test_pool_serves_scheduler () =
-  let counter k = List.assoc k (Pool.counters ()) in
-  let seq = with_domains 1 (fun () -> nonblocking dsl_program) in
+  let seq = with_domains 1 (fun () -> nonblocking two_products_program) in
   with_domains 2 @@ fun () ->
   let par0 = counter "par_jobs" and chunks0 = counter "chunks" in
   let rec go tries =
-    let r = nonblocking dsl_program in
+    let r = nonblocking two_products_program in
     Alcotest.(check bool) "2 domains match 1 domain" true (r = seq);
     if counter "par_jobs" = par0 && tries > 0 then begin
       Unix.sleepf 0.01;
@@ -92,6 +112,25 @@ let test_pool_serves_scheduler () =
   Alcotest.(check bool) "par_jobs grew" true (counter "par_jobs" > par0);
   Alcotest.(check bool) "chunks grew" true (counter "chunks" > chunks0);
   Alcotest.(check bool) "busy time recorded" true (Pool.busy_seconds () > 0.0)
+
+(* A plan with one kernel node runs on the caller even with a helper
+   to spare: the masked and the accumulated product each lower to
+   [leaf, leaf, mxv], and neither asks the pool for anything. *)
+let test_one_kernel_plans_inline () =
+  (* an injected worker fault would end in the blocking fallback, which
+     records no trace *)
+  Fault.suspended @@ fun () ->
+  let seq = with_domains 1 (fun () -> nonblocking dsl_program) in
+  with_domains 2 @@ fun () ->
+  let par0 = counter "par_jobs" and seq0 = counter "seq_jobs" in
+  let r = nonblocking dsl_program in
+  Alcotest.(check bool) "2 domains match 1 domain" true (r = seq);
+  Alcotest.(check int) "no helper granted" par0 (counter "par_jobs");
+  Alcotest.(check int) "no helper requested" seq0 (counter "seq_jobs");
+  match Exec.last_trace () with
+  | Some t ->
+    Alcotest.(check int) "trace reports one domain" 1 t.Exec.Trace.domains
+  | None -> Alcotest.fail "no trace recorded"
 
 (* ---- the Jit_stats bugfix: plain int-ref counters lost updates under
    concurrent domains; atomics must account for every increment ---- *)
@@ -121,6 +160,8 @@ let test_doctor_reports_pool () =
 let suite =
   [ Alcotest.test_case "results independent of domain count" `Quick
       test_pool_serves_scheduler;
+    Alcotest.test_case "one-kernel plans run on the caller" `Quick
+      test_one_kernel_plans_inline;
     Alcotest.test_case "DSL mask+accum identical across domain counts" `Quick
       test_dsl_across_domains;
     Alcotest.test_case "algorithms bit-identical across domain counts" `Quick
