@@ -112,7 +112,7 @@ let pagerank =
 let tc =
   make "tc" (Printf.sprintf "triangles: %d")
     (four
-       ~input:(fun m -> Triangle.of_undirected (bool_m m))
+       ~input:Triangle.of_undirected
        ~native:(no_src Triangle.native)
        ~of_native:(fun t -> Count t)
        ~dsl:(no_src Triangle.dsl) ~nonblocking:(no_src Triangle.nonblocking)

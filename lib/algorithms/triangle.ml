@@ -10,9 +10,14 @@ let native l =
 
 let generic = native
 
+(* Only the pattern matters: one filter pass keeps the strict lower
+   triangle, and its values are replaced by ones. *)
 let of_undirected g =
-  let ones = Smatrix.map (Smatrix.cast ~into:Dtype.Int64 g) ~f:(fun _ -> 1) in
-  Utilities.lower_triangle ~strict:true ones
+  let l = Utilities.lower_triangle ~strict:true g in
+  Smatrix.of_csr_unsafe Dtype.Int64 ~nrows:(Smatrix.nrows l)
+    ~ncols:(Smatrix.ncols l) ~rowptr:(Smatrix.unsafe_rowptr l)
+    ~colidx:(Smatrix.unsafe_colidx l)
+    ~values:(Array.make (Smatrix.nvals l) 1)
 
 let dsl l =
   let open Ogb in

@@ -20,8 +20,9 @@ val generic : int Smatrix.t -> int
     {!Jit.Kernels.mxm} above the library), so the library tier and the
     specialized tier coincide for this algorithm. *)
 
-val of_undirected : bool Smatrix.t -> int Smatrix.t
-(** Extract the strict lower triangle as an int64 matrix of ones. *)
+val of_undirected : 'a Smatrix.t -> int Smatrix.t
+(** Extract the strict lower triangle as an int64 matrix of ones: every
+    stored entry below the diagonal becomes 1, whatever its value. *)
 
 val dsl : Ogb.Container.t -> float
 

@@ -54,8 +54,12 @@ let reduce_vector_scalar ?accum ?init (m : 'a Monoid.t) u =
   in
   finish_scalar ?accum ?init m ~nvals:(Svector.nvals u) total
 
+(* Storage order is row-major, so folding the values array visits the
+   entries in the same order as [Smatrix.fold]. *)
 let reduce_matrix_scalar ?accum ?init (m : 'a Monoid.t) a =
-  let total =
-    Smatrix.fold (fun acc _ _ x -> m.Monoid.op.Binop.f acc x) m.Monoid.identity a
-  in
-  finish_scalar ?accum ?init m ~nvals:(Smatrix.nvals a) total
+  let vals = Smatrix.unsafe_values a and f = m.Monoid.op.Binop.f in
+  let total = ref m.Monoid.identity in
+  for p = 0 to Smatrix.nvals a - 1 do
+    total := f !total vals.(p)
+  done;
+  finish_scalar ?accum ?init m ~nvals:(Smatrix.nvals a) !total

@@ -41,16 +41,29 @@ let bool_arith : bool t =
 
 (* Values of widths <= 32 are kept normalized (signed ones sign-extended,
    unsigned ones in [0, 2^w)), so native [int] comparison is correct for
-   both signed and unsigned dtypes. *)
+   both signed and unsigned dtypes.  [Int64] is the native [int], whose
+   normalization is the identity: it gets the plain operators, the
+   narrower widths their wrap picked once here. *)
 let int_arith (dt : int Dtype.t) : int t =
-  let n = Dtype.normalize dt in
+  let add, sub, mul, div, neg =
+    match dt with
+    | Int64 ->
+      (( + ), ( - ), ( * ), (fun a b -> if b = 0 then 0 else a / b), ( ~- ))
+    | Int8 | Int16 | Int32 | UInt8 | UInt16 | UInt32 ->
+      let n = Dtype.normalizer dt in
+      ( (fun a b -> n (a + b)),
+        (fun a b -> n (a - b)),
+        (fun a b -> n (a * b)),
+        (fun a b -> if b = 0 then 0 else n (a / b)),
+        fun a -> n (-a) )
+  in
   {
     dtype = dt;
-    add = (fun a b -> n (a + b));
-    sub = (fun a b -> n (a - b));
-    mul = (fun a b -> n (a * b));
-    div = (fun a b -> if b = 0 then 0 else n (a / b));
-    neg = (fun a -> n (-a));
+    add;
+    sub;
+    mul;
+    div;
+    neg;
     min = (fun a b -> if a <= b then a else b);
     max = (fun a b -> if a >= b then a else b);
     eq = Int.equal;
@@ -83,14 +96,25 @@ let uint64_arith : int64 t =
     max_value = -1L;
   }
 
+(* [FP64] gets the plain operators; [FP32] rounds every result to
+   single precision. *)
 let float_arith (dt : float Dtype.t) : float t =
-  let n = Dtype.normalize dt in
+  let add, sub, mul, div =
+    match dt with
+    | FP64 -> (( +. ), ( -. ), ( *. ), ( /. ))
+    | FP32 ->
+      let n = Dtype.normalizer dt in
+      ( (fun a b -> n (a +. b)),
+        (fun a b -> n (a -. b)),
+        (fun a b -> n (a *. b)),
+        fun a b -> n (a /. b) )
+  in
   {
     dtype = dt;
-    add = (fun a b -> n (a +. b));
-    sub = (fun a b -> n (a -. b));
-    mul = (fun a b -> n (a *. b));
-    div = (fun a b -> n (a /. b));
+    add;
+    sub;
+    mul;
+    div;
     neg = (fun a -> -.a);
     min = (fun a b -> if a <= b then a else b);
     max = (fun a b -> if a >= b then a else b);

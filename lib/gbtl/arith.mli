@@ -4,7 +4,8 @@
     algebra ({!Binop}, {!Unaryop}, {!Monoid}, {!Semiring}) is built on top
     of it.  Every result is normalized back into the dtype's domain (width
     wrapping / single-precision rounding), mirroring C arithmetic on the
-    corresponding POD type. *)
+    corresponding POD type.  The normalization is chosen once, when the
+    record is built: [Int64] and [FP64] get the plain OCaml operators. *)
 
 type 'a t = {
   dtype : 'a Dtype.t;

@@ -49,8 +49,9 @@ let of_name (type a) name (dt : a Dtype.t) : a t =
     | other -> (
       match lookup_user other with
       | Some g ->
-        fun x y ->
-          Dtype.of_float dt (g (Dtype.to_float dt x) (Dtype.to_float dt y))
+        let to_float = Dtype.caster ~from:dt ~into:Dtype.FP64
+        and of_float = Dtype.caster ~from:Dtype.FP64 ~into:dt in
+        fun x y -> of_float (g (to_float x) (to_float y))
       | None -> raise (Unknown_operator other))
   in
   { name; f }

@@ -147,26 +147,39 @@ let wrap_signed bits v =
 
 let wrap_unsigned bits v = v land ((1 lsl bits) - 1)
 
-let wrap_int (it : int t) v =
+(* The per-width wraps as named functions, so a dtype's wrap is picked
+   once and then called directly. *)
+let wrap_int8 v = wrap_signed 8 v
+let wrap_int16 v = wrap_signed 16 v
+let wrap_int32 v = wrap_signed 32 v
+let wrap_uint8 v = wrap_unsigned 8 v
+let wrap_uint16 v = wrap_unsigned 16 v
+let wrap_uint32 v = wrap_unsigned 32 v
+
+let wrapper (it : int t) : int -> int =
   match it with
-  | Int8 -> wrap_signed 8 v
-  | Int16 -> wrap_signed 16 v
-  | Int32 -> wrap_signed 32 v
-  | Int64 -> v
-  | UInt8 -> wrap_unsigned 8 v
-  | UInt16 -> wrap_unsigned 16 v
-  | UInt32 -> wrap_unsigned 32 v
+  | Int8 -> wrap_int8
+  | Int16 -> wrap_int16
+  | Int32 -> wrap_int32
+  | Int64 -> Fun.id
+  | UInt8 -> wrap_uint8
+  | UInt16 -> wrap_uint16
+  | UInt32 -> wrap_uint32
+
+let wrap_int it v = wrapper it v
 
 let round_fp32 (v : float) = Int32.float_of_bits (Int32.bits_of_float v)
 
-let normalize : type a. a t -> a -> a =
- fun dt v ->
+let normalizer : type a. a t -> a -> a =
+ fun dt ->
   match repr dt with
-  | RBool -> v
-  | RInt it -> wrap_int it v
-  | RInt64 -> v
-  | RFloat FP32 -> round_fp32 v
-  | RFloat _ -> v
+  | RBool -> Fun.id
+  | RInt it -> wrapper it
+  | RInt64 -> Fun.id
+  | RFloat FP32 -> round_fp32
+  | RFloat _ -> Fun.id
+
+let normalize dt v = normalizer dt v
 
 let zero : type a. a t -> a =
  fun dt ->
@@ -268,13 +281,50 @@ let of_int64 : type a. a t -> int64 -> a =
   | RFloat FP32 -> round_fp32 (Int64.to_float v)
   | RFloat _ -> Int64.to_float v
 
-let cast : type a b. from:a t -> into:b t -> a -> b =
- fun ~from ~into v ->
+let bool_to_int b = if b then 1 else 0
+let bool_to_int64 b = if b then 1L else 0L
+let bool_to_float b = if b then 1.0 else 0.0
+let int_to_bool v = v <> 0
+let int64_to_bool v = v <> 0L
+let float_to_bool v = v <> 0.0
+let round_int_to_fp32 v = round_fp32 (float_of_int v)
+let round_uint64_to_fp32 v = round_fp32 (uint64_to_float v)
+
+(* The one conversion table: the pair is matched here, once, and the
+   returned function does only the conversion.  Each entry is what
+   C conversion gives — through [to_float]/[of_float] when either side
+   is a float, through the exact [to_int64]/[of_int64] view otherwise. *)
+let caster : type a b. from:a t -> into:b t -> a -> b =
+ fun ~from ~into ->
   match equal_witness from into with
-  | Some Equal -> v
-  | None ->
-    if is_float into || is_float from then of_float into (to_float from v)
-    else of_int64 into (to_int64 from v)
+  | Some Equal -> Fun.id
+  | None -> (
+    match repr from, repr into with
+    | RBool, RBool -> Fun.id
+    | RBool, RInt _ -> bool_to_int
+    | RBool, RInt64 -> bool_to_int64
+    | RBool, RFloat _ -> bool_to_float
+    | RInt _, RBool -> int_to_bool
+    | RInt _, RInt it -> wrapper it
+    | RInt _, RInt64 -> Int64.of_int
+    | RInt _, RFloat FP32 -> round_int_to_fp32
+    | RInt _, RFloat _ -> float_of_int
+    | RInt64, RBool -> int64_to_bool
+    | RInt64, RInt it ->
+      let w = wrapper it in
+      fun v -> w (Int64.to_int v)
+    | RInt64, RInt64 -> Fun.id
+    | RInt64, RFloat FP32 -> round_uint64_to_fp32
+    | RInt64, RFloat _ -> uint64_to_float
+    | RFloat _, RBool -> float_to_bool
+    | RFloat _, RInt it ->
+      let w = wrapper it in
+      fun v -> w (int_of_float v)
+    | RFloat _, RInt64 -> float_to_uint64
+    | RFloat _, RFloat FP32 -> round_fp32
+    | RFloat _, RFloat _ -> Fun.id)
+
+let cast ~from ~into v = caster ~from ~into v
 
 let to_bool : type a. a t -> a -> bool =
  fun dt v ->

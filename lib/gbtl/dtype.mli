@@ -63,13 +63,23 @@ val promote : packed -> packed -> packed
 (** [promote a b] is the common dtype both operands upcast to: the one of
     greater {!rank}. *)
 
+val normalizer : 'a t -> 'a -> 'a
+(** [normalizer dt] wraps/rounds a raw value into the dtype's domain
+    (sign-extend + mask for small integers, single-precision rounding
+    for [FP32], the identity for the other dtypes).  The dtype is
+    matched once, when the function is built. *)
+
 val normalize : 'a t -> 'a -> 'a
-(** Wrap/round a raw value into the dtype's domain (sign-extend + mask for
-    small integers, single-precision rounding for [FP32]). *)
+(** [normalize dt v] is [normalizer dt v]. *)
+
+val caster : from:'a t -> into:'b t -> 'a -> 'b
+(** [caster ~from ~into] is the conversion between two dtypes, following
+    C conversion rules (truncation towards zero for float->int, wrapping
+    for narrowing integer casts).  The pair is matched once, when the
+    function is built; loops over many values build it outside. *)
 
 val cast : from:'a t -> into:'b t -> 'a -> 'b
-(** Value conversion following C conversion rules (truncation towards zero
-    for float->int, wrapping for narrowing integer casts). *)
+(** [cast ~from ~into v] is [caster ~from ~into v]. *)
 
 val zero : 'a t -> 'a
 val one : 'a t -> 'a
@@ -82,6 +92,12 @@ val max_value : 'a t -> 'a
 
 val of_float : 'a t -> float -> 'a
 val to_float : 'a t -> 'a -> float
+
+val of_int64 : 'a t -> int64 -> 'a
+val to_int64 : 'a t -> 'a -> int64
+(** Exact integer view (truncating for floats); with {!to_float} and
+    {!of_float} it spells each {!caster} entry one value at a time. *)
+
 val of_int : 'a t -> int -> 'a
 val to_bool : 'a t -> 'a -> bool
 (** C truthiness: nonzero is [true]. *)

@@ -10,11 +10,11 @@ type mmask =
 (* Sorted indices of the truthy entries — O(nvals) to build, vs O(size)
    for the dense boolean array. *)
 let sparse_of_vector v =
-  let dt = Svector.dtype v in
+  let truthy = Dtype.caster ~from:(Svector.dtype v) ~into:Dtype.Bool in
   let idx = Array.make (Svector.nvals v) 0 and k = ref 0 in
   Svector.iter
     (fun i x ->
-      if Dtype.to_bool dt x then begin
+      if truthy x then begin
         idx.(!k) <- i;
         incr k
       end)

@@ -11,28 +11,27 @@ type predicate =
   | Value_eq of float
   | Value_ne of float
 
-let accepts (type a) (dt : a Dtype.t) pred r c (x : a) =
-  match pred with
-  | Tril k -> c - r <= k
-  | Triu k -> c - r >= k
-  | Diag -> r = c
-  | Offdiag -> r <> c
-  | Nonzero -> Dtype.to_bool dt x
-  | Value_gt v -> Dtype.to_float dt x > v
-  | Value_ge v -> Dtype.to_float dt x >= v
-  | Value_lt v -> Dtype.to_float dt x < v
-  | Value_le v -> Dtype.to_float dt x <= v
-  | Value_eq v -> Dtype.to_float dt x = v
-  | Value_ne v -> Dtype.to_float dt x <> v
-
-let keep_matrix m pred =
-  let triples =
-    Smatrix.fold
-      (fun acc r c x -> if pred r c x then (r, c, x) :: acc else acc)
-      [] m
+(* The predicate and the dtype's truthiness or float view are picked
+   once per call; the returned function is what runs per entry. *)
+let accepts (type a) (dt : a Dtype.t) pred : int -> int -> a -> bool =
+  let value cmp =
+    let to_float = Dtype.caster ~from:dt ~into:Dtype.FP64 in
+    fun _ _ x -> cmp (to_float x)
   in
-  Smatrix.of_coo (Smatrix.dtype m) (Smatrix.nrows m) (Smatrix.ncols m)
-    (List.rev triples)
+  match pred with
+  | Tril k -> fun r c _ -> c - r <= k
+  | Triu k -> fun r c _ -> c - r >= k
+  | Diag -> fun r c _ -> r = c
+  | Offdiag -> fun r c _ -> r <> c
+  | Nonzero ->
+    let truthy = Dtype.caster ~from:dt ~into:Dtype.Bool in
+    fun _ _ x -> truthy x
+  | Value_gt v -> value (fun f -> f > v)
+  | Value_ge v -> value (fun f -> f >= v)
+  | Value_lt v -> value (fun f -> f < v)
+  | Value_le v -> value (fun f -> f <= v)
+  | Value_eq v -> value (fun f -> f = v)
+  | Value_ne v -> value (fun f -> f <> v)
 
 let matrix ?(mask = Mask.No_mmask) ?accum ?(replace = false) pred ~out a =
   if Smatrix.shape out <> Smatrix.shape a then
@@ -41,12 +40,12 @@ let matrix ?(mask = Mask.No_mmask) ?accum ?(replace = false) pred ~out a =
         (Printf.sprintf "output %s"
            (Error.shape_str (Smatrix.nrows a) (Smatrix.ncols a)))
       ~actual:(Error.shape_str (Smatrix.nrows out) (Smatrix.ncols out));
-  let dt = Smatrix.dtype a in
+  let keep = accepts (Smatrix.dtype a) pred in
   let t =
     Array.init (Smatrix.nrows a) (fun r ->
         let e = Entries.create () in
         Smatrix.iter_row
-          (fun c x -> if accepts dt pred r c x then Entries.push e c x)
+          (fun c x -> if keep r c x then Entries.push e c x)
           a r;
         e)
   in
@@ -57,9 +56,7 @@ let vector ?(mask = Mask.No_vmask) ?accum ?(replace = false) pred ~out u =
     Error.raise_dims ~op:"select"
       ~expected:(Printf.sprintf "output size %d" (Svector.size u))
       ~actual:(Error.size_str (Svector.size out));
-  let dt = Svector.dtype u in
+  let keep = accepts (Svector.dtype u) pred in
   let t = Entries.create () in
-  Svector.iter
-    (fun i x -> if accepts dt pred 0 i x then Entries.push t i x)
-    u;
+  Svector.iter (fun i x -> if keep 0 i x then Entries.push t i x) u;
   Output.write_vector ~mask ~accum ~replace ~out ~t

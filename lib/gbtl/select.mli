@@ -38,5 +38,8 @@ val vector :
   unit
 (** Positional predicates treat the index as the column with row 0. *)
 
-val keep_matrix : 'a Smatrix.t -> (int -> int -> 'a -> bool) -> 'a Smatrix.t
-(** Pure functional form with an arbitrary predicate. *)
+val accepts : 'a Dtype.t -> predicate -> int -> int -> 'a -> bool
+(** [accepts dt pred] is the per-entry test [matrix] and [vector] run:
+    [accepts dt pred r c x] keeps the entry [(r, c, x)].  The predicate
+    and the dtype's conversion are resolved when it is applied to
+    [dt] and [pred]. *)

@@ -349,10 +349,10 @@ let unsafe_transpose_view m =
   }
 
 let cast ~into m =
-  let n = nvals m in
-  let vals = Array.make (max n 1) (Dtype.zero into) in
+  let n = nvals m and conv = Dtype.caster ~from:m.dt ~into in
+  let vals = Array.make n (Dtype.zero into) in
   for p = 0 to n - 1 do
-    vals.(p) <- Dtype.cast ~from:m.dt ~into m.vals.(p)
+    vals.(p) <- conv m.vals.(p)
   done;
   {
     dt = into;
@@ -360,9 +360,39 @@ let cast ~into m =
     ncols = m.ncols;
     rowptr = Array.copy m.rowptr;
     colidx = Array.sub m.colidx 0 n;
-    vals = Array.sub vals 0 n;
+    vals;
     csc = None;
   }
+
+(* One walk over the rows: the predicate marks the kept entries and
+   counts them per row, then the kept entries are copied into arrays of
+   exactly the kept size, in storage order. *)
+let filter m ~f =
+  let n = nvals m in
+  let keep = Bytes.make n '\000' and rowptr = Array.make (m.nrows + 1) 0 in
+  for r = 0 to m.nrows - 1 do
+    let k = ref rowptr.(r) in
+    for p = m.rowptr.(r) to m.rowptr.(r + 1) - 1 do
+      if f r m.colidx.(p) m.vals.(p) then begin
+        Bytes.unsafe_set keep p '\001';
+        incr k
+      end
+    done;
+    rowptr.(r + 1) <- !k
+  done;
+  let kept = rowptr.(m.nrows) in
+  let colidx = Array.make kept 0 in
+  let vals = if kept = 0 then [||] else Array.make kept m.vals.(0) in
+  let q = ref 0 in
+  for p = 0 to n - 1 do
+    if Bytes.unsafe_get keep p <> '\000' then begin
+      colidx.(!q) <- m.colidx.(p);
+      vals.(!q) <- m.vals.(p);
+      incr q
+    end
+  done;
+  { dt = m.dt; nrows = m.nrows; ncols = m.ncols; rowptr; colidx; vals;
+    csc = None }
 
 let map m ~f =
   let out = dup m in

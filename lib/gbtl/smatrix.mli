@@ -106,6 +106,11 @@ val unsafe_transpose_view : 'a t -> 'a t
     mutating either matrix afterwards corrupts the other. *)
 
 val cast : into:'b Dtype.t -> 'a t -> 'b t
+
+val filter : 'a t -> f:(int -> int -> 'a -> bool) -> 'a t
+(** The entries [(r, c, x)] with [f r c x], in one walk over the rows;
+    [f] is called once per stored entry, in storage order. *)
+
 val map : 'a t -> f:('a -> 'a) -> 'a t
 val map_inplace : 'a t -> f:('a -> 'a) -> unit
 val equal : 'a t -> 'a t -> bool

@@ -280,19 +280,19 @@ let to_dense ~fill v =
   arr
 
 let cast ~into v =
-  let out = create into v.size in
+  let out = create into v.size and conv = Dtype.caster ~from:v.dt ~into in
   (match v.dense with
   | Some { dvals; valid } ->
     let dvals' = Array.make (max v.size 1) (Dtype.zero into) in
     for i = 0 to v.size - 1 do
-      if valid.(i) then dvals'.(i) <- Dtype.cast ~from:v.dt ~into dvals.(i)
+      if valid.(i) then dvals'.(i) <- conv dvals.(i)
     done;
     out.dense <- Some { dvals = dvals'; valid = Array.copy valid }
   | None ->
     ensure_capacity out v.nvals (Dtype.zero into);
     for k = 0 to v.nvals - 1 do
       out.idx.(k) <- v.idx.(k);
-      out.vals.(k) <- Dtype.cast ~from:v.dt ~into v.vals.(k)
+      out.vals.(k) <- conv v.vals.(k)
     done);
   out.nvals <- v.nvals;
   out
@@ -322,8 +322,9 @@ let map_inplace v ~f =
     done
 
 let to_bool_dense v =
-  let arr = Array.make v.size false in
-  iter (fun i x -> arr.(i) <- Dtype.to_bool v.dt x) v;
+  let arr = Array.make v.size false
+  and truthy = Dtype.caster ~from:v.dt ~into:Dtype.Bool in
+  iter (fun i x -> arr.(i) <- truthy x) v;
   arr
 
 (* Representation-agnostic: same size, same stored positions, same

@@ -30,7 +30,10 @@ let of_name (type a) name (dt : a Dtype.t) : a t =
     | "MultiplicativeInverse" -> fun x -> a.div a.one x
     | other -> (
       match lookup_user other with
-      | Some g -> fun x -> Dtype.of_float dt (g (Dtype.to_float dt x))
+      | Some g ->
+        let to_float = Dtype.caster ~from:dt ~into:Dtype.FP64
+        and of_float = Dtype.caster ~from:Dtype.FP64 ~into:dt in
+        fun x -> of_float (g (to_float x))
       | None -> raise (Unknown_operator other))
   in
   { name; f }

@@ -28,14 +28,7 @@ let normalize_cols m =
     if s <> 0.0 then vals.(p) <- vals.(p) /. s
   done
 
-let filter_matrix m pred =
-  let triples =
-    Smatrix.fold
-      (fun acc r c x -> if pred r c then (r, c, x) :: acc else acc)
-      [] m
-  in
-  Smatrix.of_coo (Smatrix.dtype m) (Smatrix.nrows m) (Smatrix.ncols m)
-    (List.rev triples)
+let filter_matrix m pred = Smatrix.filter m ~f:(fun r c _ -> pred r c)
 
 let lower_triangle ?(strict = true) m =
   filter_matrix m (fun r c -> if strict then c < r else c <= r)

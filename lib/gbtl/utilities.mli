@@ -8,6 +8,10 @@ val normalize_rows : float Smatrix.t -> unit
 
 val normalize_cols : float Smatrix.t -> unit
 
+val filter_matrix : 'a Smatrix.t -> (int -> int -> bool) -> 'a Smatrix.t
+(** The entries whose position satisfies the predicate ({!Smatrix.filter}
+    on positions). *)
+
 val lower_triangle : ?strict:bool -> 'a Smatrix.t -> 'a Smatrix.t
 (** Entries with [col <= row] ([col < row] when [strict], the default is
     [strict = true] as triangle counting needs the strict part). *)

@@ -17,14 +17,26 @@ let override_domains = ref None
 let set_domains n = override_domains := Some (max 1 n)
 let clear_domains_override () = override_domains := None
 
+(* The environment's budget is read on first use and kept: the exec
+   scheduler asks for it on every force.  0 = not read yet; two domains
+   reading it at once both store the same value. *)
+let env_domains = Atomic.make 0
+
+let env_budget () =
+  match Atomic.get env_domains with
+  | 0 ->
+    let n =
+      match env_int "OGB_DOMAINS" with
+      | Some n when n >= 1 -> n
+      | Some _ -> 1
+      | None -> min 4 (Domain.recommended_domain_count ())
+    in
+    Atomic.set env_domains n;
+    n
+  | n -> n
+
 let domains () =
-  match !override_domains with
-  | Some n -> n
-  | None -> (
-    match env_int "OGB_DOMAINS" with
-    | Some n when n >= 1 -> n
-    | Some _ -> 1
-    | None -> min 4 (Domain.recommended_domain_count ()))
+  match !override_domains with Some n -> n | None -> env_budget ()
 
 let workers () = domains () - 1
 

@@ -8,7 +8,9 @@
 
 val domains : unit -> int
 (** Resolved domain budget: programmatic override, else [OGB_DOMAINS],
-    else [min 4 (Domain.recommended_domain_count ())]. *)
+    else [min 4 (Domain.recommended_domain_count ())].  The environment
+    is read on the first call that needs it; later changes to
+    [OGB_DOMAINS] are not seen. *)
 
 val set_domains : int -> unit
 (** Override the domain budget (clamped to ≥ 1).  The pool resizes

@@ -99,3 +99,25 @@ let contains_substring haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec scan i = i + nn <= nh && (String.sub haystack i nn = needle || scan (i + 1)) in
   nn = 0 || scan 0
+
+(* The same matrix over arrays with [extra] unused cells past [nvals]:
+   every reader must stop at [nvals], never at the array length. *)
+let with_slack ?(extra = 3) m =
+  let n = Smatrix.nvals m and dt = Smatrix.dtype m in
+  let pad a fill = Array.append (Array.sub a 0 n) (Array.make extra fill) in
+  Smatrix.of_csr_unsafe dt ~nrows:(Smatrix.nrows m) ~ncols:(Smatrix.ncols m)
+    ~rowptr:(Array.copy (Smatrix.unsafe_rowptr m))
+    ~colidx:(pad (Smatrix.unsafe_colidx m) 0)
+    ~values:(pad (Smatrix.unsafe_values m) (Dtype.one dt))
+
+(* A symmetrized ER graph plus [isolated] vertices with no edges (empty
+   rows), as a Bool adjacency over arrays with slack capacity. *)
+let padded_adjacency ~seed ~n ~m ~isolated =
+  let rng = Graphs.Rng.create ~seed in
+  let g =
+    Graphs.Edge_list.symmetrize
+      (Graphs.Generators.erdos_renyi_gnm rng ~nvertices:n ~nedges:m)
+  in
+  with_slack
+    (Graphs.Convert.bool_adjacency
+       { g with Graphs.Edge_list.nvertices = n + isolated })

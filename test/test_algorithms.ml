@@ -272,16 +272,51 @@ let test_triangles_tiers_agree () =
   let rng = Graphs.Rng.create ~seed:35 in
   let g = Graphs.Generators.erdos_renyi_gnm rng ~nvertices:14 ~nedges:40 in
   let sym = Graphs.Edge_list.symmetrize g in
-  let l = Algorithms.Triangle.of_undirected (Graphs.Convert.bool_adjacency sym) in
-  let native = float_of_int (Algorithms.Triangle.native l) in
-  let lc = Ogb.Container.of_smatrix l in
-  Alcotest.check (Alcotest.float 0.0) "dsl" native (Algorithms.Triangle.dsl lc);
-  Alcotest.check (Alcotest.float 0.0) "vm_loops" native
-    (Algorithms.Triangle.vm_loops lc);
-  Alcotest.check (Alcotest.float 0.0) "vm_whole" native
-    (Algorithms.Triangle.vm_whole lc);
-  Alcotest.check (Alcotest.float 0.0) "nonblocking" native
-    (Algorithms.Triangle.nonblocking lc)
+  List.iter
+    (fun (label, adj) ->
+      let l = Algorithms.Triangle.of_undirected adj in
+      let native = float_of_int (Algorithms.Triangle.native l) in
+      let lc = Ogb.Container.of_smatrix l in
+      let check tier got =
+        Alcotest.check (Alcotest.float 0.0) (label ^ ": " ^ tier) native got
+      in
+      check "dsl" (Algorithms.Triangle.dsl lc);
+      check "vm_loops" (Algorithms.Triangle.vm_loops lc);
+      check "vm_whole" (Algorithms.Triangle.vm_whole lc);
+      check "nonblocking" (Algorithms.Triangle.nonblocking lc))
+    [ ("ER-14", Graphs.Convert.bool_adjacency sym);
+      ( "ER-20 with isolated vertices and slack",
+        Helpers.padded_adjacency ~seed:36 ~n:14 ~m:40 ~isolated:6 ) ]
+
+(* The one-pass input against the cast -> map -> lower_triangle spelling
+   it replaced and a to_coo filter, on float matrices with empty rows,
+   with and without slack capacity. *)
+let qcheck_of_undirected =
+  Helpers.qtest ~count:200 "Triangle.of_undirected ≡ cast/map/lower_triangle"
+    (Helpers.arb
+       QCheck.Gen.(int_range 0 8 >>= fun n ->
+                   pair (return n) (Helpers.mat_gen ~density:0.4 n n))
+       ~print:(fun (_, d) -> Helpers.print_mat d))
+    (fun (n, d) ->
+      let m0 = Dense_ref.smatrix_of_mat Dtype.FP64 n n d in
+      List.for_all
+        (fun m ->
+          let got = Algorithms.Triangle.of_undirected m in
+          let spelled =
+            Utilities.lower_triangle ~strict:true
+              (Smatrix.map
+                 (Smatrix.cast ~into:Dtype.Int64 (Smatrix.cast ~into:Dtype.Bool m))
+                 ~f:(fun _ -> 1))
+          and by_coo =
+            Smatrix.of_coo Dtype.Int64 n n
+              (List.filter_map
+                 (fun (r, c, _) -> if c < r then Some (r, c, 1) else None)
+                 (Smatrix.to_coo m))
+          in
+          Smatrix.equal got spelled && Smatrix.equal got by_coo
+          && Smatrix.unsafe_rowptr got = Smatrix.unsafe_rowptr by_coo
+          && Array.length (Smatrix.unsafe_colidx got) = Smatrix.nvals got)
+        [ m0; Helpers.with_slack m0 ])
 
 let test_known_triangle_counts () =
   let complete n = Graphs.Generators.complete n in
@@ -555,6 +590,7 @@ let suite =
       test_triangles_tiers_agree;
     Alcotest.test_case "known triangle counts" `Quick
       test_known_triangle_counts;
+    Helpers.to_alcotest qcheck_of_undirected;
     Alcotest.test_case "pagerank vs power iteration" `Quick
       test_pagerank_against_reference;
     Alcotest.test_case "pagerank tiers agree" `Quick

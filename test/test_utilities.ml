@@ -65,6 +65,54 @@ let qcheck_normalized_rows_sum_to_one =
           !n = 0 || abs_float (!s -. 1.0) < 1e-9)
         (Array.init 5 Fun.id))
 
+
+(* ---- one-pass filters against a to_coo filter ---- *)
+
+let filter_reference m pred =
+  Smatrix.of_coo (Smatrix.dtype m) (Smatrix.nrows m) (Smatrix.ncols m)
+    (List.filter (fun (r, c, _) -> pred r c) (Smatrix.to_coo m))
+
+(* Same shape, same rowptr, same entries, and arrays of exactly nvals
+   cells as [of_coo] builds them. *)
+let identical a b =
+  Smatrix.equal a b
+  && Smatrix.unsafe_rowptr a = Smatrix.unsafe_rowptr b
+  && Array.length (Smatrix.unsafe_colidx a) = Smatrix.nvals a
+  && Array.length (Smatrix.unsafe_values a) = Smatrix.nvals a
+
+let position_predicates =
+  [ ("c < r", fun r c -> c < r); ("c <= r", fun r c -> c <= r);
+    ("c > r", fun r c -> c > r); ("c >= r", fun r c -> c >= r);
+    ("(r + c) mod 3 = 0", fun r c -> (r + c) mod 3 = 0);
+    ("none", fun _ _ -> false); ("all", fun _ _ -> true) ]
+
+let qcheck_filters =
+  Helpers.qtest ~count:200
+    "filter_matrix/lower/upper_triangle ≡ to_coo filter (empty rows, slack)"
+    (Helpers.arb
+       QCheck.Gen.(pair (int_range 0 7) (int_range 0 7) >>= fun (nr, nc) ->
+                   pair (return (nr, nc)) (Helpers.mat_gen ~density:0.35 nr nc))
+       ~print:(fun (_, d) -> Helpers.print_mat d))
+    (fun ((nr, nc), d) ->
+      let m0 = Dense_ref.smatrix_of_mat f64 nr nc d in
+      List.for_all
+        (fun m ->
+          List.for_all
+            (fun (_, pred) ->
+              identical (Utilities.filter_matrix m pred) (filter_reference m pred))
+            position_predicates
+          && List.for_all
+               (fun strict ->
+                 identical
+                   (Utilities.lower_triangle ~strict m)
+                   (filter_reference m (fun r c -> if strict then c < r else c <= r))
+                 && identical
+                      (Utilities.upper_triangle ~strict m)
+                      (filter_reference m (fun r c ->
+                           if strict then c > r else c >= r)))
+               [ true; false ])
+        [ m0; Helpers.with_slack m0 ])
+
 let suite =
   [ Alcotest.test_case "normalize_rows" `Quick test_normalize_rows;
     Alcotest.test_case "triangular splits" `Quick test_triangles_split;
@@ -73,4 +121,5 @@ let suite =
       test_identity_is_mxm_neutral;
     Alcotest.test_case "row degrees" `Quick test_row_degrees;
     Helpers.to_alcotest qcheck_normalized_rows_sum_to_one;
+    Helpers.to_alcotest qcheck_filters;
   ]

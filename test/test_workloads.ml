@@ -242,7 +242,11 @@ let truss_alist c =
 let test_ktruss_tiers_agree () =
   List.iter
     (fun (seed, k) ->
-      let adj = sym_graph ~seed ~n:16 ~m:44 in
+      (* seed 95: isolated vertices (empty rows) and slack capacity *)
+      let adj =
+        if seed = 95 then Helpers.padded_adjacency ~seed ~n:16 ~m:44 ~isolated:5
+        else sym_graph ~seed ~n:16 ~m:44
+      in
       let expected =
         List.map (fun (i, j, _) -> (i, j))
           (List.sort compare
@@ -260,7 +264,7 @@ let test_ktruss_tiers_agree () =
       check "dsl" (truss_alist (Algorithms.Ktruss.dsl ~k gc));
       check "nonblocking" (truss_alist (Algorithms.Ktruss.nonblocking ~k gc));
       check "vm_loops" (truss_alist (Algorithms.Ktruss.vm_loops ~k gc)))
-    [ (91, 3); (92, 3); (93, 4); (94, 4) ]
+    [ (91, 3); (92, 3); (93, 4); (94, 4); (95, 3) ]
 
 let test_ktruss_two_triangles () =
   (* two triangles sharing edge (0,1): every edge sits in >= 1 triangle
