@@ -2,130 +2,93 @@ open Gbtl
 
 let f64 = Dtype.FP64
 
-(* One source's dependency accumulation (the LAGraph formulation with a
-   dense bcu of ones). *)
-let accumulate_source adj_f centrality s =
-  let n = Smatrix.nrows adj_f in
-  (* forward: frontier carries shortest-path counts *)
-  let nsp = Svector.create f64 n in
-  Svector.set nsp s 1.0;
-  let frontier = Smatrix.extract_row adj_f s in
-  let sigmas = ref [] in
-  let arithmetic = Semiring.arithmetic f64 in
-  while Svector.nvals frontier > 0 do
-    (* record this wave's pattern (counts are >= 1, so truthy) *)
-    sigmas := Svector.cast ~into:Dtype.Bool frontier :: !sigmas;
-    (* nsp += frontier *)
-    Output.write_vector ~mask:Mask.No_vmask ~accum:(Some (Binop.plus f64))
-      ~replace:false ~out:nsp ~t:(Svector.entries frontier);
-    (* frontier<¬nsp, replace> = frontier ⊕.⊗ A *)
-    Matmul.vxm
-      ~mask:(Mask.vmask ~complemented:true nsp)
-      ~replace:true arithmetic ~out:frontier frontier adj_f
-  done;
-  let waves = Array.of_list (List.rev !sigmas) in
-  let depth = Array.length waves in
-  if depth > 0 then begin
-    (* backward: bcu starts as dense ones *)
-    let bcu = Svector.of_dense f64 (Array.make n 1.0) in
-    let nspinv = Svector.create f64 n in
-    Apply_reduce.apply_vector (Unaryop.multiplicative_inverse f64)
-      ~out:nspinv nsp;
-    let w = Svector.create f64 n in
-    for i = depth - 1 downto 1 do
-      (* w<S_i, replace> = bcu ⊗ 1/nsp *)
-      Ewise.vector_mult
-        ~mask:(Mask.vmask waves.(i))
-        ~replace:true (Binop.times f64) ~out:w bcu nspinv;
-      (* w = A ⊕.⊗ w : dependencies flow back along edges *)
-      Matmul.mxv arithmetic ~out:w adj_f w;
-      (* bcu<S_{i-1}> += w ⊗ nsp *)
-      let t = Svector.create f64 n in
-      Ewise.vector_mult (Binop.times f64) ~out:t w nsp;
-      Output.write_vector
-        ~mask:(Mask.vmask waves.(i - 1))
-        ~accum:(Some (Binop.plus f64)) ~replace:false ~out:bcu
-        ~t:(Svector.entries t)
-    done;
-    (* centrality += bcu - 1, excluding the source *)
-    Svector.iter
-      (fun v x ->
-        if v <> s && x <> 1.0 then
-          Svector.set centrality v
-            ((match Svector.get centrality v with Some c -> c | None -> 0.0)
-            +. x -. 1.0))
-      bcu
-  end
+(* One source's Brandes pass as the DSL program's own kernel calls (see
+   [run] below), made directly on the vectors: forward masked vxm
+   wavefronts accumulate shortest-path counts into nsp, the backward
+   mxv / eWiseMult sweep flows dependencies into bcu.  Returns bcu, a
+   dense vector of 1 + delta_src(v) over the reached set and 1
+   elsewhere.
 
-let native ?sources graph =
-  let n = Smatrix.nrows graph in
-  let adj_f = Smatrix.cast ~into:f64 graph in
-  let centrality = Svector.of_dense f64 (Array.make n 0.0) in
-  let sources =
-    match sources with Some l -> l | None -> List.init n Fun.id
-  in
-  List.iter (fun s -> accumulate_source adj_f centrality s) sources;
-  centrality
-
-(* ------------------------------------------------------------------ *)
-(* Single-source tiers (the eighth tier-1 workload).                   *)
-(*                                                                     *)
-(* Same Brandes formulation, but the forward sweep starts from the     *)
-(* unit vector e_s and expands through the masked vxm uniformly — the  *)
-(* first wave is e_s (+.x) A under <~nsp, replace>, which equals the    *)
-(* extracted row s on loop-free graphs and additionally drops a         *)
-(* self-loop at the source (which is never on a shortest path).        *)
-(* ------------------------------------------------------------------ *)
-
-let single_source graph ~src =
-  let n = Smatrix.nrows graph in
-  let adj_f = Smatrix.cast ~into:f64 graph in
-  let arithmetic = Semiring.arithmetic f64 in
+   The forward sweep starts from the unit vector e_src, so the first
+   wave is e_src (+.x) A under <~nsp, replace>: the row of A at src
+   without a self-loop at the source (which is never on a shortest
+   path).  Each wave is a fresh kernel result that nothing writes to
+   afterwards, so it is kept as it is; the DSL program keeps a dup. *)
+let source_bcu adj ~src =
+  let n = Smatrix.nrows adj in
+  let plus = Some (Binop.plus f64) in
+  let arithmetic = Jit.Op_spec.arithmetic in
   let nsp = Svector.create f64 n in
   Svector.set nsp src 1.0;
   let frontier = Svector.create f64 n in
   Svector.set frontier src 1.0;
-  let sigmas = ref [] in
-  let continue_ = ref true in
-  while !continue_ do
+  let rec forward frontier waves =
     (* frontier<~nsp, replace> = frontier (+.x) A *)
-    Matmul.vxm
-      ~mask:(Mask.vmask ~complemented:true nsp)
-      ~replace:true arithmetic ~out:frontier frontier adj_f;
-    if Svector.nvals frontier = 0 then continue_ := false
+    let frontier =
+      Jit.Kernels.Vector.vxm f64 arithmetic
+        ~mask:(Mask.vmask ~complemented:true nsp)
+        ~transpose:false frontier adj
+    in
+    if Svector.nvals frontier = 0 then Array.of_list (List.rev waves)
     else begin
-      sigmas := Svector.cast ~into:Dtype.Bool frontier :: !sigmas;
-      Output.write_vector ~mask:Mask.No_vmask ~accum:(Some (Binop.plus f64))
-        ~replace:false ~out:nsp ~t:(Svector.entries frontier)
+      (* nsp += frontier *)
+      Output.write_svector ~mask:Mask.No_vmask ~accum:plus ~replace:false
+        ~out:nsp ~t:frontier;
+      forward frontier (frontier :: waves)
     end
-  done;
-  let waves = Array.of_list (List.rev !sigmas) in
+  in
+  let waves = forward frontier [] in
   let depth = Array.length waves in
   let bcu = Svector.of_dense f64 (Array.make n 1.0) in
   if depth > 0 then begin
-    let nspinv = Svector.create f64 n in
-    Apply_reduce.apply_vector (Unaryop.multiplicative_inverse f64)
-      ~out:nspinv nsp;
-    let w = Svector.create f64 n in
+    let nspinv =
+      Jit.Kernels.Vector.apply f64
+        (Jit.Op_spec.Named "MultiplicativeInverse")
+        nsp
+    in
     for i = depth - 1 downto 1 do
-      Ewise.vector_mult
-        ~mask:(Mask.vmask waves.(i))
-        ~replace:true (Binop.times f64) ~out:w bcu nspinv;
-      Matmul.mxv arithmetic ~out:w adj_f w;
-      let t = Svector.create f64 n in
-      Ewise.vector_mult (Binop.times f64) ~out:t w nsp;
-      Output.write_vector
-        ~mask:(Mask.vmask waves.(i - 1))
-        ~accum:(Some (Binop.plus f64)) ~replace:false ~out:bcu
-        ~t:(Svector.entries t)
+      (* w<S_i, replace> = bcu (x) 1/nsp *)
+      let w = Svector.create f64 n in
+      Output.write_svector ~mask:(Mask.vmask waves.(i)) ~accum:None
+        ~replace:true ~out:w
+        ~t:(Jit.Kernels.Vector.ewise `Mult f64 ~op:"Times" bcu nspinv);
+      (* w = A (+.x) w : dependencies flow back along edges *)
+      let w =
+        Jit.Kernels.Vector.mxv f64 arithmetic ~transpose:false adj w
+      in
+      (* bcu<S_{i-1}> += w (x) nsp *)
+      Output.write_svector ~mask:(Mask.vmask waves.(i - 1)) ~accum:plus
+        ~replace:false ~out:bcu
+        ~t:(Jit.Kernels.Vector.ewise `Mult f64 ~op:"Times" w nsp)
     done
   end;
-  (* centrality = bcu - 1 over the reached set, excluding the source *)
-  let centrality = Svector.of_dense f64 (Array.make n 0.0) in
+  bcu
+
+(* centrality[v] = (centrality[v] + bcu[v]) - 1 over the reached set,
+   excluding the source *)
+let accumulate centrality ~src bcu =
   Svector.iter
-    (fun v x -> if v <> src && x <> 1.0 then Svector.set centrality v (x -. 1.0))
-    bcu;
+    (fun v x ->
+      if v <> src && x <> 1.0 then
+        Svector.set centrality v
+          ((match Svector.get centrality v with Some c -> c | None -> 0.0)
+          +. x -. 1.0))
+    bcu
+
+let native ?sources graph =
+  let n = Smatrix.nrows graph in
+  let adj = Smatrix.cast ~into:f64 graph in
+  let centrality = Svector.of_dense f64 (Array.make n 0.0) in
+  let sources =
+    match sources with Some l -> l | None -> List.init n Fun.id
+  in
+  List.iter
+    (fun src -> accumulate centrality ~src (source_bcu adj ~src))
+    sources;
   centrality
+
+(* Tier 3 of the single-source workload. *)
+let single_source graph ~src = native ~sources:[ src ] graph
 
 (* Decode shared by the DSL and VM tiers (identical to the native
    post-pass above, over containers). *)

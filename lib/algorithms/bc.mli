@@ -10,7 +10,8 @@ open Gbtl
 
 val native : ?sources:int list -> bool Smatrix.t -> float Svector.t
 (** Dense centrality vector.  [sources] selects a batch (default: every
-    vertex, i.e. exact BC). *)
+    vertex, i.e. exact BC).  Each source runs {!single_source}'s kernel
+    calls; its contribution is added as [(c +. x) -. 1.0]. *)
 
 (** {2 Single-source tiers (the eighth tier-1 workload)}
 
@@ -18,11 +19,13 @@ val native : ?sources:int list -> bool Smatrix.t -> float Svector.t
     [delta_s(v) = sum_t sigma_st(v) / sigma_st].  The forward sweep
     starts from the unit vector [e_src] and expands through the masked
     [vxm] uniformly, so a self-loop at the source is dropped (it is
-    never on a shortest path); on loop-free graphs this matches the
-    batched {!native} restricted to one source exactly. *)
+    never on a shortest path). *)
 
 val single_source : bool Smatrix.t -> src:int -> float Svector.t
-(** Tier 3 reference over the specialized kernels. *)
+(** Tier 3: the DSL program's kernel calls ([Jit.Kernels.Vector.vxm],
+    [mxv], [ewise], [apply] and the masked writes), made directly on the
+    vectors with no container, context or expression.  Equal to
+    [native ~sources:[src]]. *)
 
 val dsl : Ogb.Container.t -> src:int -> Ogb.Container.t
 (** The deferred-expression program (blocking evaluator): forward

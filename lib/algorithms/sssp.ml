@@ -1,6 +1,6 @@
 open Gbtl
 
-(* The generic-library tier (paper Fig. 4b verbatim). *)
+(* The generic-library tier (paper Fig. 4b verbatim): n sweeps. *)
 let generic_inplace graph ~path =
   let min_plus = Semiring.min_plus Dtype.FP64 in
   let min_accum = Binop.min Dtype.FP64 in
@@ -16,38 +16,57 @@ let generic graph ~src =
   generic_inplace graph ~path;
   path
 
-(* Tier 3: the same loop over the specialized kernels. *)
-let native_inplace graph ~path =
-  let min_accum = Binop.min Dtype.FP64 in
-  for _k = 0 to Smatrix.nrows graph - 1 do
-    let t =
-      Jit.Kernels.mxv Dtype.FP64 Jit.Op_spec.min_plus ~transpose:true graph
-        path
-    in
-    Output.write_vector ~mask:Mask.No_vmask ~accum:(Some min_accum)
-      ~replace:false ~out:path ~t
-  done
+(* Every other tier stops after a sweep that leaves [path] unchanged
+   (the relaxation is a pure function of [path], so the result is the
+   same as running out the n sweeps), with n sweeps as the cap. *)
 
-let native graph ~src =
-  let path = Svector.create Dtype.FP64 (Smatrix.nrows graph) in
+(* Tier 3: the DSL statement's own kernel calls, made directly on the
+   vectors — the layout-aware min-plus product, then the Min-accumulated
+   write. *)
+let native_sweeps graph ~src =
+  let n = Smatrix.nrows graph in
+  let path = Svector.create Dtype.FP64 n in
   Svector.set path src 0.0;
-  native_inplace graph ~path;
-  path
+  let min_accum = Some (Binop.min Dtype.FP64) in
+  let sweeps = ref 0 and changed = ref true in
+  while !changed && !sweeps < n do
+    incr sweeps;
+    let before = Svector.dup path in
+    let t =
+      Jit.Kernels.Vector.mxv Dtype.FP64 Jit.Op_spec.min_plus ~transpose:true
+        graph path
+    in
+    Output.write_svector ~mask:Mask.No_vmask ~accum:min_accum ~replace:false
+      ~out:path ~t;
+    changed := not (Svector.equal before path)
+  done;
+  (path, !sweeps)
 
-let dsl graph ~src =
+let native graph ~src = fst (native_sweeps graph ~src)
+
+let dsl_sweeps graph ~src =
   let open Ogb in
   let open Ogb.Ops.Infix in
   let n = fst (Container.shape graph) in
   let path = Container.vector_coo ~size:n [ (src, 0.0) ] in
+  let sweeps = ref 0 and changed = ref true in
   (* with gb.MinPlusSemiring, gb.Accumulator("Min"):
-       for i in range(graph.shape[0]): path[None] += graph.T @ path *)
+       for i in range(graph.shape[0]):
+           before = path.dup()
+           path[None] += graph.T @ path
+           if path.isequal(before): break *)
   Context.with_ops
     [ Context.semiring "MinPlus"; Context.accum "Min" ]
     (fun () ->
-      for _i = 0 to n - 1 do
-        Ops.update path (tr !!graph @. !!path)
+      while !changed && !sweeps < n do
+        incr sweeps;
+        let before = Container.dup path in
+        Ops.update path (tr !!graph @. !!path);
+        changed := not (Container.equal before path)
       done);
-  path
+  (path, !sweeps)
+
+let dsl graph ~src = fst (dsl_sweeps graph ~src)
 
 let vm_program : Minivm.Ast.block =
   let open Minivm.Ast in
@@ -60,13 +79,18 @@ let vm_program : Minivm.Ast.block =
               [ For
                   ( "i",
                     Index (Attr (Var "graph", "shape"), Const (Minivm.Value.Int 0)),
-                    [ ExprStmt
+                    [ Assign ("before", Method (Var "path", "dup", []));
+                      ExprStmt
                         (Method
                            ( Var "path",
                              "update",
                              [ Const Minivm.Value.Nil;
                                Binary ("@", Attr (Var "graph", "T"), Var "path")
-                             ] )) ] ) ] );
+                             ] ));
+                      If
+                        ( Method (Var "path", "isequal", [ Var "before" ]),
+                          [ Break ],
+                          [] ) ] ) ] );
           Return (Var "path") ] ) ]
 
 let seed_path n src =

@@ -164,19 +164,49 @@ let select_predicate name threshold =
   | "eq" -> Gbtl.Select.Value_eq threshold
   | s -> terr "select: unknown predicate %S (gt, ge, eq)" s
 
+(* onehot[v, labels v] = 1, built as CSR arrays in one pass over the
+   labels: ascending v, at most one entry per row. *)
 let label_onehot_into labels onehot =
-  Container.clear onehot;
-  List.iter
-    (fun (v, l) -> Container.set_matrix_element onehot v (int_of_float l) 1.0)
-    (Container.vector_entries labels)
+  match labels, onehot with
+  | Container.Vec (ldt, lv), Container.Mat (dt, m) ->
+    let open Gbtl in
+    let nrows = Smatrix.nrows m and ncols = Smatrix.ncols m in
+    let rowptr = Array.make (nrows + 1) 0 in
+    let colidx = Array.make (Svector.nvals lv) 0 in
+    let k = ref 0 in
+    Svector.iter
+      (fun v l ->
+        let l = int_of_float (Dtype.to_float ldt l) in
+        if v >= nrows || l < 0 || l >= ncols then
+          raise
+            (Smatrix.Index_out_of_bounds
+               (Printf.sprintf "label_onehot: (%d, %d) outside %dx%d" v l
+                  nrows ncols));
+        colidx.(!k) <- l;
+        incr k;
+        rowptr.(v + 1) <- 1)
+      lv;
+    for r = 1 to nrows do
+      rowptr.(r) <- rowptr.(r) + rowptr.(r - 1)
+    done;
+    Smatrix.replace_contents m
+      (Smatrix.of_csr_unsafe dt ~nrows ~ncols ~rowptr ~colidx
+         ~values:(Array.make !k (Dtype.of_float dt 1.0)))
+  | _ -> raise (Container.Kind_error "label_onehot: expected (vector, matrix)")
 
+(* labels v = n - (best v mod (n + 1)) for every stored best v, written
+   in one pass over best. *)
 let label_decode_into best labels =
-  let n = Container.size labels in
-  List.iter
-    (fun (v, b) ->
-      let l = n - (int_of_float b mod (n + 1)) in
-      Container.set_vector_element labels v (float_of_int l))
-    (Container.vector_entries best)
+  match best, labels with
+  | Container.Vec (bdt, bv), Container.Vec (ldt, lv) ->
+    let open Gbtl in
+    let n = Svector.size lv in
+    Svector.iter
+      (fun v b ->
+        let l = n - (int_of_float (Dtype.to_float bdt b) mod (n + 1)) in
+        Svector.set lv v (Dtype.of_float ldt (float_of_int l)))
+      bv
+  | _ -> raise (Container.Kind_error "label_decode: expected two vectors")
 
 let hooks =
   { Interp.foreign_binary;

@@ -250,6 +250,122 @@ let test_sssp_tiers_agree () =
              []
              (Algorithms.Sssp.generic adj ~src:0))))
 
+(* Sweep counts.  [native_sweeps]/[dsl_sweeps] report theirs; every
+   tier, the VM included, dispatches exactly one min-plus mxv per sweep,
+   so the dispatch counter counts the VM's sweeps too. *)
+let min_plus_products f =
+  let count () =
+    List.fold_left
+      (fun acc (key, hits, misses) ->
+        if
+          String.starts_with ~prefix:"mxv|" key
+          && Helpers.contains_substring key "add:Min,"
+          && Helpers.contains_substring key "mul:Plus"
+        then acc + hits + misses
+        else acc)
+      0
+      (Jit.Jit_stats.per_signature ())
+  in
+  let before = count () in
+  let r = f () in
+  (r, count () - before)
+
+let distance_bits alist =
+  List.map (fun (i, d) -> (i, Int64.bits_of_float d)) (sorted_alist alist)
+
+let svector_distances v =
+  List.rev (Svector.fold (fun acc i d -> (i, d) :: acc) [] v)
+
+(* Runs every tier on [adj] from [src]; checks each against [generic]
+   bit for bit and returns (tier, sweeps, min-plus products). *)
+let sssp_tier_sweeps adj ~src =
+  let gc = Ogb.Container.of_smatrix adj in
+  let expected =
+    distance_bits (svector_distances (Algorithms.Sssp.generic adj ~src))
+  in
+  let check name alist =
+    Alcotest.(check (list (pair int int64)))
+      (name ^ " = generic, bit for bit") expected (distance_bits alist)
+  in
+  let of_c c = Algorithms.Sssp.distances_of_container c in
+  let (d, native), pn =
+    min_plus_products (fun () -> Algorithms.Sssp.native_sweeps adj ~src)
+  in
+  check "native" (svector_distances d);
+  let (c, dsl), pd =
+    min_plus_products (fun () -> Algorithms.Sssp.dsl_sweeps gc ~src)
+  in
+  check "dsl" (of_c c);
+  let (c, nonblocking), pb =
+    min_plus_products (fun () ->
+        Exec.with_mode Exec.Nonblocking (fun () ->
+            Algorithms.Sssp.dsl_sweeps gc ~src))
+  in
+  check "nonblocking" (of_c c);
+  let c, pv = min_plus_products (fun () -> Algorithms.Sssp.vm_loops gc ~src) in
+  check "vm_loops" (of_c c);
+  check "vm_whole" (of_c (Algorithms.Sssp.vm_whole gc ~src));
+  [ ("native", native, pn); ("dsl", dsl, pd); ("nonblocking", nonblocking, pb);
+    ("vm_loops", pv, pv) ]
+
+let check_sweeps what ~expected tiers =
+  List.iter
+    (fun (tier, sweeps, products) ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s sweeps" what tier)
+        expected sweeps;
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s min-plus products" what tier)
+        expected products)
+    tiers
+
+(* 0 -> 1 -> ... -> k with weights 1..k, then [extra] unreachable
+   vertices, one of them with an edge into the path. *)
+let directed_path ?(extra = 0) k =
+  let n = k + 1 + extra in
+  let edges = List.init k (fun i -> (i, i + 1, float_of_int (i + 1))) in
+  let edges = if extra > 0 then (n - 1, 0, 1.0) :: edges else edges in
+  Smatrix.of_coo Dtype.FP64 n n edges
+
+let test_sssp_fixpoint_sweeps () =
+  List.iter
+    (fun k ->
+      check_sweeps
+        (Printf.sprintf "path of %d + 5 unreachable" (k + 1))
+        ~expected:(k + 1)
+        (sssp_tier_sweeps (directed_path ~extra:5 k) ~src:0))
+    [ 1; 3; 10 ];
+  (* n vertices on one path: settling takes n - 1 sweeps and the
+     confirming one is the cap *)
+  check_sweeps "path of 12" ~expected:12
+    (sssp_tier_sweeps (directed_path 11) ~src:0);
+  (* a source with no out-edges settles at once *)
+  check_sweeps "isolated source" ~expected:1
+    (sssp_tier_sweeps (directed_path ~extra:3 4) ~src:6);
+  (* a negative cycle never settles: the cap stops every tier *)
+  let neg =
+    Smatrix.of_coo Dtype.FP64 6 6 [ (0, 1, 1.0); (1, 2, -3.0); (2, 0, 1.0) ]
+  in
+  check_sweeps "negative cycle" ~expected:6 (sssp_tier_sweeps neg ~src:0);
+  (* ER graphs: bit-identical to generic, well under the cap *)
+  List.iter
+    (fun seed ->
+      let n = 64 in
+      let adj =
+        Graphs.Convert.matrix_of_edges Dtype.FP64 (weighted_graph seed n)
+      in
+      List.iter
+        (fun (tier, sweeps, products) ->
+          Alcotest.(check int)
+            (tier ^ ": one product per sweep")
+            sweeps products;
+          Alcotest.(check bool)
+            (Printf.sprintf "ER-%d seed %d: %s stops early (%d sweeps)" n seed
+               tier sweeps)
+            true (sweeps < n))
+        (sssp_tier_sweeps adj ~src:0))
+    [ 1; 2; 3; 4; 5 ]
+
 (* -- triangle counting -- *)
 
 let test_triangles_against_reference () =
@@ -584,6 +700,8 @@ let suite =
     Alcotest.test_case "sssp vs Bellman-Ford" `Quick
       test_sssp_against_reference;
     Alcotest.test_case "sssp tiers agree" `Quick test_sssp_tiers_agree;
+    Alcotest.test_case "sssp stops at its fixpoint at every tier" `Quick
+      test_sssp_fixpoint_sweeps;
     Alcotest.test_case "triangles vs brute force" `Quick
       test_triangles_against_reference;
     Alcotest.test_case "triangle tiers agree" `Quick

@@ -23,7 +23,9 @@ let test_sssp_listing () =
       Alcotest.check Alcotest.bool ("contains: " ^ line) true
         (contains src line))
     [ "with Semiring(MinPlus), Accumulator(Min):";
-      "path[None] += graph.T @ path" ]
+      "before = path.dup()";
+      "path[None] += graph.T @ path";
+      "if path.isequal(before):" ]
 
 let test_triangle_listing () =
   let src = Minivm.Pprint.program Algorithms.Triangle.vm_program in

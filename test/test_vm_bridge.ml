@@ -188,6 +188,43 @@ let test_error_unsupported_binary () =
   | exception Interp.Runtime_error _ -> ()
   | _ -> Alcotest.fail "expected unsupported-binary error"
 
+(* labelprop's host-side steps against their element-by-element
+   spelling: rows without a label stay empty, the old one-hot contents
+   go, and decode writes only where best has an entry. *)
+let test_label_onehot_decode () =
+  let module C = Ogb.Container in
+  let i64 = Gbtl.Dtype.P Gbtl.Dtype.Int64 in
+  let n = 7 in
+  let labels_of alist = C.vector_coo ~dtype:i64 ~size:n alist in
+  let alist = [ (0, 3.0); (2, 0.0); (3, 3.0); (6, 6.0) ] in
+  List.iter
+    (fun labels ->
+      let onehot =
+        C.matrix_coo ~dtype:i64 ~nrows:n ~ncols:n [ (1, 1, 5.0); (4, 2, 7.0) ]
+      in
+      Ogb.Vm_bridge.label_onehot_into labels onehot;
+      Alcotest.(check (list (triple int int (float 0.0))))
+        "one entry per labelled row"
+        (List.map (fun (v, l) -> (v, int_of_float l, 1.0)) alist)
+        (C.matrix_entries onehot);
+      (* best 9 at v = 1 and 17 at v = 6: labels n - (b mod (n + 1)) *)
+      let best = C.vector_coo ~dtype:i64 ~size:n [ (1, 9.0); (6, 17.0) ] in
+      Ogb.Vm_bridge.label_decode_into best labels;
+      Alcotest.(check (list (pair int (float 0.0))))
+        "decoded where best has an entry"
+        [ (0, 3.0); (1, 6.0); (2, 0.0); (3, 3.0); (6, 6.0) ]
+        (C.vector_entries labels))
+    [ labels_of alist;
+      (let l = labels_of alist in
+       (match l with C.Vec (_, v) -> Gbtl.Svector.densify v | C.Mat _ -> ());
+       l) ];
+  match
+    Ogb.Vm_bridge.label_onehot_into (labels_of [ (0, 7.0) ])
+      (C.matrix_empty ~dtype:i64 n n)
+  with
+  | exception Gbtl.Smatrix.Index_out_of_bounds _ -> ()
+  | () -> Alcotest.fail "a label outside the columns must raise"
+
 let suite =
   [ Alcotest.test_case "@ operator" `Quick test_matmul_operator;
     Alcotest.test_case "with Semiring context" `Quick
@@ -207,4 +244,6 @@ let suite =
     Alcotest.test_case "element access" `Quick test_element_access;
     Alcotest.test_case "unsupported binary errors" `Quick
       test_error_unsupported_binary;
+    Alcotest.test_case "label_onehot / label_decode" `Quick
+      test_label_onehot_decode;
   ]
