@@ -960,16 +960,14 @@ let faults_bench () =
   in
   Jit.Breaker.reset ();
   Jit.Jit_stats.reset ();
-  Printf.printf "%20s %7s %9s %8s %8s %8s %8s %8s\n" "spec" "agree" "time(ms)"
-    "natfail" "quarant" "wrkfail" "seqrrun" "blkfall";
+  Printf.printf "%20s %7s %9s %8s %8s %8s\n" "spec" "agree" "time(ms)"
+    "natfail" "quarant" "blkfall";
   List.iter
     (fun r ->
-      Printf.printf "%20s %7s %9.3f %8d %8d %8d %8d %8d\n" r.c_name
+      Printf.printf "%20s %7s %9.3f %8d %8d %8d\n" r.c_name
         (if r.c_agree then "yes" else "NO")
         r.c_ms r.c_stats.Jit.Jit_stats.native_failures
         r.c_stats.Jit.Jit_stats.checksum_quarantines
-        r.c_stats.Jit.Jit_stats.sched_worker_failures
-        r.c_stats.Jit.Jit_stats.sched_seq_reruns
         r.c_stats.Jit.Jit_stats.blocking_fallbacks)
     rows;
   let oc = open_out "BENCH_faults.json" in
@@ -989,13 +987,10 @@ let faults_bench () =
             Printf.sprintf
               "    { \"name\": %S, \"spec\": %S, \"agree\": %b, \
                \"iters\": %d, \"ms\": %.3f, \"native_failures\": %d, \
-               \"checksum_quarantines\": %d, \"sched_worker_failures\": %d, \
-               \"sched_seq_reruns\": %d, \"blocking_fallbacks\": %d }"
+               \"checksum_quarantines\": %d, \"blocking_fallbacks\": %d }"
               r.c_name r.c_spec r.c_agree r.c_iters r.c_ms
               r.c_stats.Jit.Jit_stats.native_failures
               r.c_stats.Jit.Jit_stats.checksum_quarantines
-              r.c_stats.Jit.Jit_stats.sched_worker_failures
-              r.c_stats.Jit.Jit_stats.sched_seq_reruns
               r.c_stats.Jit.Jit_stats.blocking_fallbacks)
           rows));
   out "}\n";
@@ -1018,9 +1013,7 @@ let faults_bench () =
      the full JSON codec after warm-up, best-of-[reps] (the acceptance
      bar is ≥ 10× under [daemon_vs_cold_speedup]);
    - a 4-session mixed run that must trigger zero compiles
-     ([zero_compiles_after_warm] gates true→false), and batched vs
-     unbatched same-signature mxv throughput (context numbers plus a
-     [batched_identical] correctness gate). *)
+     ([zero_compiles_after_warm] gates true→false). *)
 
 let serve_bench () =
   print_endline "== Server mode: cold one-shot vs resident warm daemon ==";

@@ -234,17 +234,15 @@ let schedule_arg =
   in
   Arg.(value & opt (some string) None & info [ "schedule" ] ~doc)
 
-let exec_demo demo spec symmetrize domains schedule =
+let exec_demo demo spec symmetrize schedule =
   if not (apply_schedule_pin schedule) then 1 else
   match load_float_matrix spec symmetrize with
   | Error e ->
     Printf.eprintf "error: %s\n" e;
     1
   | Ok m ->
-    if domains > 0 then Exec.Scheduler.set_domains domains;
-    Printf.printf "graph: %d vertices, %d edges; scheduler: %d domain(s)\n\n"
-      (Smatrix.nrows m) (Smatrix.nvals m)
-      (Exec.Scheduler.domain_count ());
+    Printf.printf "graph: %d vertices, %d edges\n\n" (Smatrix.nrows m)
+      (Smatrix.nvals m);
     let open Ogb.Ops.Infix in
     let neg = Jit.Op_spec.Named "AdditiveInverse" in
     (* row-degree vectors of A and A.T as deferred subexpressions *)
@@ -350,12 +348,6 @@ let exec_cmd =
              dot (CSE + mult-reduce), mxv (transposed product on the cached \
              CSC side), or all.")
   in
-  let domains =
-    Arg.(
-      value & opt int 0
-      & info [ "domains" ]
-          ~doc:"Worker domains for the scheduler (0 = default/OGB_DOMAINS).")
-  in
   let sym =
     Arg.(value & flag & info [ "symmetrize" ] ~doc:"Mirror every edge.")
   in
@@ -364,7 +356,7 @@ let exec_cmd =
        ~doc:
          "Dump nonblocking execution plans (DAG, fusion rewrites) and run \
           them with a per-node trace")
-    Term.(const exec_demo $ demo $ graph_arg $ sym $ domains $ schedule_arg)
+    Term.(const exec_demo $ demo $ graph_arg $ sym $ schedule_arg)
 
 (* -- doctor subcommand: resilience-layer health report -- *)
 

@@ -33,7 +33,7 @@ let dsl l =
 
 (* Nonblocking tier: same Fig. 5 program under the lib/exec engine — the
    plan rewrites sink L.T's transpose into the mxm flag and push the
-   sink's mask into the kernel, then the domain pool runs the DAG. *)
+   sink's mask into the kernel, then the scheduler runs the DAG. *)
 let nonblocking l = Exec.with_mode Exec.Nonblocking (fun () -> dsl l)
 
 let vm_program : Minivm.Ast.block =

@@ -29,7 +29,7 @@ val dsl : Ogb.Container.t -> float
 val nonblocking : Ogb.Container.t -> float
 (** {!dsl} under the nonblocking engine: the plan rewrites sink the
     [L.T] transpose into the mxm flag and push the sink mask into the
-    kernel before the domain pool executes the DAG. *)
+    kernel before the scheduler executes the DAG. *)
 
 val vm_program : Minivm.Ast.block
 val vm_loops : Ogb.Container.t -> float

@@ -5,9 +5,6 @@ let fresh_env () =
   env
 
 let call_program program fn args =
-  (* VM-driven programs stay on the deterministic sequential schedule
-     even when the nonblocking engine is active (tier-1 parity). *)
-  Ogb.Exec_hook.with_sequential @@ fun () ->
   let env = fresh_env () in
   Minivm.Interp.exec_block env program;
   Minivm.Interp.call_value (Minivm.Env.lookup env fn) args

@@ -10,16 +10,6 @@ let with_mode m f =
   current := m;
   Fun.protect ~finally:(fun () -> current := prev) f
 
-(* Set while a MiniVM program is interpreting (the tier-1 path): the
-   scheduler then runs plans in deterministic sequential topological
-   order even if a domain pool is configured. *)
-let force_sequential = ref false
-
-let with_sequential f =
-  let prev = !force_sequential in
-  force_sequential := true;
-  Fun.protect ~finally:(fun () -> force_sequential := prev) f
-
 (* Installed by Exec (lib/exec) at module initialization.  Stored as
    [Obj.t] because the hook types mention [Expr.t], which is defined
    after this module; [Expr.force] downcasts at the call site.  The same

@@ -16,12 +16,6 @@ val with_mode : mode -> (unit -> 'a) -> 'a
 (** Run [f] under the given mode, restoring the previous mode on exit
     (also on exception). *)
 
-val force_sequential : bool ref
-(** When set (e.g. while MiniVM interprets a tier-1 program), the
-    scheduler must execute plans sequentially in topological order. *)
-
-val with_sequential : (unit -> 'a) -> 'a
-
 val evaluator : Obj.t option ref
 (** [?mask:Expr.mask_spec -> Expr.t -> Container.t], installed by
     [Exec]. *)

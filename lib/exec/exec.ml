@@ -1,9 +1,9 @@
 (* Nonblocking execution engine (paper §V's planned lazy-evaluation
    mode): terminating operations lower the deferred expression into a
-   plan DAG (CSE), run multi-op fusion rewrites, and execute ready nodes
-   on a domain pool.  Registers itself with the core library's
-   Exec_hook so Ops.set/update and Expr.force divert here when the mode
-   is Nonblocking. *)
+   plan DAG (CSE), run multi-op fusion rewrites, and execute the nodes
+   in topological order on the caller's domain.  Registers itself with
+   the core library's Exec_hook so Ops.set/update and Expr.force divert
+   here when the mode is Nonblocking. *)
 
 module Plan = Plan
 module Rewrite = Rewrite
@@ -28,9 +28,9 @@ let plan_reduce ~op ~identity e =
   Planner.optimize (Plan.of_expr_reduce ~op ~identity e)
 
 (* Failure containment (last rung of the degradation ladder): when the
-   scheduler fails even after its own sequential re-run, re-evaluate the
-   expression on the blocking eager path, which shares no scheduler or
-   native-compilation state with the engine.  Scoped to execution only —
+   scheduler fails, re-evaluate the expression on the blocking eager
+   path, which shares no scheduler or native-compilation state with the
+   engine.  Scoped to execution only —
    plan-construction and verifier failures still propagate, because a
    rejected plan is a miscompile to report, not a fault to absorb. *)
 let containment =

@@ -6,7 +6,7 @@
     common-subexpression sharing, run the {!Rewrite} passes through
     the {!Planner} (the greedy pipeline or a pinned schedule, once per
     DAG shape), and
-    execute ready nodes concurrently on a domain pool
+    execute the nodes in topological order on the caller's domain
     ({!Scheduler}) — producing bit-identical containers.
 
     Loading this module registers the engine with the core library
@@ -33,9 +33,9 @@ val with_mode : mode -> (unit -> 'a) -> 'a
 val set_containment : bool -> unit
 (** Enable/disable execution-failure containment (default on; the
     environment variable [OGB_EXEC_CONTAINMENT=0] disables it at
-    startup).  With containment on, a scheduler failure that survives
-    the sequential re-run makes {!force}/{!reduce} fall back to the
-    blocking eager evaluator instead of raising.  Plan-verifier
+    startup).  With containment on, a scheduler failure makes
+    {!force}/{!reduce} fall back to the blocking eager evaluator instead
+    of raising.  Plan-verifier
     rejections always propagate regardless of this setting. *)
 
 val containment_enabled : unit -> bool

@@ -1,8 +1,6 @@
 type node_event = { id : int; label : string; seconds : float; nvals : int }
 
 type t = {
-  domains : int;
-  degraded : bool;
   total_seconds : float;
   nodes : node_event list;
   rewrites : (string * int) list;
@@ -13,12 +11,10 @@ type t = {
   compiles : int;
 }
 
-let make ~domains ~degraded ~total_seconds ~nodes ~rewrites ~cse_merged
-    ~schedule ~before ~after =
+let make ~total_seconds ~nodes ~rewrites ~cse_merged ~schedule ~before
+    ~after =
   let d f = f after - f before in
-  { domains;
-    degraded;
-    total_seconds;
+  { total_seconds;
     nodes = List.sort (fun a b -> compare a.id b.id) nodes;
     rewrites;
     cse_merged;
@@ -29,14 +25,10 @@ let make ~domains ~degraded ~total_seconds ~nodes ~rewrites ~cse_merged
     compiles = d (fun (s : Jit.Jit_stats.snapshot) -> s.compiles) }
 
 let pp fmt t =
-  Format.fprintf fmt "execution: %d node%s on %d domain%s in %.6fs%s@\n"
+  Format.fprintf fmt "execution: %d node%s in %.6fs@\n"
     (List.length t.nodes)
     (if List.length t.nodes = 1 then "" else "s")
-    t.domains
-    (if t.domains = 1 then "" else "s")
-    t.total_seconds
-    (if t.degraded then " (degraded: sequential re-run after worker failure)"
-     else "");
+    t.total_seconds;
   Format.fprintf fmt "kernel cache: %d lookups, %d hits, %d compiles@\n"
     t.lookups t.cache_hits t.compiles;
   if t.schedule <> "" then

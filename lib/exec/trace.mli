@@ -8,10 +8,6 @@ type node_event = { id : int; label : string; seconds : float; nvals : int }
     direction choices. *)
 
 type t = {
-  domains : int;  (** worker domains the scheduler actually used *)
-  degraded : bool;
-      (** true when the parallel run failed and the result came from the
-          sequential re-execution (failure containment) *)
   total_seconds : float;
   nodes : node_event list;  (** sorted by node id *)
   rewrites : (string * int) list;
@@ -25,8 +21,6 @@ type t = {
 }
 
 val make :
-  domains:int ->
-  degraded:bool ->
   total_seconds:float ->
   nodes:node_event list ->
   rewrites:(string * int) list ->

@@ -19,8 +19,8 @@ let points =
     "cache.corrupt.cmxs";  (* on-disk plugin truncated/garbage *)
     "cache.corrupt.source";  (* cached source truncated/garbage *)
     "cache.mkdir.race";  (* concurrent mkdir wins the TOCTOU window *)
-    "sched.worker.exn";  (* worker domain raises mid-plan *)
-    "sched.worker.slow";  (* worker domain stalls on a node *)
+    "sched.worker.exn";  (* a plan node raises mid-plan *)
+    "sched.worker.slow";  (* a plan node stalls *)
     "serve.accept.exn";  (* daemon accept loop raises on a connection *)
     "serve.session.exn";  (* session handler dies mid-request *)
     "analysis.effects.exn";  (* effect analysis dies mid-check (degrade loudly) *)
@@ -40,7 +40,7 @@ let check_point p =
     invalid_arg (Printf.sprintf "Fault: unknown injection point %S" p)
 
 (* All state behind one mutex: injection points are consulted from
-   scheduler worker domains concurrently. *)
+   the daemon's worker domains concurrently. *)
 let lock = Mutex.create ()
 
 let is_armed = ref false

@@ -3,7 +3,7 @@
    containers themselves record conversions; the JIT layer re-exports the
    counters next to its dispatch statistics.
 
-   Counters are atomics: scheduler worker domains convert formats while
+   Counters are atomics: the daemon's worker domains convert formats while
    dispatching kernels concurrently, and we only need monotone tallies,
    not cross-counter consistency. *)
 

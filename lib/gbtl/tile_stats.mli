@@ -4,8 +4,9 @@
     the counters next to its dispatch statistics, and [ogb doctor] /
     the serve [health] endpoint surface them.
 
-    Counters are atomics: tiles are loaded and evicted from scheduler
-    worker domains concurrently, and we only need monotone tallies. *)
+    Counters are atomics: tiles are loaded and evicted from the
+    daemon's worker domains concurrently, and we only need monotone
+    tallies. *)
 
 val record_load : unit -> unit
 (** A tile materialized from the on-disk store. *)

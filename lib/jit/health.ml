@@ -13,9 +13,6 @@ type t = {
   faults : string;
   fault_counters : (string * int * int) list;
   stats : Jit_stats.snapshot;
-  pool_domains : int;
-  pool_counters : (string * int) list;
-  pool_busy_seconds : float;
   tile_store_dir : string;
   tile_disk_blobs : int;
   tile_disk_bytes : int;
@@ -52,9 +49,6 @@ let collect ?(probe = true) () =
     faults = Fault.describe ();
     fault_counters = Fault.counters ();
     stats = Jit_stats.snapshot ();
-    pool_domains = Parallel.Pool.domains ();
-    pool_counters = Jit_stats.pool ();
-    pool_busy_seconds = Jit_stats.pool_busy_seconds ();
     tile_store_dir = Gbtl.Tile_store.root_dir ();
     tile_disk_blobs = tile_fp.Gbtl.Tile_store.blobs;
     tile_disk_bytes = tile_fp.Gbtl.Tile_store.bytes;
@@ -109,7 +103,6 @@ let to_json t =
      \"cache_write_failures\": %d, \"checksum_quarantines\": %d, \
      \"compile_timeouts\": %d, \"compile_retries\": %d, \"breaker_trips\": %d, \
      \"breaker_short_circuits\": %d, \"inflight_waits\": %d, \
-     \"sched_worker_failures\": %d, \"sched_seq_reruns\": %d, \
      \"blocking_fallbacks\": %d, \"effects_checks\": %d, \
      \"effects_hazards\": %d, \"effects_degraded\": %d }, "
     s.Jit_stats.lookups s.Jit_stats.memory_hits s.Jit_stats.disk_hits
@@ -119,15 +112,8 @@ let to_json t =
     s.Jit_stats.checksum_quarantines s.Jit_stats.compile_timeouts
     s.Jit_stats.compile_retries s.Jit_stats.breaker_trips
     s.Jit_stats.breaker_short_circuits s.Jit_stats.inflight_waits
-    s.Jit_stats.sched_worker_failures s.Jit_stats.sched_seq_reruns
     s.Jit_stats.blocking_fallbacks s.Jit_stats.effects_checks
     s.Jit_stats.effects_hazards s.Jit_stats.effects_degraded;
-  out "\"pool\": { \"domains\": %d, \"busy_seconds\": %.6f%s }, "
-    t.pool_domains t.pool_busy_seconds
-    (String.concat ""
-       (List.map
-          (fun (k, v) -> Printf.sprintf ", %s: %d" (Printf.sprintf "%S" k) v)
-          t.pool_counters));
   out
     "\"tiles\": { \"store_dir\": %s, \"disk_blobs\": %d, \"disk_bytes\": %d, \
      \"disk_quarantined\": %d%s }, "
@@ -160,11 +146,6 @@ let pp fmt t =
         fired)
     t.fault_counters;
   Format.fprintf fmt "stats: %a@\n" Jit_stats.pp t.stats;
-  Format.fprintf fmt "domain pool:      %d domains@\n" t.pool_domains;
-  Format.fprintf fmt "pool stats:       %s busy=%.6fs@\n"
-    (String.concat " "
-       (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) t.pool_counters))
-    t.pool_busy_seconds;
   Format.fprintf fmt "tile store:       %s (%d blobs, %d bytes, %d quarantined)@\n"
     t.tile_store_dir t.tile_disk_blobs t.tile_disk_bytes
     t.tile_disk_quarantined;

@@ -16,8 +16,6 @@ type snapshot = {
   breaker_trips : int;
   breaker_short_circuits : int;
   inflight_waits : int;
-  sched_worker_failures : int;
-  sched_seq_reruns : int;
   blocking_fallbacks : int;
   (* effect-analysis counters (the static footprint/race stage) *)
   effects_checks : int;
@@ -25,10 +23,10 @@ type snapshot = {
   effects_degraded : int;
 }
 
-(* Counters are atomics: the scheduler's worker domains and the serve
-   daemon's workers record events concurrently, and a plain [int ref]
-   increment is a load + store that loses updates under contention (the
-   counter-race test in test_parallel pins this down). *)
+(* Counters are atomics: the serve daemon's worker domains record
+   events concurrently, and a plain [int ref] increment is a load +
+   store that loses updates under contention (the counter-race test in
+   test_parallel pins this down). *)
 let lookups = Atomic.make 0
 let memory_hits = Atomic.make 0
 let disk_hits = Atomic.make 0
@@ -44,8 +42,6 @@ let compile_retries = Atomic.make 0
 let breaker_trips = Atomic.make 0
 let breaker_short_circuits = Atomic.make 0
 let inflight_waits = Atomic.make 0
-let sched_worker_failures = Atomic.make 0
-let sched_seq_reruns = Atomic.make 0
 let blocking_fallbacks = Atomic.make 0
 let effects_checks = Atomic.make 0
 let effects_hazards = Atomic.make 0
@@ -62,7 +58,7 @@ let record_disk_hit () = Atomic.incr disk_hits
 
 (* Per-signature dispatch tallies and fusion-rewrite counters (fed by the
    nonblocking execution engine).  Guarded by a lock of their own: the
-   scheduler's worker domains dispatch kernels concurrently, and the
+   daemon's worker domains dispatch kernels concurrently, and the
    dispatch lock is not held around these calls. *)
 
 type sig_tally = { mutable hits : int; mutable misses : int }
@@ -110,11 +106,6 @@ let fusions () =
    dispatch-related statistics from one module. *)
 let formats = Gbtl.Format_stats.counters
 
-(* Domain-pool counters live in Parallel.Pool (the pool records its own
-   helper jobs and tasks); re-exported for the same one-stop reason. *)
-let pool = Parallel.Pool.counters
-let pool_busy_seconds = Parallel.Pool.busy_seconds
-
 (* Out-of-core tile counters live in Gbtl.Tile_stats (the tiled
    containers and the checkpointed driver record their own traffic);
    re-exported for the same one-stop reason. *)
@@ -135,8 +126,6 @@ let record_compile_retry () = Atomic.incr compile_retries
 let record_breaker_trip () = Atomic.incr breaker_trips
 let record_breaker_short_circuit () = Atomic.incr breaker_short_circuits
 let record_inflight_wait () = Atomic.incr inflight_waits
-let record_sched_worker_failure () = Atomic.incr sched_worker_failures
-let record_sched_seq_rerun () = Atomic.incr sched_seq_reruns
 let record_blocking_fallback () = Atomic.incr blocking_fallbacks
 
 (* Effect-analysis bookkeeping (lib/analysis runs the checks; the
@@ -168,8 +157,6 @@ let snapshot () =
     breaker_trips = Atomic.get breaker_trips;
     breaker_short_circuits = Atomic.get breaker_short_circuits;
     inflight_waits = Atomic.get inflight_waits;
-    sched_worker_failures = Atomic.get sched_worker_failures;
-    sched_seq_reruns = Atomic.get sched_seq_reruns;
     blocking_fallbacks = Atomic.get blocking_fallbacks;
     effects_checks = Atomic.get effects_checks;
     effects_hazards = Atomic.get effects_hazards;
@@ -192,8 +179,6 @@ let reset () =
   Atomic.set breaker_trips 0;
   Atomic.set breaker_short_circuits 0;
   Atomic.set inflight_waits 0;
-  Atomic.set sched_worker_failures 0;
-  Atomic.set sched_seq_reruns 0;
   Atomic.set blocking_fallbacks 0;
   Atomic.set effects_checks 0;
   Atomic.set effects_hazards 0;
@@ -211,16 +196,15 @@ let pp fmt s =
   let faults =
     s.cache_write_failures + s.checksum_quarantines + s.compile_timeouts
     + s.compile_retries + s.breaker_trips + s.breaker_short_circuits
-    + s.sched_worker_failures + s.sched_seq_reruns + s.blocking_fallbacks
+    + s.blocking_fallbacks
   in
   if faults > 0 then
     Format.fprintf fmt
       "@\nresilience: cache_write_fail=%d quarantined=%d timeouts=%d \
-       retries=%d breaker_trips=%d short_circuits=%d worker_fail=%d \
-       seq_reruns=%d blocking_fallbacks=%d"
+       retries=%d breaker_trips=%d short_circuits=%d blocking_fallbacks=%d"
       s.cache_write_failures s.checksum_quarantines s.compile_timeouts
       s.compile_retries s.breaker_trips s.breaker_short_circuits
-      s.sched_worker_failures s.sched_seq_reruns s.blocking_fallbacks;
+      s.blocking_fallbacks;
   if s.effects_checks + s.effects_hazards + s.effects_degraded > 0 then
     Format.fprintf fmt "@\neffects: checks=%d hazards=%d degraded=%d"
       s.effects_checks s.effects_hazards s.effects_degraded

@@ -19,8 +19,6 @@ type snapshot = {
   breaker_trips : int;  (** circuit breaker Closed→Open transitions *)
   breaker_short_circuits : int;  (** native attempts denied by an open breaker *)
   inflight_waits : int;  (** dispatches that waited on another domain's compile *)
-  sched_worker_failures : int;  (** plan-node failures on worker domains *)
-  sched_seq_reruns : int;  (** plans re-executed sequentially after a failure *)
   blocking_fallbacks : int;  (** expressions re-evaluated on the blocking path *)
   effects_checks : int;  (** effect-analysis passes over a plan *)
   effects_hazards : int;  (** footprint hazards found (pre-remedy) *)
@@ -44,8 +42,6 @@ val record_compile_retry : unit -> unit
 val record_breaker_trip : unit -> unit
 val record_breaker_short_circuit : unit -> unit
 val record_inflight_wait : unit -> unit
-val record_sched_worker_failure : unit -> unit
-val record_sched_seq_rerun : unit -> unit
 val record_blocking_fallback : unit -> unit
 (** Resilience bookkeeping (fed by the hardened cache/compile pipeline,
     the circuit breaker and the scheduler's failure containment). *)
@@ -80,18 +76,10 @@ val formats : unit -> (string * int) list
     auto-switch decisions, push/pull steps, sparse masks) — re-exported
     from [Gbtl.Format_stats]. *)
 
-val pool : unit -> (string * int) list
-(** Domain-pool counters (helper jobs granted or refused, helper tasks
-    run) — re-exported from [Parallel.Pool]. *)
-
 val tiles : unit -> (string * int) list
 (** Out-of-core tile counters (loads, stores, evictions, quarantines,
     rebuilds, checkpoint generations, delta plans, resident gauges) —
     re-exported from [Gbtl.Tile_stats]. *)
-
-val pool_busy_seconds : unit -> float
-(** Cumulative wall time pool domains spent inside helper tasks —
-    re-exported from [Parallel.Pool]. *)
 
 val snapshot : unit -> snapshot
 val reset : unit -> unit

@@ -4,8 +4,7 @@
     loaded graphs (immutable, in {!Registry}) and the signature→kernel
     JIT cache, pre-warmed at startup over every tier-1 signature so
     steady-state requests compile nothing.  Each client connection is a
-    {!Session} with an isolated operator-context stack; nonblocking
-    plans draw their inter-op helpers from the shared domain pool.
+    {!Session} with an isolated operator-context stack.
 
     Wire protocol: line-delimited JSON objects over a Unix socket
     (optionally TCP), one request per line, one response per line.
@@ -56,8 +55,8 @@ val create_state : config -> state
     the JIT over every tier-1 kernel signature at [warm_n]. *)
 
 val handle : state -> Session.t -> Json.t -> Json.t
-(** Execute one request under the session's lock, context stack and
-    domain budget; never raises — failures (including the
+(** Execute one request under the session's lock and context stack;
+    never raises — failures (including the
     [serve.session.exn] injection) become [status: error] responses.
     A response carrying [fatal: true] means the session must be torn
     down (its transport does that; in-process callers just stop using

@@ -2,7 +2,7 @@
    evaluator on random expression trees (bit-identical containers), plus
    unit tests for the plan rewrites (CSE, apply-chain fusion,
    apply-over-ewise, mult-reduce, transpose sinking, mask push-down) on
-   hand-built expressions, and the domain-pool scheduler. *)
+   hand-built expressions. *)
 
 open Gbtl
 
@@ -62,18 +62,6 @@ let qcheck_reduce_equivalence =
       in
       let nonblocking = Exec.reduce ~op:"Plus" ~identity:"0" expr in
       Float.equal blocking nonblocking)
-
-let qcheck_parallel_equivalence =
-  Helpers.qtest ~count:100 "domain-pool execution matches blocking"
-    (QCheck.make Test_expr_random.case_gen ~print:Test_expr_random.print_case)
-    (fun (e, leaf_models) ->
-      let leaves = leaves_of_models leaf_models in
-      let expr = Test_expr_random.to_expr leaves e in
-      let blocking = Ogb.Expr.force_blocking expr in
-      Exec.Scheduler.set_domains 3;
-      Fun.protect
-        ~finally:(fun () -> Exec.Scheduler.clear_domains_override ())
-        (fun () -> Ogb.Container.equal blocking (Exec.force expr)))
 
 (* -- unit tests: rewrites on hand-built expressions -- *)
 
@@ -278,18 +266,11 @@ let test_trace () =
     Alcotest.(check bool) "kernel lookups attributed" true
       (t.Exec.Trace.lookups >= 1)
 
-let test_sequential_fallback () =
-  Exec.Scheduler.clear_domains_override ();
-  Ogb.Exec_hook.with_sequential (fun () ->
-      Alcotest.(check int) "MiniVM guard forces one domain" 1
-        (Exec.Scheduler.domain_count ()))
-
 let suite =
   [ Helpers.to_alcotest qcheck_equivalence;
     Helpers.to_alcotest qcheck_equivalence_via_hook;
     Helpers.to_alcotest qcheck_equivalence_unfused;
     Helpers.to_alcotest qcheck_reduce_equivalence;
-    Helpers.to_alcotest qcheck_parallel_equivalence;
     Alcotest.test_case "CSE shares structurally equal subtrees" `Quick test_cse;
     Alcotest.test_case "apply chains fuse to one kernel" `Quick
       test_apply_chain_fusion;
@@ -307,6 +288,4 @@ let suite =
       test_ops_set_routing;
     Alcotest.test_case "execution trace records nodes and rewrites" `Quick
       test_trace;
-    Alcotest.test_case "sequential fallback under the VM guard" `Quick
-      test_sequential_fallback;
   ]

@@ -391,89 +391,93 @@ let sched_expr () =
           ~f:(Jit.Op_spec.Named "AdditiveInverse")
           (Ogb.Expr.add (Ogb.Expr.of_container a) (Ogb.Expr.of_container b)))
 
-let with_two_domains f =
-  Exec.Scheduler.set_domains 2;
-  Fun.protect ~finally:Exec.Scheduler.clear_domains_override f
+(* Two independent products joined by an element-wise add: three
+   kernel nodes, the two products ready at once. *)
+let two_products_program () =
+  let open Ogb in
+  let open Ogb.Ops.Infix in
+  let n = 96 in
+  let m =
+    Container.matrix_coo ~nrows:n ~ncols:n
+      (List.init n (fun i ->
+           (i, ((i * 5) + 1) mod n, 1.0 +. float_of_int (i mod 3))))
+  in
+  let u =
+    Container.vector_coo ~size:n (List.init n (fun i -> (i, float_of_int i)))
+  in
+  let v = Container.vector_coo ~size:n [ (3, 2.0); (40, -1.0) ] in
+  let w = Container.vector_empty n in
+  Ops.set w ((!!m @. !!u) +: (!!m @. !!v));
+  Container.vector_entries w
 
-let test_worker_exn_seq_rerun () =
+(* The plan above is neither one kernel nor a chain.  A failed node
+   sends it straight to the blocking evaluator, bit for bit; with
+   containment off the failure surfaces located. *)
+let test_worker_exn_blocking_result () =
   with_resilience (fun () ->
-      with_two_domains (fun () ->
-          let expr = sched_expr () in
-          let baseline = Ogb.Expr.force (expr ()) in
+      let baseline = two_products_program () in
+      let nonblocking () =
+        Exec.with_mode Exec.Nonblocking two_products_program
+      in
+      Fault.arm [ ("sched.worker.exn", Fault.Once) ];
+      Alcotest.(check bool) "identical to the blocking result" true
+        (nonblocking () = baseline);
+      Alcotest.(check int) "one blocking fallback" 1
+        (stats ()).blocking_fallbacks;
+      Exec.set_containment false;
+      Fun.protect
+        ~finally:(fun () -> Exec.set_containment true)
+        (fun () ->
           Fault.arm [ ("sched.worker.exn", Fault.Once) ];
-          let faulted =
-            Exec.with_mode Exec.Nonblocking (fun () ->
-                Ogb.Expr.force (expr ()))
-          in
-          Alcotest.(check bool) "identical result after re-run" true
-            (Ogb.Container.equal baseline faulted);
-          let s = stats () in
-          Alcotest.(check int) "worker failure counted" 1
-            s.sched_worker_failures;
-          Alcotest.(check int) "sequential re-run counted" 1 s.sched_seq_reruns;
-          Alcotest.(check int) "no blocking fallback needed" 0
-            s.blocking_fallbacks;
-          match Exec.last_trace () with
-          | Some t ->
-            Alcotest.(check bool) "trace marked degraded" true
-              t.Exec.Trace.degraded
-          | None -> Alcotest.fail "no trace recorded"))
+          match nonblocking () with
+          | _ -> Alcotest.fail "expected a located Node_error"
+          | exception
+              Exec.Scheduler.Node_error { error = Fault.Injected _; _ } ->
+            ()))
 
 let test_worker_exn_blocking_fallback () =
   with_resilience (fun () ->
-      with_two_domains (fun () ->
-          let expr = sched_expr () in
-          let baseline = Ogb.Expr.force (expr ()) in
-          Fault.arm [ ("sched.worker.exn", Fault.Always) ];
-          let faulted =
-            Exec.with_mode Exec.Nonblocking (fun () ->
-                Ogb.Expr.force (expr ()))
-          in
-          Alcotest.(check bool) "identical result via blocking path" true
-            (Ogb.Container.equal baseline faulted);
-          let s = stats () in
-          Alcotest.(check bool) "worker failures counted" true
-            (s.sched_worker_failures >= 1);
-          Alcotest.(check int) "sequential re-run attempted" 1
-            s.sched_seq_reruns;
-          Alcotest.(check int) "blocking fallback counted" 1
-            s.blocking_fallbacks))
+      let expr = sched_expr () in
+      let baseline = Ogb.Expr.force (expr ()) in
+      Fault.arm [ ("sched.worker.exn", Fault.Always) ];
+      let faulted =
+        Exec.with_mode Exec.Nonblocking (fun () -> Ogb.Expr.force (expr ()))
+      in
+      Alcotest.(check bool) "identical result via blocking path" true
+        (Ogb.Container.equal baseline faulted);
+      Alcotest.(check int) "blocking fallback counted" 1
+        (stats ()).blocking_fallbacks)
 
 let test_containment_off_raises () =
   with_resilience (fun () ->
-      with_two_domains (fun () ->
-          let expr = sched_expr () in
-          Exec.set_containment false;
-          Fun.protect
-            ~finally:(fun () -> Exec.set_containment true)
-            (fun () ->
-              Fault.arm [ ("sched.worker.exn", Fault.Always) ];
-              match
-                Exec.with_mode Exec.Nonblocking (fun () ->
-                    Ogb.Expr.force (expr ()))
-              with
-              | _ -> Alcotest.fail "expected a located Node_error"
-              | exception Exec.Scheduler.Node_error { error; _ } -> (
-                match error with
-                | Fault.Injected _ -> ()
-                | e ->
-                  Alcotest.failf "wrong nested error: %s"
-                    (Printexc.to_string e)))))
+      let expr = sched_expr () in
+      Exec.set_containment false;
+      Fun.protect
+        ~finally:(fun () -> Exec.set_containment true)
+        (fun () ->
+          Fault.arm [ ("sched.worker.exn", Fault.Always) ];
+          match
+            Exec.with_mode Exec.Nonblocking (fun () ->
+                Ogb.Expr.force (expr ()))
+          with
+          | _ -> Alcotest.fail "expected a located Node_error"
+          | exception Exec.Scheduler.Node_error { error; _ } -> (
+            match error with
+            | Fault.Injected _ -> ()
+            | e ->
+              Alcotest.failf "wrong nested error: %s" (Printexc.to_string e))))
 
 let test_worker_slow_is_harmless () =
   with_resilience (fun () ->
-      with_two_domains (fun () ->
-          let expr = sched_expr () in
-          let baseline = Ogb.Expr.force (expr ()) in
-          Fault.arm [ ("sched.worker.slow", Fault.Always) ];
-          let slowed =
-            Exec.with_mode Exec.Nonblocking (fun () ->
-                Ogb.Expr.force (expr ()))
-          in
-          Alcotest.(check bool) "slow workers change nothing" true
-            (Ogb.Container.equal baseline slowed);
-          Alcotest.(check int) "no failures" 0
-            (stats ()).sched_worker_failures))
+      let expr = sched_expr () in
+      let baseline = Ogb.Expr.force (expr ()) in
+      Fault.arm [ ("sched.worker.slow", Fault.Always) ];
+      let slowed =
+        Exec.with_mode Exec.Nonblocking (fun () -> Ogb.Expr.force (expr ()))
+      in
+      Alcotest.(check bool) "slow workers change nothing" true
+        (Ogb.Container.equal baseline slowed);
+      Alcotest.(check int) "no failures" 0 (stats ()).blocking_fallbacks)
 
 (* -- tier-1 algorithms bit-identical under every fault class -- *)
 
@@ -554,8 +558,7 @@ let test_tier1_chaos (name, spec, wants_native) () =
         (match Fault.arm_spec spec with
         | Ok () -> ()
         | Error e -> Alcotest.failf "bad chaos spec: %s" e);
-        with_two_domains (fun () ->
-            Exec.with_mode Exec.Nonblocking (fun () -> run_tier1 fixture)))
+        Exec.with_mode Exec.Nonblocking (fun () -> run_tier1 fixture))
   in
   check_tier1 name baseline chaos
 
@@ -587,8 +590,8 @@ let suite =
       test_breaker_integration;
     Alcotest.test_case "concurrent lookups build once" `Quick
       test_single_flight;
-    Alcotest.test_case "worker exception -> sequential re-run" `Quick
-      test_worker_exn_seq_rerun;
+    Alcotest.test_case "worker exn on a DAG -> blocking result" `Quick
+      test_worker_exn_blocking_result;
     Alcotest.test_case "persistent worker failure -> blocking fallback" `Quick
       test_worker_exn_blocking_fallback;
     Alcotest.test_case "containment off surfaces located error" `Quick

@@ -5,7 +5,6 @@
    [host:port] parsing, and one real socket round trip. *)
 
 open Gbtl
-module Pool = Parallel.Pool
 module J = Server.Json
 module D = Server.Daemon
 
@@ -34,10 +33,6 @@ let with_fresh_jit f =
       Jit.Dispatch.clear_memory_cache ();
       Jit.Jit_stats.reset ())
     f
-
-let with_domains n f =
-  Pool.set_domains n;
-  Fun.protect ~finally:Pool.clear_domains_override f
 
 let mk_state ?(warm = false) () =
   D.create_state
@@ -182,7 +177,6 @@ let mixed_requests =
 let test_shared_cache_sessions () =
   Fault.suspended @@ fun () ->
   with_fresh_jit @@ fun () ->
-  with_domains 4 @@ fun () ->
   let st = mk_state () in
   let loader = Server.Session.create () in
   check_ok "load"

@@ -417,17 +417,12 @@ let qcheck_bc_nonblocking =
 
 (* Faults may only show up in the resilience counters: the nonblocking
    run under an armed spec must be bit-identical to the clean blocking
-   result.  Scheduler faults need a multi-domain scheduler. *)
+   result. *)
 let with_chaos spec f =
   (match Fault.arm_spec spec with
   | Ok () -> ()
   | Error e -> Alcotest.failf "bad chaos spec %S: %s" spec e);
-  Exec.Scheduler.set_domains 2;
-  Fun.protect
-    ~finally:(fun () ->
-      Fault.disarm ();
-      Exec.Scheduler.clear_domains_override ())
-    f
+  Fun.protect ~finally:Fault.disarm f
 
 let test_labelprop_chaos () =
   let gc = C.of_smatrix (sym_graph ~seed:111 ~n:24 ~m:60) in
