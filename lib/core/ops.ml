@@ -70,17 +70,17 @@ let write ?mask ?accum ?(masked = false) ?(fresh = false) ~replace target temp
       Output.write_svector ~mask:(vmask_of spec) ~accum:(accum_binop dt accum)
         ~replace ~out ~t:v
   | Container.Mat (dt, out) ->
-    let temp = Expr.unify (Dtype.P dt) temp in
+    let temp' = Expr.unify (Dtype.P dt) temp in
     let m =
-      match temp with
-      | Container.Mat (_, _) -> Container.as_matrix dt temp
+      match temp' with
+      | Container.Mat (_, _) -> Container.as_matrix dt temp'
       | Container.Vec _ -> derr "assigning a vector result to a matrix"
     in
     if Smatrix.shape m <> Smatrix.shape out then
       derr "assigning a %dx%d result to a %dx%d matrix" (Smatrix.nrows m)
         (Smatrix.ncols m) (Smatrix.nrows out) (Smatrix.ncols out);
     if install ~empty:(Smatrix.nvals out = 0) then
-      Smatrix.replace_contents out m
+      Smatrix.adopt out (if fresh || temp' != temp then m else Smatrix.dup m)
     else begin
       let t = Array.init (Smatrix.nrows m) (Smatrix.row_entries m) in
       Output.write_matrix ~mask:(mmask_of spec) ~accum:(accum_binop dt accum)

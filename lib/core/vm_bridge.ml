@@ -189,7 +189,7 @@ let label_onehot_into labels onehot =
     for r = 1 to nrows do
       rowptr.(r) <- rowptr.(r) + rowptr.(r - 1)
     done;
-    Smatrix.replace_contents m
+    Smatrix.adopt m
       (Smatrix.of_csr_unsafe dt ~nrows ~ncols ~rowptr ~colidx
          ~values:(Array.make !k (Dtype.of_float dt 1.0)))
   | _ -> raise (Container.Kind_error "label_onehot: expected (vector, matrix)")

@@ -35,7 +35,9 @@ let vector_add ?mask ?accum ?replace op ~out u v =
 let vector_mult ?mask ?accum ?replace op ~out u v =
   vector_op intersect_entries "eWiseMult" ?mask ?accum ?replace op ~out u v
 
-let oriented m transposed = if transposed then Smatrix.transpose m else m
+(* Transposed operands are read through the cached CSC side. *)
+let oriented m transposed =
+  if transposed then Smatrix.unsafe_transpose_view m else m
 
 let check_matrix_shapes ctx a b =
   if Smatrix.shape a <> Smatrix.shape b then
@@ -43,21 +45,80 @@ let check_matrix_shapes ctx a b =
       ~expected:(Error.shape_str (Smatrix.nrows a) (Smatrix.ncols a))
       ~actual:(Error.shape_str (Smatrix.nrows b) (Smatrix.ncols b))
 
-let matrix_op combine ctx ?(mask = Mask.No_mmask) ?accum ?(replace = false)
+(* T = A ⊕ B over the union of the structures ([union]) or A ⊗ B over
+   their intersection, a two-pointer merge per row of the CSR arrays
+   into arrays sized by the bound (nnz A + nnz B, or the smaller nnz),
+   kept with their slack. *)
+let merge_csr ~union f a b =
+  let arp = Smatrix.unsafe_rowptr a
+  and aci = Smatrix.unsafe_colidx a
+  and avs = Smatrix.unsafe_values a in
+  let brp = Smatrix.unsafe_rowptr b
+  and bci = Smatrix.unsafe_colidx b
+  and bvs = Smatrix.unsafe_values b in
+  let na = Smatrix.nvals a and nb = Smatrix.nvals b in
+  let nrows = Smatrix.nrows a in
+  let cap = if union then na + nb else min na nb in
+  let rowptr = Array.make (nrows + 1) 0 and colidx = Array.make cap 0 in
+  let values =
+    if cap = 0 then [||] else Array.make cap (if na > 0 then avs.(0) else bvs.(0))
+  in
+  let n = ref 0 in
+  let tail ci vs lo hi =
+    Array.blit ci lo colidx !n (hi - lo);
+    Array.blit vs lo values !n (hi - lo);
+    n := !n + (hi - lo)
+  in
+  for r = 0 to nrows - 1 do
+    let i = ref arp.(r) and j = ref brp.(r) in
+    let ie = arp.(r + 1) and je = brp.(r + 1) in
+    while !i < ie && !j < je do
+      let ca = aci.(!i) and cb = bci.(!j) in
+      if ca < cb then begin
+        if union then begin
+          colidx.(!n) <- ca;
+          values.(!n) <- avs.(!i);
+          incr n
+        end;
+        incr i
+      end
+      else if cb < ca then begin
+        if union then begin
+          colidx.(!n) <- cb;
+          values.(!n) <- bvs.(!j);
+          incr n
+        end;
+        incr j
+      end
+      else begin
+        colidx.(!n) <- ca;
+        values.(!n) <- f avs.(!i) bvs.(!j);
+        incr n;
+        incr i;
+        incr j
+      end
+    done;
+    if union then begin
+      tail aci avs !i ie;
+      tail bci bvs !j je
+    end;
+    rowptr.(r + 1) <- !n
+  done;
+  Smatrix.of_csr_unsafe (Smatrix.dtype a) ~nrows ~ncols:(Smatrix.ncols a)
+    ~rowptr ~colidx ~values
+
+let matrix_op ~union ctx ?(mask = Mask.No_mmask) ?accum ?(replace = false)
     ?(transpose_a = false) ?(transpose_b = false) (op : 'a Binop.t) ~out a b =
   let a = oriented a transpose_a and b = oriented b transpose_b in
   check_matrix_shapes ctx a b;
   check_matrix_shapes ctx out a;
-  let t =
-    Array.init (Smatrix.nrows out) (fun r ->
-        combine op.Binop.f (Smatrix.row_entries a r) (Smatrix.row_entries b r))
-  in
-  Output.write_matrix ~mask ~accum ~replace ~out ~t
+  Output.write_smatrix ~mask ~accum ~replace ~out
+    ~t:(merge_csr ~union op.Binop.f a b)
 
 let matrix_add ?mask ?accum ?replace ?transpose_a ?transpose_b op ~out a b =
-  matrix_op union_entries "eWiseAdd" ?mask ?accum ?replace ?transpose_a
+  matrix_op ~union:true "eWiseAdd" ?mask ?accum ?replace ?transpose_a
     ?transpose_b op ~out a b
 
 let matrix_mult ?mask ?accum ?replace ?transpose_a ?transpose_b op ~out a b =
-  matrix_op intersect_entries "eWiseMult" ?mask ?accum ?replace ?transpose_a
+  matrix_op ~union:false "eWiseMult" ?mask ?accum ?replace ?transpose_a
     ?transpose_b op ~out a b

@@ -90,21 +90,49 @@ let vxm ?(mask = Mask.No_vmask) ?accum ?(replace = false)
   in
   Output.write_vector ~mask ~accum ~replace ~out ~t
 
-(* Gustavson: C(i,:) = ⊕_k A(i,k) ⊗ B(k,:), SPA per output row. *)
+(* Gustavson: C(i,:) = ⊕_k A(i,k) ⊗ B(k,:), SPA per output row, each row
+   emitted in ascending column order straight into the CSR arrays (which
+   grow by doubling and may keep slack past nvals).  [keep i] filters
+   row i's columns, queried in ascending order. *)
 let mxm_gustavson sr ?keep a b ncols_out =
   let add = Semiring.add sr and mul = Semiring.mul sr in
   let spa = Spa.create ncols_out ~dummy:(Semiring.zero sr) in
-  Array.init (Smatrix.nrows a) (fun i ->
-      Spa.clear spa;
-      Smatrix.iter_row
-        (fun k aik ->
-          Smatrix.iter_row
-            (fun j bkj -> Spa.accumulate spa j (mul aik bkj) ~add)
-            b k)
-        a i;
-      match keep with
-      | None -> Spa.extract spa
-      | Some keep -> Spa.extract_filtered spa ~keep:(keep i))
+  let nrows = Smatrix.nrows a in
+  let rowptr = Array.make (nrows + 1) 0 in
+  let cap = ref (max 16 (Smatrix.nvals a)) in
+  let colidx = ref (Array.make !cap 0)
+  and values = ref (Array.make !cap (Semiring.zero sr)) in
+  let n = ref 0 in
+  let push j v =
+    if !n = !cap then begin
+      cap := 2 * !cap;
+      let ci = Array.make !cap 0 and vs = Array.make !cap v in
+      Array.blit !colidx 0 ci 0 !n;
+      Array.blit !values 0 vs 0 !n;
+      colidx := ci;
+      values := vs
+    end;
+    !colidx.(!n) <- j;
+    !values.(!n) <- v;
+    incr n
+  in
+  for i = 0 to nrows - 1 do
+    Spa.clear spa;
+    Smatrix.iter_row
+      (fun k aik ->
+        Smatrix.iter_row
+          (fun j bkj -> Spa.accumulate spa j (mul aik bkj) ~add)
+          b k)
+      a i;
+    (match keep with
+    | None -> Spa.iter_sorted push spa
+    | Some keep ->
+      let keep = keep i in
+      Spa.iter_sorted (fun j v -> if keep j then push j v) spa);
+    rowptr.(i + 1) <- !n
+  done;
+  Smatrix.of_csr_unsafe (Smatrix.dtype a) ~nrows ~ncols:ncols_out ~rowptr
+    ~colidx:!colidx ~values:!values
 
 (* Dot kernel for C<M> = A ⊕.⊗ Bᵀ over the mask's stored-true cells:
    C(i,j) = ⊕_k A(i,k) ⊗ B(j,k).  Row i of A is scattered once into [pos]
@@ -113,7 +141,7 @@ let mxm_gustavson sr ?keep a b ncols_out =
    then meets the matched k in ascending order, as a two-pointer merge
    of the two rows would, and the first hit seeds the accumulator, so
    every semiring sees the same operands in the same order. *)
-let mxm_dot sr ~mask a b =
+let mxm_dot_general sr ~mask a b =
   let add = Semiring.add sr and mul = Semiring.mul sr in
   let arp = Smatrix.unsafe_rowptr a
   and aci = Smatrix.unsafe_colidx a
@@ -159,9 +187,70 @@ let mxm_dot sr ~mask a b =
   Smatrix.of_csr_unsafe (Smatrix.dtype a) ~nrows ~ncols:(Smatrix.ncols mask)
     ~rowptr ~colidx ~values
 
+(* The same walk at Int64 plus-times, with [+] and [*] inline and the
+   value arrays typed [int array].  Native ints wrap as the Int64
+   operators do, and zero seeds nothing (the first hit does), so the
+   result is the general kernel's bit for bit. *)
+let mxm_dot_int ~mask (a : int Smatrix.t) (b : int Smatrix.t) =
+  let arp = Smatrix.unsafe_rowptr a
+  and aci = Smatrix.unsafe_colidx a
+  and avs = Smatrix.unsafe_values a in
+  let brp = Smatrix.unsafe_rowptr b
+  and bci = Smatrix.unsafe_colidx b
+  and bvs = Smatrix.unsafe_values b in
+  let mrp = Smatrix.unsafe_rowptr mask
+  and mci = Smatrix.unsafe_colidx mask
+  and mvs = Smatrix.unsafe_values mask in
+  let nrows = Smatrix.nrows a and cap = Smatrix.nvals mask in
+  let pos = Array.make (Smatrix.ncols a) (-1) in
+  let rowptr = Array.make (nrows + 1) 0
+  and colidx = Array.make cap 0
+  and values = Array.make cap 0 in
+  let nnz = ref 0 in
+  for i = 0 to nrows - 1 do
+    let ps = arp.(i) in
+    for p = ps to arp.(i + 1) - 1 do
+      pos.(aci.(p)) <- p
+    done;
+    for r = mrp.(i) to mrp.(i + 1) - 1 do
+      if mvs.(r) then begin
+        let j = mci.(r) in
+        let acc = ref 0 and hit = ref false in
+        for q = brp.(j) to brp.(j + 1) - 1 do
+          let p = pos.(bci.(q)) in
+          if p >= ps then begin
+            acc := !acc + (avs.(p) * bvs.(q));
+            hit := true
+          end
+        done;
+        if !hit then begin
+          colidx.(!nnz) <- j;
+          values.(!nnz) <- !acc;
+          incr nnz
+        end
+      end
+    done;
+    rowptr.(i + 1) <- !nnz
+  done;
+  Smatrix.of_csr_unsafe Dtype.Int64 ~nrows ~ncols:(Smatrix.ncols mask)
+    ~rowptr ~colidx ~values
+
+(* Picks the kernel once per call.  The operators are matched by name,
+   not by [Semiring.name]: the DSL builds its semirings with
+   [Semiring.make], whose names differ from the catalogue's. *)
+let mxm_dot (type a) (sr : a Semiring.t) ~mask (a : a Smatrix.t)
+    (b : a Smatrix.t) : a Smatrix.t =
+  match Smatrix.dtype a with
+  | Dtype.Int64
+    when sr.Semiring.add.Monoid.op.Binop.name = "Plus"
+         && sr.Semiring.mul.Binop.name = "Times"
+         && Semiring.zero sr = 0 ->
+    mxm_dot_int ~mask a b
+  | _ -> mxm_dot_general sr ~mask a b
+
 let mxm ?(mask = Mask.No_mmask) ?accum ?(replace = false)
     ?(transpose_a = false) ?(transpose_b = false) sr ~out a b =
-  let a = if transpose_a then Smatrix.transpose a else a in
+  let a = if transpose_a then Smatrix.unsafe_transpose_view a else a in
   let arows, acols = Smatrix.shape a in
   let brows, bcols =
     if transpose_b then (Smatrix.ncols b, Smatrix.nrows b) else Smatrix.shape b
@@ -175,21 +264,21 @@ let mxm ?(mask = Mask.No_mmask) ?accum ?(replace = false)
       ~expected:(Printf.sprintf "output %s" (Error.shape_str arows bcols))
       ~actual:(Error.shape_str (Smatrix.nrows out) (Smatrix.ncols out));
   Mask.m_check_shape mask arows bcols;
-  let write t = Output.write_matrix ~mask ~accum ~replace ~out ~t in
+  let write t = Output.write_smatrix ~mask ~accum ~replace ~out ~t in
   match mask with
   | Mask.Mmask { m; complemented = false } ->
     (* The masked kernels compute only mask-allowed cells. *)
     let c =
       if transpose_b then mxm_dot sr ~mask:m a b
-      else
-        Smatrix.of_rows_unsafe (Smatrix.dtype out) ~nrows:arows ~ncols:bcols
-          (mxm_gustavson sr ~keep:(Mask.m_row_cursor mask) a b bcols)
+      else mxm_gustavson sr ~keep:(Mask.m_row_cursor mask) a b bcols
     in
     (* With no accumulator and no entry of [out] to keep, C<M> is the
        kernel's result itself: install it without the write step. *)
     if Option.is_none accum && (replace || Smatrix.nvals out = 0) then
-      Smatrix.replace_contents out c
-    else write (Array.init arows (Smatrix.row_entries c))
+      Smatrix.adopt out c
+    else write c
   | Mask.No_mmask | Mask.Mmask { complemented = true; _ } ->
     write
-      (mxm_gustavson sr a (if transpose_b then Smatrix.transpose b else b) bcols)
+      (mxm_gustavson sr a
+         (if transpose_b then Smatrix.unsafe_transpose_view b else b)
+         bcols)

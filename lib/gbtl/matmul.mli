@@ -6,12 +6,13 @@
     with [transpose_b], a dot kernel that computes only mask-allowed
     outputs (the access pattern masked triangle counting depends on):
     row i of A is scattered into a position marker once, then each
-    allowed B(j,:) is walked against it.  A masked product with no
-    accumulator whose output is empty or replaced is installed as the
-    kernel's result, without the write step.  Scatter/gather SPA
-    kernels serve [mxv]/[vxm].  Input transposition falls back to
-    materializing the transpose where no cheaper dual formulation
-    exists. *)
+    allowed B(j,:) is walked against it; at Int64 with [Plus]/[Times]
+    (matched by operator name) an [int]-specialized copy of that walk
+    runs, bit-identical to the general one.  A masked product with no
+    accumulator whose output is empty or replaced adopts the kernel's
+    result ({!Smatrix.adopt}), without the write step or a copy.  Scatter/gather SPA
+    kernels serve [mxv]/[vxm].  A transposed matrix operand is read
+    through its cached CSC side, never materialized. *)
 
 val mxv :
   ?mask:Mask.vmask ->

@@ -125,7 +125,7 @@ let write_matrix ~mask ~accum ~replace ~out ~t =
   assert (Array.length t = nrows);
   match mask, accum with
   | Mask.No_mmask, None ->
-    Smatrix.replace_contents out
+    Smatrix.adopt out
       (Smatrix.of_rows_unsafe (Smatrix.dtype out) ~nrows ~ncols t)
   | _, _ ->
     let accum = Option.map (fun (op : _ Binop.t) -> op.Binop.f) accum in
@@ -134,7 +134,18 @@ let write_matrix ~mask ~accum ~replace ~out ~t =
           masked_entries ~allowed:(Mask.m_row_cursor mask r) ~accum ~replace
             ~c:(Smatrix.row_entries out r) ~t:t.(r))
     in
-    let result =
-      Smatrix.of_rows_unsafe (Smatrix.dtype out) ~nrows ~ncols rows
-    in
-    Smatrix.replace_contents out result
+    Smatrix.adopt out
+      (Smatrix.of_rows_unsafe (Smatrix.dtype out) ~nrows ~ncols rows)
+
+(* A kernel's fresh matrix result: installed as it is when nothing
+   remains to merge, else written row by row as above. *)
+let write_smatrix ~mask ~accum ~replace ~out ~t =
+  if Smatrix.shape t <> Smatrix.shape out then
+    Error.raise_dims ~op:"write"
+      ~expected:(Error.shape_str (Smatrix.nrows out) (Smatrix.ncols out))
+      ~actual:(Error.shape_str (Smatrix.nrows t) (Smatrix.ncols t));
+  match mask, accum with
+  | Mask.No_mmask, None -> Smatrix.adopt out t
+  | _, _ ->
+    write_matrix ~mask ~accum ~replace ~out
+      ~t:(Array.init (Smatrix.nrows t) (Smatrix.row_entries t))

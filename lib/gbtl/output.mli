@@ -63,3 +63,17 @@ val write_matrix :
   unit
 (** Row-wise write step; [t] has one entry sequence per output row.
     A masked write merges each row against the mask row's CSR. *)
+
+val write_smatrix :
+  mask:Mask.mmask ->
+  accum:'a Binop.t option ->
+  replace:bool ->
+  out:'a Smatrix.t ->
+  t:'a Smatrix.t ->
+  unit
+(** {!write_matrix} for a result held in a matrix.  [t] must be fresh
+    (no container shares its arrays) and is not used afterwards: with
+    no mask and no accumulator it becomes [out]'s storage without a
+    copy ({!Smatrix.adopt}).
+    @raise Smatrix.Dimension_mismatch on a mask or result shape
+    mismatch. *)

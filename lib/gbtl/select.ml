@@ -40,16 +40,8 @@ let matrix ?(mask = Mask.No_mmask) ?accum ?(replace = false) pred ~out a =
         (Printf.sprintf "output %s"
            (Error.shape_str (Smatrix.nrows a) (Smatrix.ncols a)))
       ~actual:(Error.shape_str (Smatrix.nrows out) (Smatrix.ncols out));
-  let keep = accepts (Smatrix.dtype a) pred in
-  let t =
-    Array.init (Smatrix.nrows a) (fun r ->
-        let e = Entries.create () in
-        Smatrix.iter_row
-          (fun c x -> if keep r c x then Entries.push e c x)
-          a r;
-        e)
-  in
-  Output.write_matrix ~mask ~accum ~replace ~out ~t
+  Output.write_smatrix ~mask ~accum ~replace ~out
+    ~t:(Smatrix.filter a ~f:(accepts (Smatrix.dtype a) pred))
 
 let vector ?(mask = Mask.No_vmask) ?accum ?(replace = false) pred ~out u =
   if Svector.size out <> Svector.size u then

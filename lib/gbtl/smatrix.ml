@@ -148,14 +148,14 @@ let dup m =
     csc = None;
   }
 
-let replace_contents dst src =
+let adopt dst src =
   if dst.nrows <> src.nrows || dst.ncols <> src.ncols then
-    Error.raise_dims ~op:"Smatrix.replace_contents"
+    Error.raise_dims ~op:"Smatrix.adopt"
       ~expected:(Error.shape_str dst.nrows dst.ncols)
       ~actual:(Error.shape_str src.nrows src.ncols);
-  dst.rowptr <- Array.copy src.rowptr;
-  dst.colidx <- Array.sub src.colidx 0 (nvals src);
-  dst.vals <- Array.sub src.vals 0 (nvals src);
+  dst.rowptr <- src.rowptr;
+  dst.colidx <- src.colidx;
+  dst.vals <- src.vals;
   invalidate_csc dst
 
 let of_coo ?dup dt nrows ncols triples =
@@ -395,11 +395,14 @@ let filter m ~f =
     csc = None }
 
 let map m ~f =
-  let out = dup m in
-  for p = 0 to nvals out - 1 do
-    out.vals.(p) <- f out.vals.(p)
+  let n = nvals m in
+  let vals = if n = 0 then [||] else Array.make n (f m.vals.(0)) in
+  for p = 1 to n - 1 do
+    vals.(p) <- f m.vals.(p)
   done;
-  out
+  { dt = m.dt; nrows = m.nrows; ncols = m.ncols;
+    rowptr = Array.copy m.rowptr; colidx = Array.sub m.colidx 0 n; vals;
+    csc = None }
 
 let map_inplace m ~f =
   invalidate_csc m;

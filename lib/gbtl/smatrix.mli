@@ -72,9 +72,11 @@ val remove : 'a t -> int -> int -> unit
 val clear : 'a t -> unit
 val dup : 'a t -> 'a t
 
-val replace_contents : 'a t -> 'a t -> unit
-(** [replace_contents dst src] copies [src]'s entries into [dst] in place
-    (same shape required). @raise Dimension_mismatch *)
+val adopt : 'a t -> 'a t -> unit
+(** [adopt dst src] makes [src]'s arrays [dst]'s storage without
+    copying (same shape required); [src] must be fresh, a kernel's
+    result that no other container shares, and is not used afterwards.
+    The matrix twin of {!Svector.adopt}. @raise Dimension_mismatch *)
 
 val row_nvals : 'a t -> int -> int
 val iter_row : (int -> 'a -> unit) -> 'a t -> int -> unit

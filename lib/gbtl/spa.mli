@@ -21,12 +21,15 @@ val accumulate : 'a t -> int -> 'a -> add:('a -> 'a -> 'a) -> unit
 val count : 'a t -> int
 (** Number of occupied slots. *)
 
+val iter_sorted : (int -> 'a -> unit) -> 'a t -> unit
+(** [iter_sorted f s] applies [f index value] to the occupied slots in
+    ascending index order, allocating nothing when the touched list has
+    room to sort in place: a scan of the occupancy flags when at least
+    an eighth of the slots are occupied, an in-place sort of the touched
+    list otherwise. *)
+
 val extract : 'a t -> 'a Entries.t
 (** Occupied (index, value) pairs in ascending index order. *)
-
-val extract_filtered : 'a t -> keep:(int -> bool) -> 'a Entries.t
-(** [extract] restricted to [keep]; [keep] is queried in ascending index
-    order. *)
 
 val clear : 'a t -> unit
 (** O(number of touched slots). *)

@@ -50,7 +50,7 @@ let sanitize op =
 (* Bump whenever the generated source for an existing key changes shape:
    disk artifacts are addressed by hash, so without the salt a warm
    cache would keep loading the stale module. *)
-let codegen_rev = 5
+let codegen_rev = 6
 
 let hash_key t =
   Printf.sprintf "%s_%016Lx" (sanitize t.op)

@@ -710,7 +710,7 @@ let mxm (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose_a
   | Mask.Mmask _ ->
     (* masked: the library's kernels as a closure kernel — the marker dot
        kernel with [transpose_b], the mask-filtered Gustavson otherwise;
-       [out] is fresh, so the result is installed without a write step *)
+       [out] is empty, so it adopts the kernel's matrix without a copy *)
     let flags =
       (if transpose_a then [ "transpose_a" ] else [])
       @ (if transpose_b then [ "transpose_b" ] else [])
@@ -756,8 +756,11 @@ let ewise_m (type a) kind (dt : a Dtype.t) ~op ~transpose_a ~transpose_b
   let build () =
     let f = Binop.of_name op dt in
     Obj.repr (fun ((a, b) : a Smatrix.t * a Smatrix.t) ->
-        let a' = if transpose_a then Smatrix.transpose a else a in
-        let out = Smatrix.create dt (Smatrix.nrows a') (Smatrix.ncols a') in
+        let nrows, ncols = Smatrix.shape a in
+        let out =
+          if transpose_a then Smatrix.create dt ncols nrows
+          else Smatrix.create dt nrows ncols
+        in
         (match kind with
         | `Add ->
           Ewise.matrix_add ~transpose_a ~transpose_b f ~out a b
@@ -812,11 +815,7 @@ let reduce_rows (type a) (dt : a Dtype.t) ~op ~identity ~transpose
   in
   let build () =
     let m = Op_spec.instantiate_monoid dt ~op ~identity in
-    Obj.repr (fun (a : a Smatrix.t) ->
-        let size = if transpose then Smatrix.ncols a else Smatrix.nrows a in
-        let out = Svector.create dt size in
-        Apply_reduce.reduce_rows ~transpose m ~out a;
-        Svector.entries out)
+    Obj.repr (fun (a : a Smatrix.t) -> Apply_reduce.row_reductions ~transpose m a)
   in
   let kernel : a Smatrix.t -> a Entries.t =
     Obj.obj (Dispatch.get sig_ ~build ())

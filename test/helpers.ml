@@ -121,3 +121,26 @@ let padded_adjacency ~seed ~n ~m ~isolated =
   with_slack
     (Graphs.Convert.bool_adjacency
        { g with Graphs.Edge_list.nvertices = n + isolated })
+
+(* -- Typed matrices for the CSR kernels --
+   An integer dense model (None = absent) whose rows are each empty,
+   full or sparse, and the dtypes the kernels are written for; [typed]
+   converts a model to one of them. *)
+let pattern_gen ?(values = QCheck.Gen.int_range (-4) 4) nrows ncols =
+  let open QCheck.Gen in
+  let row =
+    frequency [ (1, return `Empty); (1, return `Full); (4, return `Sparse) ]
+    >>= function
+    | `Empty -> return (Array.make ncols None)
+    | `Full -> array_repeat ncols (map Option.some values)
+    | `Sparse -> array_repeat ncols (option ~ratio:0.4 values)
+  in
+  array_repeat nrows row
+
+let typed_dtypes =
+  [ Dtype.P Dtype.Bool; Dtype.P Dtype.Int32; Dtype.P Dtype.Int64;
+    Dtype.P Dtype.FP64 ]
+
+let typed (type a) (dt : a Dtype.t) (d : int option array array) :
+    a Dense_ref.mat =
+  Array.map (Array.map (Option.map (Dtype.of_int dt))) d

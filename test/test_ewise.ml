@@ -135,6 +135,37 @@ let qcheck_structural_laws =
       Svector.nvals add + Svector.nvals mult
       = Svector.nvals su + Svector.nvals sv)
 
+(* -- the CSR merge at the dtypes the kernels are written for -- *)
+
+let ewise_typed (type a) (dt : a Dtype.t) a b ~union ~ta ~tb opname =
+  let a = Helpers.typed dt a and b = Helpers.typed dt b in
+  let op = Binop.of_name opname dt in
+  (* the logical operands are 5x7; a transposed one is stored 7x5 *)
+  let stored m t =
+    Dense_ref.smatrix_of_mat_auto dt (if t then Dense_ref.transpose_mat m else m)
+  in
+  let out = Smatrix.create dt 5 7 in
+  (if union then Ewise.matrix_add else Ewise.matrix_mult)
+    ~transpose_a:ta ~transpose_b:tb op ~out (stored a ta) (stored b tb);
+  Smatrix.equal out
+    (Dense_ref.smatrix_of_mat dt 5 7 (Dense_ref.ewise_mat_t ~union op a b))
+
+let qcheck_matrix_ewise_typed =
+  let gen =
+    QCheck.Gen.(
+      oneofl Helpers.typed_dtypes >>= fun dt ->
+      pair (Helpers.pattern_gen 5 7) (Helpers.pattern_gen 5 7)
+      >>= fun (a, b) ->
+      triple bool (pair bool bool)
+        (oneofl [ "Plus"; "Minus"; "Times"; "Min"; "Max"; "First"; "Second" ])
+      >|= fun (union, ts, op) -> (dt, a, b, union, ts, op))
+  in
+  Helpers.qtest ~count:400
+    "matrix eWiseAdd/eWiseMult at Bool/Int32/Int64/FP64 matches dense model"
+    (Helpers.arb gen)
+    (fun (Dtype.P dt, a, b, union, (ta, tb), op) ->
+      ewise_typed dt a b ~union ~ta ~tb op)
+
 let suite =
   [ Alcotest.test_case "add is union" `Quick test_add_union;
     Alcotest.test_case "mult is intersection" `Quick test_mult_intersection;
@@ -147,4 +178,5 @@ let suite =
     Helpers.to_alcotest qcheck_matrix_add;
     Helpers.to_alcotest qcheck_matrix_mult;
     Helpers.to_alcotest qcheck_structural_laws;
+    Helpers.to_alcotest qcheck_matrix_ewise_typed;
   ]

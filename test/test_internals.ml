@@ -68,14 +68,32 @@ let test_spa_clear_is_cheap_and_complete () =
     "reusable" [ (2, 30) ]
     (Entries.to_alist (Spa.extract spa))
 
-let test_spa_filtered_extract () =
-  let spa = Spa.create 8 ~dummy:0 in
-  List.iter (fun i -> Spa.set spa i i) [ 1; 2; 3; 4 ];
-  Alcotest.check
-    Alcotest.(list (pair int int))
-    "keep evens"
-    [ (2, 2); (4, 4) ]
-    (Entries.to_alist (Spa.extract_filtered spa ~keep:(fun i -> i mod 2 = 0)))
+(* 400 slots: 10 touched are insertion-sorted, 40 merge-sorted, 100
+   (at least an eighth) emitted by a scan; each must come out ascending *)
+let test_spa_iter_sorted_paths () =
+  let rng = Graphs.Rng.create ~seed:31 in
+  List.iter
+    (fun k ->
+      let spa = Spa.create 400 ~dummy:0 in
+      let picked = Hashtbl.create k in
+      while Hashtbl.length picked < k do
+        let i = Graphs.Rng.int rng 400 in
+        if not (Hashtbl.mem picked i) then begin
+          Hashtbl.add picked i ();
+          Spa.set spa i (10 * i)
+        end
+      done;
+      let got = ref [] in
+      Spa.iter_sorted (fun i v -> got := (i, v) :: !got) spa;
+      let expected =
+        List.sort compare
+          (Hashtbl.fold (fun i () acc -> (i, 10 * i) :: acc) picked [])
+      in
+      Alcotest.check
+        Alcotest.(list (pair int int))
+        (Printf.sprintf "%d touched, ascending" k)
+        expected (List.rev !got))
+    [ 10; 40; 100 ]
 
 (* -- Index_set -- *)
 
@@ -124,9 +142,9 @@ let test_single_row_col () =
   Alcotest.check Alcotest.(option (float 0.0)) "1x1 = 9" (Some 9.0)
     (Smatrix.get out 0 0)
 
-let test_replace_contents_shape_check () =
+let test_adopt_shape_check () =
   let a = Smatrix.create f64 2 2 and b = Smatrix.create f64 3 3 in
-  match Smatrix.replace_contents a b with
+  match Smatrix.adopt a b with
   | exception Smatrix.Dimension_mismatch _ -> ()
   | () -> Alcotest.fail "shape mismatch accepted"
 
@@ -153,13 +171,12 @@ let suite =
     Alcotest.test_case "spa accumulate/extract" `Quick
       test_spa_accumulate_and_extract;
     Alcotest.test_case "spa clear" `Quick test_spa_clear_is_cheap_and_complete;
-    Alcotest.test_case "spa filtered extract" `Quick test_spa_filtered_extract;
+    Alcotest.test_case "spa iter_sorted paths" `Quick test_spa_iter_sorted_paths;
     Alcotest.test_case "index_set resolve" `Quick test_index_set_resolution;
     Alcotest.test_case "index_set errors" `Quick test_index_set_errors;
     Alcotest.test_case "empty matrices" `Quick test_empty_matrix_ops;
     Alcotest.test_case "single row/col" `Quick test_single_row_col;
-    Alcotest.test_case "replace_contents checks" `Quick
-      test_replace_contents_shape_check;
+    Alcotest.test_case "adopt checks" `Quick test_adopt_shape_check;
     Alcotest.test_case "sorted invariant under churn" `Quick
       test_vector_large_random_sorted_invariant;
   ]

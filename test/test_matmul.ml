@@ -281,6 +281,94 @@ let qcheck_mxm_dot_matches_merge =
         b;
       bits_equal out (Dense_ref.mxm_dot_merge sr ~mask a b))
 
+(* -- the Gustavson product across its row-emission paths --
+   400 output columns: a row that touches at most 16 is insertion-sorted,
+   one of 17..49 merge-sorted, one of 50 or more (an eighth) emitted by
+   a scan of the accumulator.  B's rows hold 0 to 80 random columns and
+   A's rows are empty, full or sparse, so the unions span all three. *)
+let gustavson_cols = 400
+
+let gustavson_b_gen inner =
+  let open QCheck.Gen in
+  array_repeat inner
+    ( oneofl [ 0; 3; 10; 30; 80 ] >>= fun k ->
+      list_repeat k
+        (pair (int_bound (gustavson_cols - 1)) (int_range (-4) 4))
+      >|= fun cells ->
+      let row = Array.make gustavson_cols None in
+      List.iter (fun (c, x) -> row.(c) <- Some x) cells;
+      row )
+
+let gustavson_typed (type a) (dt : a Dtype.t) a b srname =
+  let a = Helpers.typed dt a and b = Helpers.typed dt b in
+  let nrows = Array.length a in
+  let sr = Semiring.of_name srname dt in
+  let expected =
+    Dense_ref.smatrix_of_mat dt nrows gustavson_cols (Dense_ref.mxm_t sr a b)
+  in
+  let a_sp = Dense_ref.smatrix_of_mat_auto dt a
+  and b_sp = Dense_ref.smatrix_of_mat_auto dt b in
+  let out = Smatrix.create dt nrows gustavson_cols in
+  Matmul.mxm sr ~out a_sp b_sp;
+  let kernel =
+    Jit.Kernels.mxm dt
+      (Jit.Op_spec.semiring_of_name srname)
+      ~transpose_a:false ~transpose_b:false ~mask:Mask.No_mmask a_sp b_sp
+  in
+  Smatrix.equal out expected && Smatrix.equal kernel expected
+
+let qcheck_mxm_gustavson_emission =
+  let gen =
+    QCheck.Gen.(
+      oneofl Helpers.typed_dtypes >>= fun dt ->
+      Helpers.pattern_gen 12 10 >>= fun a ->
+      gustavson_b_gen 10 >>= fun b ->
+      oneofl [ "Arithmetic"; "MinPlus"; "MaxTimes"; "MinSelect2nd" ]
+      >|= fun sr -> (dt, a, b, sr))
+  in
+  Helpers.qtest ~count:150
+    "Gustavson mxm (sorted and scanned rows) matches dense model"
+    (Helpers.arb gen) (fun (Dtype.P dt, a, b, sr) -> gustavson_typed dt a b sr)
+
+(* -- the Int64 plus-times masked dot against the general kernel --
+   [times_ref] is a user operator, so its semiring bypasses the
+   specialization; values near max_int make both sides wrap. *)
+let int_values =
+  QCheck.Gen.(
+    frequency
+      [ (3, int_range (-4) 4);
+        (1, map (fun d -> max_int - d) (int_bound 8));
+        (1, map (fun d -> min_int + d) (int_bound 8));
+        (1, int_range (-(1 lsl 40)) (1 lsl 40)) ])
+
+let qcheck_mxm_dot_int64 =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 1 30) (int_range 1 30) (int_range 1 30)
+      >>= fun (m, k, n) ->
+      Helpers.pattern_gen ~values:int_values m k >>= fun a ->
+      Helpers.pattern_gen ~values:int_values n k >>= fun b ->
+      mask_with_false_gen m n >>= fun mask ->
+      bool >|= fun via_spec -> (a, b, mask, via_spec))
+  in
+  Helpers.qtest ~count:300 "Int64 plus-times masked dot matches the general kernel"
+    (Helpers.arb gen) (fun (a, b, mask, via_spec) ->
+      let i64 = Dtype.Int64 in
+      let a = Dense_ref.smatrix_of_mat_auto i64 (Helpers.typed i64 a)
+      and b = Dense_ref.smatrix_of_mat_auto i64 (Helpers.typed i64 b) in
+      let product sr =
+        let out = Smatrix.create i64 (Smatrix.nrows a) (Smatrix.nrows b) in
+        Matmul.mxm ~mask:(Mask.mmask mask) ~transpose_b:true sr ~out a b;
+        out
+      in
+      let fast =
+        if via_spec then Jit.Op_spec.instantiate_semiring i64 Jit.Op_spec.arithmetic
+        else Semiring.arithmetic i64
+      and general =
+        Semiring.make (Monoid.plus i64) (Binop.make "times_ref" ( * ))
+      in
+      Smatrix.equal (product fast) (product general))
+
 (* A masked product installs the kernel's result only without an
    accumulator and with [out] empty or replaced; otherwise it merges
    into [out].  T = A Bᵀ = [[5; 14]; [24; 53]]; the mask allows (0,0)
@@ -340,6 +428,8 @@ let suite =
     Helpers.to_alcotest qcheck_mxm;
     Helpers.to_alcotest qcheck_mxm_masked_dot_path;
     Helpers.to_alcotest qcheck_mxm_dot_matches_merge;
+    Helpers.to_alcotest qcheck_mxm_gustavson_emission;
+    Helpers.to_alcotest qcheck_mxm_dot_int64;
     Alcotest.test_case "masked mxm keeps out's masked-out entries" `Quick
       test_masked_mxm_merges_into_kept_entries;
     Alcotest.test_case "masked mxm accumulates under replace" `Quick
