@@ -1,26 +1,31 @@
 open Gbtl
 
+(* [m]'s pattern with every stored value [v], over [m]'s own rowptr
+   and colidx. *)
+let pattern dt v m =
+  Smatrix.of_csr_unsafe dt ~nrows:(Smatrix.nrows m) ~ncols:(Smatrix.ncols m)
+    ~rowptr:(Smatrix.unsafe_rowptr m) ~colidx:(Smatrix.unsafe_colidx m)
+    ~values:(Array.make (Smatrix.nvals m) v)
+
 let native ~k graph =
   if k < 3 then invalid_arg "Ktruss.native: k must be >= 3";
   let n = Smatrix.nrows graph in
-  let threshold = float_of_int (k - 2) in
-  let e = ref (Smatrix.cast ~into:Dtype.Int64 graph) in
-  (* normalize stored values to ones *)
-  e := Smatrix.map !e ~f:(fun _ -> 1);
+  let enough =
+    Select.accepts Dtype.Int64 (Select.Value_ge (float_of_int (k - 2)))
+  in
   let arithmetic = Semiring.arithmetic Dtype.Int64 in
-  let continue_ = ref true in
-  while !continue_ do
+  let rec prune e =
     (* support<E> = E ⊕.⊗ Eᵀ : common-neighbour count per edge *)
     let support = Smatrix.create Dtype.Int64 n n in
-    Matmul.mxm ~mask:(Mask.mmask !e) ~transpose_b:true arithmetic
-      ~out:support !e !e;
-    (* keep the edges with enough support *)
-    let keep = Smatrix.create Dtype.Int64 n n in
-    Select.matrix (Select.Value_ge threshold) ~out:keep support;
-    if Smatrix.nvals keep = Smatrix.nvals !e then continue_ := false
-    else e := Smatrix.map keep ~f:(fun _ -> 1)
-  done;
-  Smatrix.cast ~into:Dtype.Bool !e
+    Matmul.mxm ~mask:(Mask.mmask e) ~transpose_b:true arithmetic ~out:support
+      e e;
+    (* keep the edges with enough support, re-oned *)
+    let keep = Smatrix.filter support ~f:enough in
+    if Smatrix.nvals keep = Smatrix.nvals e then e
+    else prune (pattern Dtype.Int64 1 keep)
+  in
+  (* the first E is a copy, so the result never shares [graph]'s arrays *)
+  pattern Dtype.Bool true (prune (pattern Dtype.Int64 1 (Smatrix.dup graph)))
 
 let edge_count adj = Smatrix.nvals adj / 2
 

@@ -334,6 +334,26 @@ let to_bool : type a. a t -> a -> bool =
   | RInt64 -> v <> 0L
   | RFloat _ -> v <> 0.0
 
+(* One typed pass: the dtype is matched once, outside the loop. *)
+let truths : type a. a t -> a array -> int -> bool array =
+ fun dt vs n ->
+  let t = Array.make n false in
+  (match repr dt with
+  | RBool -> Array.blit vs 0 t 0 n
+  | RInt _ ->
+    for p = 0 to n - 1 do
+      t.(p) <- vs.(p) <> 0
+    done
+  | RInt64 ->
+    for p = 0 to n - 1 do
+      t.(p) <- vs.(p) <> 0L
+    done
+  | RFloat _ ->
+    for p = 0 to n - 1 do
+      t.(p) <- vs.(p) <> 0.0
+    done);
+  t
+
 let of_bool : type a. a t -> bool -> a =
  fun dt b ->
   match repr dt with

@@ -102,6 +102,10 @@ val of_int : 'a t -> int -> 'a
 val to_bool : 'a t -> 'a -> bool
 (** C truthiness: nonzero is [true]. *)
 
+val truths : 'a t -> 'a array -> int -> bool array
+(** [truths dt vs n] is {!to_bool} of [vs.(0)] .. [vs.(n-1)], in one
+    pass with the dtype matched once. *)
+
 val of_bool : 'a t -> bool -> 'a
 
 val to_string : 'a t -> 'a -> string

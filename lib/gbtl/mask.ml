@@ -36,11 +36,20 @@ let vmask ?(complemented = false) v =
   end
   else Vmask { dense = Svector.to_bool_dense v; complemented }
 
+(* A non-Bool mask is a Bool view over the source's own [rowptr] and
+   [colidx]: only the truth values are new.  Like a Bool source, which
+   is its own mask, the view is read by the one operation it is built
+   for, and [Smatrix.set]/[remove]/[clear] on the source must not run
+   while that operation does. *)
 let coerce_bool_matrix (type a) (m : a Smatrix.t) : bool Smatrix.t =
   let dt = Smatrix.dtype m in
   match Dtype.equal_witness dt Dtype.Bool with
   | Some Dtype.Equal -> m
-  | None -> Smatrix.cast ~into:Dtype.Bool m
+  | None ->
+    Smatrix.of_csr_unsafe Dtype.Bool ~nrows:(Smatrix.nrows m)
+      ~ncols:(Smatrix.ncols m) ~rowptr:(Smatrix.unsafe_rowptr m)
+      ~colidx:(Smatrix.unsafe_colidx m)
+      ~values:(Dtype.truths dt (Smatrix.unsafe_values m) (Smatrix.nvals m))
 
 let mmask ?(complemented = false) m =
   Mmask { m = coerce_bool_matrix m; complemented }

@@ -187,10 +187,30 @@ let mxm_dot_general sr ~mask a b =
   Smatrix.of_csr_unsafe (Smatrix.dtype a) ~nrows ~ncols:(Smatrix.ncols mask)
     ~rowptr ~colidx ~values
 
-(* The same walk at Int64 plus-times, with [+] and [*] inline and the
-   value arrays typed [int array].  Native ints wrap as the Int64
-   operators do, and zero seeds nothing (the first hit does), so the
-   result is the general kernel's bit for bit. *)
+(* An unchecked read, for loops whose indices were checked up front. *)
+let ( .!() ) (a : int array) i = Array.unsafe_get a i
+
+(* Every row extent of [b] lies inside its [colidx] and [values], and
+   every column it stores is below [ncols]: checked once per call, so
+   the probe loop below reads [b] and its scatter with [.!()]. *)
+let check_probe_columns b ~ncols =
+  let rp = Smatrix.unsafe_rowptr b and ci = Smatrix.unsafe_colidx b in
+  let len = min (Array.length ci) (Array.length (Smatrix.unsafe_values b)) in
+  let bad () = invalid_arg "Matmul.mxm: malformed CSR operand" in
+  let hi = ref 0 in
+  Array.iter (fun p -> if p < 0 || p > len then bad () else hi := max !hi p) rp;
+  for q = 0 to !hi - 1 do
+    if ci.(q) < 0 || ci.(q) >= ncols then bad ()
+  done
+
+(* The same product at Int64 plus-times, with no branch per probe.  Row
+   i of A is scattered into [wf], value and hit flag side by side
+   ([wf.(2k)] = A(i,k), [wf.(2k+1)] = 1), and both are summed along
+   B(j,:): a k missing from row i reads 0 and 0, so the walk needs no
+   test.  [hit > 0] decides the store, so a matched pair whose product
+   is 0 still stores a 0.  Native ints wrap and [+] commutes, so the
+   sum is the general kernel's bit for bit.  Row i's slots are zeroed
+   after its mask row, leaving [wf] all zero for the next. *)
 let mxm_dot_int ~mask (a : int Smatrix.t) (b : int Smatrix.t) =
   let arp = Smatrix.unsafe_rowptr a
   and aci = Smatrix.unsafe_colidx a
@@ -202,33 +222,39 @@ let mxm_dot_int ~mask (a : int Smatrix.t) (b : int Smatrix.t) =
   and mci = Smatrix.unsafe_colidx mask
   and mvs = Smatrix.unsafe_values mask in
   let nrows = Smatrix.nrows a and cap = Smatrix.nvals mask in
-  let pos = Array.make (Smatrix.ncols a) (-1) in
+  check_probe_columns b ~ncols:(Smatrix.ncols a);
+  let wf = Array.make (2 * Smatrix.ncols a) 0 in
   let rowptr = Array.make (nrows + 1) 0
   and colidx = Array.make cap 0
   and values = Array.make cap 0 in
   let nnz = ref 0 in
   for i = 0 to nrows - 1 do
-    let ps = arp.(i) in
-    for p = ps to arp.(i + 1) - 1 do
-      pos.(aci.(p)) <- p
+    let ps = arp.(i) and pe = arp.(i + 1) - 1 in
+    for p = ps to pe do
+      let k2 = 2 * aci.(p) in
+      wf.(k2) <- avs.(p);
+      wf.(k2 + 1) <- 1
     done;
     for r = mrp.(i) to mrp.(i + 1) - 1 do
       if mvs.(r) then begin
         let j = mci.(r) in
-        let acc = ref 0 and hit = ref false in
+        let acc = ref 0 and hit = ref 0 in
         for q = brp.(j) to brp.(j + 1) - 1 do
-          let p = pos.(bci.(q)) in
-          if p >= ps then begin
-            acc := !acc + (avs.(p) * bvs.(q));
-            hit := true
-          end
+          let k2 = 2 * bci.!(q) in
+          acc := !acc + (wf.!(k2) * bvs.!(q));
+          hit := !hit + wf.!(k2 + 1)
         done;
-        if !hit then begin
+        if !hit > 0 then begin
           colidx.(!nnz) <- j;
           values.(!nnz) <- !acc;
           incr nnz
         end
       end
+    done;
+    for p = ps to pe do
+      let k2 = 2 * aci.(p) in
+      wf.(k2) <- 0;
+      wf.(k2 + 1) <- 0
     done;
     rowptr.(i + 1) <- !nnz
   done;

@@ -425,6 +425,33 @@ let qcheck_predicates =
            v k))
     (fun case -> predicate_mismatches case = [])
 
+(* [Dtype.truths], the one pass behind a non-Bool matrix mask, against
+   the per-value [Dtype.to_bool]; and read back through [Mask.mmask]. *)
+let truths_mismatches samples =
+  List.filter_map
+    (fun (Dtype.P dt) ->
+      let values = Array.of_list (List.map (value_of dt) samples) in
+      let n = Array.length values in
+      let want = Array.map (Dtype.to_bool dt) values in
+      let m =
+        Smatrix.of_csr_unsafe dt ~nrows:1 ~ncols:n ~rowptr:[| 0; n |]
+          ~colidx:(Array.init n Fun.id) ~values
+      in
+      let allowed = Mask.m_row_cursor (Mask.mmask m) 0 in
+      if
+        Dtype.truths dt values n = want
+        && List.for_all (fun k -> allowed k = want.(k)) (List.init n Fun.id)
+      then None
+      else Some (Dtype.short_name dt))
+    Dtype.all
+
+let qcheck_truths =
+  Helpers.qtest ~count:200 "Dtype.truths and matrix mask truthiness ≡ to_bool"
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 0 10) sample_gen)
+       ~print:(fun l -> String.concat "; " (List.map print_sample l)))
+    (fun samples -> truths_mismatches samples = [])
+
 let suite =
   [ Alcotest.test_case "name roundtrips" `Quick test_names;
     Alcotest.test_case "unknown name rejected" `Quick test_unknown_name;
@@ -443,4 +470,5 @@ let suite =
     Helpers.to_alcotest qcheck_container_cast;
     Helpers.to_alcotest qcheck_arith;
     Helpers.to_alcotest qcheck_predicates;
+    Helpers.to_alcotest qcheck_truths;
   ]

@@ -369,6 +369,138 @@ let qcheck_mxm_dot_int64 =
       in
       Smatrix.equal (product fast) (product general))
 
+(* -- masks over non-Bool matrices --
+   [Mask.mmask] of an Int64 or FP64 matrix is a Bool view over that
+   matrix's own rowptr and colidx.  It must select what a mask over the
+   matrix's Bool cast selects, stored zeros excluded, through the masked
+   dot, the masked Gustavson product and the write step.  The operands
+   share the mask's dtype, so Int64 runs the plus-times dot. *)
+let nonbool_mask_agrees (type a) (dt : a Dtype.t)
+    (a, b, mask, out, t, slack, replace) =
+  let typed d = Dense_ref.smatrix_of_mat_auto dt (Helpers.typed dt d) in
+  let a = typed a and b = typed b and out = typed out and t = typed t in
+  let m = if slack then Helpers.with_slack (typed mask) else typed mask in
+  let nrows = Smatrix.nrows a and ncols = Smatrix.nrows b in
+  let sr = Semiring.arithmetic dt in
+  let dot mask =
+    let c = Smatrix.create dt nrows ncols in
+    Matmul.mxm ~mask ~transpose_b:true sr ~out:c a b;
+    c
+  and gustavson mask =
+    let c = Smatrix.create dt nrows ncols in
+    Matmul.mxm ~mask sr ~out:c a (Smatrix.transpose b);
+    c
+  and write mask =
+    let c = Smatrix.dup out in
+    Output.write_matrix ~mask ~accum:None ~replace ~out:c
+      ~t:(Array.init nrows (Smatrix.row_entries t));
+    c
+  in
+  let view = Mask.mmask m
+  and cast = Mask.mmask (Smatrix.cast ~into:Dtype.Bool m) in
+  let zeros_excluded c =
+    Smatrix.fold
+      (fun ok r j x -> ok && (Dtype.to_bool dt x || Smatrix.get c r j = None))
+      true m
+  in
+  let d = dot view and g = gustavson view in
+  Smatrix.equal d (dot cast)
+  && Smatrix.equal g (gustavson cast)
+  && Smatrix.equal (write view) (write cast)
+  && zeros_excluded d && zeros_excluded g
+
+let qcheck_nonbool_mask =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 1 12) (int_range 1 12) (int_range 1 12)
+      >>= fun (m, k, n) ->
+      oneofl [ Dtype.P Dtype.Int64; Dtype.P Dtype.FP64 ] >>= fun dt ->
+      Helpers.pattern_gen m k >>= fun a ->
+      Helpers.pattern_gen n k >>= fun b ->
+      Helpers.pattern_gen ~values:(int_range (-1) 1) m n >>= fun mask ->
+      Helpers.pattern_gen m n >>= fun out ->
+      Helpers.pattern_gen m n >>= fun t ->
+      pair bool bool >|= fun (slack, replace) ->
+      (dt, (a, b, mask, out, t, slack, replace)))
+  in
+  Helpers.qtest ~count:300
+    "non-Bool mask (stored zeros) selects what its Bool cast selects"
+    (Helpers.arb gen) (fun (Dtype.P dt, case) -> nonbool_mask_agrees dt case)
+
+(* The Int64 dot reads B unchecked after one pass over its structure:
+   a stored column past A's width, or a row extent past B's arrays,
+   must raise instead of reading out of bounds. *)
+let test_mxm_dot_int64_rejects_malformed () =
+  let i64 = Dtype.Int64 in
+  let a = Smatrix.of_coo i64 2 3 [ (0, 0, 1); (1, 2, 1) ] in
+  let mask = Smatrix.of_coo Dtype.Bool 2 2 [ (0, 0, true); (1, 1, true) ] in
+  List.iter
+    (fun (what, rowptr, colidx) ->
+      let b =
+        Smatrix.of_csr_unsafe i64 ~nrows:2 ~ncols:3 ~rowptr ~colidx
+          ~values:[| 1; 1 |]
+      in
+      let out = Smatrix.create i64 2 2 in
+      match
+        Matmul.mxm ~mask:(Mask.mmask mask) ~transpose_b:true
+          (Semiring.arithmetic i64) ~out a b
+      with
+      | () -> Alcotest.failf "%s: no error" what
+      | exception Invalid_argument _ -> ())
+    [ ("column past the width", [| 0; 1; 2 |], [| 0; 3 |]);
+      ("row extent past the arrays", [| 0; 5; 2 |], [| 0; 1 |]) ]
+
+(* C<C> = C ⊕.⊗ Cᵀ with an Int64 C: the mask is a view over C's own
+   arrays while C is both operands and the output.  The dsl, nonblocking
+   and vm tiers must each give what the statement gives on copies. *)
+let self_masked_program =
+  let open Minivm.Ast in
+  [ Def
+      ( "self_masked",
+        [ "C" ],
+        [ With
+            ( [ Call (Var "Semiring", [ Const (Minivm.Value.Str "Arithmetic") ]) ],
+              [ SetIndex
+                  (Var "C", Var "C", Binary ("@", Var "C", Attr (Var "C", "T")))
+              ] ) ] ) ]
+
+let qcheck_self_masked_product =
+  let open Ogb in
+  let open Ogb.Ops.Infix in
+  let product ~mask ~out a b =
+    Context.with_ops
+      [ Context.semiring "Arithmetic" ]
+      (fun () -> Ops.set ~mask:(Ops.Mask mask) out (!!a @. tr !!b))
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 16 >>= fun n ->
+      Helpers.pattern_gen ~values:(int_range (-2) 2) n n >>= fun c ->
+      bool >|= fun slack -> (c, slack))
+  in
+  Helpers.qtest ~count:100 "C<C> = C (+.*) C' over an Int64 C at every tier"
+    (Helpers.arb gen) (fun (c, slack) ->
+      let i64 = Dtype.Int64 in
+      let fresh () =
+        let m = Dense_ref.smatrix_of_mat_auto i64 (Helpers.typed i64 c) in
+        Container.of_smatrix (if slack then Helpers.with_slack m else m)
+      in
+      let expected = fresh () in
+      product ~mask:(fresh ()) ~out:expected (fresh ()) (fresh ());
+      let self_masked run =
+        let c = fresh () in
+        run c;
+        Container.equal c expected
+      in
+      self_masked (fun c -> product ~mask:c ~out:c c c)
+      && self_masked (fun c ->
+             Exec.with_mode Exec.Nonblocking (fun () ->
+                 product ~mask:c ~out:c c c))
+      && self_masked (fun c ->
+             ignore
+               (Algorithms.Vm_runtime.call_program self_masked_program
+                  "self_masked" [ Vm_bridge.wrap_container c ])))
+
 (* A masked product installs the kernel's result only without an
    accumulator and with [out] empty or replaced; otherwise it merges
    into [out].  T = A Bᵀ = [[5; 14]; [24; 53]]; the mask allows (0,0)
@@ -430,6 +562,10 @@ let suite =
     Helpers.to_alcotest qcheck_mxm_dot_matches_merge;
     Helpers.to_alcotest qcheck_mxm_gustavson_emission;
     Helpers.to_alcotest qcheck_mxm_dot_int64;
+    Alcotest.test_case "Int64 masked dot rejects a malformed operand" `Quick
+      test_mxm_dot_int64_rejects_malformed;
+    Helpers.to_alcotest qcheck_nonbool_mask;
+    Helpers.to_alcotest qcheck_self_masked_product;
     Alcotest.test_case "masked mxm keeps out's masked-out entries" `Quick
       test_masked_mxm_merges_into_kept_entries;
     Alcotest.test_case "masked mxm accumulates under replace" `Quick
