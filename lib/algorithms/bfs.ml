@@ -97,12 +97,14 @@ let native_sparse graph ~src =
 
 let native_dense graph ~src =
   let n = Smatrix.nrows graph in
+  (* a vertex is visited exactly when its level is set, so the levels'
+     validity array is the visited set *)
   let levels_v = Array.make n 0 in
-  let levels_occ = Array.make n false in
   let visited = Array.make n false in
   (* dense frontier staging for the pull direction, reused across
-     iterations *)
-  let uvls = Array.make n false and uocc = Array.make n false in
+     iterations: a Bool frontier's staged values equal its occupancy, so
+     one array is both *)
+  let uocc = Array.make n false in
   let frontier = ref [| src |] in
   let depth = ref 0 in
   while Array.length !frontier > 0 do
@@ -111,7 +113,6 @@ let native_dense graph ~src =
     Array.iter
       (fun i ->
         levels_v.(i) <- !depth;
-        levels_occ.(i) <- true;
         visited.(i) <- true)
       !frontier;
     (* frontier<!levels, replace> = graphᵀ ⊕.⊗ frontier *)
@@ -120,16 +121,11 @@ let native_dense graph ~src =
     let next =
       if use_pull then begin
         Format_stats.record_pull ();
-        Array.fill uvls 0 n false;
         Array.fill uocc 0 n false;
-        Array.iter
-          (fun i ->
-            uvls.(i) <- true;
-            uocc.(i) <- true)
-          !frontier;
+        Array.iter (fun i -> uocc.(i) <- true) !frontier;
         let t =
           Jit.Kernels.mxv_pull_masked Dtype.Bool Jit.Op_spec.logical ~visited
-            graph (uvls, uocc)
+            graph (uocc, uocc)
         in
         (* already complement-masked, and lor over a bool graph only
            produces true — the new frontier is just the index set *)
@@ -159,7 +155,7 @@ let native_dense graph ~src =
     in
     frontier := next
   done;
-  Svector.of_dense_unsafe Dtype.Int64 ~vals:levels_v ~valid:levels_occ
+  Svector.of_dense_unsafe Dtype.Int64 ~vals:levels_v ~valid:visited
 
 (* Layout-aware dispatch between the two pipelines above. *)
 let native graph ~src =

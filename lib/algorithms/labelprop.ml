@@ -18,7 +18,15 @@ open Gbtl
      labels v = n - (best v mod (n+1))      (host-side decode)
 
    enc packs (count, n - label) into one Int64 so one Max reduction picks
-   the largest count and, on ties, the smallest label. *)
+   the largest count and, on ties, the smallest label.
+
+   Each statement of enc is one pass over counts, with no new operator:
+   the apply shares counts' pattern, the product with the diagonal D is
+   A(i,k) (.2nd) D(k,k) per stored entry and shares it too (every row of
+   D holds its entry), and the eWiseAdd of two operands over that one
+   shared pattern computes values only (DESIGN §3, "Results that keep an
+   operand's pattern share it").  In round 1 the one-hot is the
+   identity, so counts = A (+.x) onehot takes the same diagonal pass. *)
 
 let default_rounds = 16
 

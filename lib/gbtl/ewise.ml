@@ -49,7 +49,7 @@ let check_matrix_shapes ctx a b =
    their intersection, a two-pointer merge per row of the CSR arrays
    into arrays sized by the bound (nnz A + nnz B, or the smaller nnz),
    kept with their slack. *)
-let merge_csr ~union f a b =
+let merge_rows ~union f a b =
   let arp = Smatrix.unsafe_rowptr a
   and aci = Smatrix.unsafe_colidx a
   and avs = Smatrix.unsafe_values a in
@@ -106,6 +106,20 @@ let merge_csr ~union f a b =
   done;
   Smatrix.of_csr_unsafe (Smatrix.dtype a) ~nrows ~ncols:(Smatrix.ncols a)
     ~rowptr ~colidx ~values
+
+(* Operands that hold the same [rowptr] and [colidx] arrays (one pattern,
+   shared) have that pattern as both union and intersection: T shares it
+   and only its values are computed, in one pass, with the merge's
+   operand order. *)
+let merge_csr ~union f a b =
+  let rowptr = Smatrix.unsafe_rowptr a and colidx = Smatrix.unsafe_colidx a in
+  if rowptr == Smatrix.unsafe_rowptr b && colidx == Smatrix.unsafe_colidx b
+  then
+    let avs = Smatrix.unsafe_values a and bvs = Smatrix.unsafe_values b in
+    Smatrix.of_csr_unsafe (Smatrix.dtype a) ~nrows:(Smatrix.nrows a)
+      ~ncols:(Smatrix.ncols a) ~rowptr ~colidx
+      ~values:(Array.init (Smatrix.nvals a) (fun p -> f avs.(p) bvs.(p)))
+  else merge_rows ~union f a b
 
 let matrix_op ~union ctx ?(mask = Mask.No_mmask) ?accum ?(replace = false)
     ?(transpose_a = false) ?(transpose_b = false) (op : 'a Binop.t) ~out a b =

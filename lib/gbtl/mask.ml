@@ -37,10 +37,12 @@ let vmask ?(complemented = false) v =
   else Vmask { dense = Svector.to_bool_dense v; complemented }
 
 (* A non-Bool mask is a Bool view over the source's own [rowptr] and
-   [colidx]: only the truth values are new.  Like a Bool source, which
-   is its own mask, the view is read by the one operation it is built
-   for, and [Smatrix.set]/[remove]/[clear] on the source must not run
-   while that operation does. *)
+   [colidx]: only the truth values are new.  Structure writes are
+   copy-on-write, so [Smatrix.set] (insert), [remove] and [clear] on the
+   source leave the view's pattern as it was built.  A Bool source is
+   its own mask, though, and [set] over a stored entry writes its value
+   in place, so a mask is still read by the one operation it is built
+   for, and no write to the source runs while that operation does. *)
 let coerce_bool_matrix (type a) (m : a Smatrix.t) : bool Smatrix.t =
   let dt = Smatrix.dtype m in
   match Dtype.equal_witness dt Dtype.Bool with

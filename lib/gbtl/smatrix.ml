@@ -98,6 +98,18 @@ let mem m r c =
   check_bounds m r c "Smatrix.mem";
   match find m r c with Ok _ -> true | Error _ -> false
 
+(* Structure writes are copy-on-write: a result may share its operand's
+   [rowptr]/[colidx] (see [of_csr_unsafe]), so [set] (insert), [remove]
+   and [clear] build new structure arrays and never write the old ones.
+   Values are not shared (outside the read-only [unsafe_transpose_view]),
+   so [set] over a stored entry writes its value in place. *)
+let shift_rowptr m r d =
+  let rowptr = Array.copy m.rowptr in
+  for i = r + 1 to m.nrows do
+    rowptr.(i) <- rowptr.(i) + d
+  done;
+  m.rowptr <- rowptr
+
 let set m r c x =
   check_bounds m r c "Smatrix.set";
   invalidate_csc m;
@@ -114,9 +126,7 @@ let set m r c x =
     Array.blit m.vals p vals' (p + 1) (n - p);
     m.colidx <- colidx';
     m.vals <- vals';
-    for i = r + 1 to m.nrows do
-      m.rowptr.(i) <- m.rowptr.(i) + 1
-    done
+    shift_rowptr m r 1
 
 let remove m r c =
   check_bounds m r c "Smatrix.remove";
@@ -125,14 +135,18 @@ let remove m r c =
   | Error _ -> ()
   | Ok p ->
     let n = nvals m in
-    Array.blit m.colidx (p + 1) m.colidx p (n - p - 1);
-    Array.blit m.vals (p + 1) m.vals p (n - p - 1);
-    for i = r + 1 to m.nrows do
-      m.rowptr.(i) <- m.rowptr.(i) - 1
-    done
+    let colidx' = Array.make (n - 1) 0 in
+    let vals' = if n = 1 then [||] else Array.make (n - 1) m.vals.(0) in
+    Array.blit m.colidx 0 colidx' 0 p;
+    Array.blit m.vals 0 vals' 0 p;
+    Array.blit m.colidx (p + 1) colidx' p (n - p - 1);
+    Array.blit m.vals (p + 1) vals' p (n - p - 1);
+    m.colidx <- colidx';
+    m.vals <- vals';
+    shift_rowptr m r (-1)
 
 let clear m =
-  Array.fill m.rowptr 0 (m.nrows + 1) 0;
+  m.rowptr <- Array.make (m.nrows + 1) 0;
   m.colidx <- [||];
   m.vals <- [||];
   invalidate_csc m

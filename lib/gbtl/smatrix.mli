@@ -8,7 +8,15 @@
 
     Stored entries are explicit; row entries are kept in ascending column
     order.  Point mutation ([set]/[remove]) rebuilds the affected arrays
-    and is O(nvals); bulk construction goes through {!of_coo}. *)
+    and is O(nvals); bulk construction goes through {!of_coo}.
+
+    Pattern sharing: a result that keeps an operand's pattern (an apply,
+    a product with a diagonal, an element-wise op over one shared
+    pattern) holds the operand's own [rowptr]/[colidx] arrays and only
+    new values.  Structure writes are therefore copy-on-write: [set]
+    (insert), [remove] and [clear] replace the structure arrays rather
+    than write them, and no other writer touches them.  Values are not
+    shared (outside the read-only {!unsafe_transpose_view}). *)
 
 type 'a t
 
@@ -62,7 +70,9 @@ val of_csr_unsafe :
   colidx:int array ->
   values:'a array ->
   'a t
-(** Adopts well-formed CSR arrays without copying (kernel results). *)
+(** Adopts well-formed CSR arrays without copying (kernel results).
+    [rowptr]/[colidx] may be another matrix's (pattern sharing); [values]
+    must belong to the new matrix alone. *)
 
 val get : 'a t -> int -> int -> 'a option
 val get_exn : 'a t -> int -> int -> 'a
@@ -75,7 +85,8 @@ val dup : 'a t -> 'a t
 val adopt : 'a t -> 'a t -> unit
 (** [adopt dst src] makes [src]'s arrays [dst]'s storage without
     copying (same shape required); [src] must be fresh, a kernel's
-    result that no other container shares, and is not used afterwards.
+    result whose values no other container shares (its structure may be
+    an operand's), and is not used afterwards.
     The matrix twin of {!Svector.adopt}. @raise Dimension_mismatch *)
 
 val row_nvals : 'a t -> int -> int

@@ -1,4 +1,5 @@
-(* apply f_ to the stored values of a sparse vector. *)
+(* apply f_ to the first [an] stored values; the caller keeps (or
+   copies) the indices. *)
 let kernel (arg : Obj.t) : Obj.t =
-  let aidx, avls, an = (Obj.obj arg : int array * t array * int) in
-  Obj.repr (Array.sub aidx 0 an, Array.init an (fun k -> f_ avls.(k)))
+  let avls, an = (Obj.obj arg : t array * int) in
+  Obj.repr (Array.init an (fun k -> f_ avls.(k)))

@@ -6,7 +6,9 @@
    columns in place (insertion-sorted runs of 16, merged through the
    free upper half of [touched], which the cut keeps at least as long
    as the row).  Gbtl.Spa.sort_prefix is the same sort, and Spa makes
-   the same choice for the library's kernels. *)
+   the same choice for the library's kernels.  The grown output arrays
+   are returned as they are, with slack past nvals (rowptr's last cell);
+   Matmul.mxm_gustavson keeps its slack the same way. *)
 let sort_prefix (t : int array) n =
   let run = 16 in
   let lo = ref 0 in
@@ -110,4 +112,4 @@ let kernel (arg : Obj.t) : Obj.t =
     end
   done;
   rowptr.(nrows_a) <- !n;
-  Obj.repr (rowptr, Array.sub !out_idx 0 !n, Array.sub !out_vls 0 !n)
+  Obj.repr (rowptr, !out_idx, !out_vls)

@@ -571,10 +571,8 @@ let apply_chain_raw (type a) (dt : a Dtype.t) ~chain (u : a Svector.t) : a raw =
                 ())
              ~build:(fst family) ())
     in
-    let idx, vls =
-      (run kernel (Svector.sparse_view u) : int array * a array)
-    in
-    Sparse (idx, vls)
+    let idx, vls, n = Svector.sparse_view u in
+    Sparse (Array.sub idx 0 n, (run kernel (vls, n) : a array))
   end
 
 let apply_chain_v dt ~chain u = to_entries (apply_chain_raw dt ~chain u)
@@ -669,14 +667,91 @@ let mask_flags = function
   | Mask.Mmask { complemented; _ } ->
     if complemented then [ "mask"; "mask_complement" ] else [ "mask" ]
 
+(* [Some full] when every stored entry of [b] sits at some (k,k), with
+   [full] when every row k holds its B(k,k); [None] otherwise.  One pass
+   over [b]'s rowptr. *)
+let diagonal_rows b =
+  let rp = Smatrix.unsafe_rowptr b and ci = Smatrix.unsafe_colidx b in
+  let rec scan k full =
+    if k = Smatrix.nrows b then Some full
+    else
+      match rp.(k + 1) - rp.(k) with
+      | 0 -> scan (k + 1) false
+      | 1 when ci.(rp.(k)) = k -> scan (k + 1) full
+      | _ -> None
+  in
+  scan 0 true
+
+(* C = A ⊕.⊗ B for a diagonal B.  Column k of B holds at most B(k,k), so
+   the Gustavson sum C(i,k) has one term, A(i,k) ⊗ B(k,k), and the
+   first-term rule stores it as it is: one pass over A's CSR in A's
+   column order, with the Gustavson body's ⊗ and operand order, gives
+   the same bits.  When every row of B holds its entry ([full]), C has
+   A's pattern and shares A's [rowptr]/[colidx]. *)
+let mxm_diagonal (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~full
+    (a : a Smatrix.t) (b : a Smatrix.t) : a Smatrix.t =
+  let mul = (Binop.of_name sr.Op_spec.mul_op dt).Binop.f in
+  let arp = Smatrix.unsafe_rowptr a
+  and aci = Smatrix.unsafe_colidx a
+  and avs = Smatrix.unsafe_values a in
+  let brp = Smatrix.unsafe_rowptr b and bvs = Smatrix.unsafe_values b in
+  let nrows = Smatrix.nrows a and ncols = Smatrix.ncols b in
+  let na = Smatrix.nvals a in
+  if full then
+    Smatrix.of_csr_unsafe dt ~nrows ~ncols ~rowptr:arp ~colidx:aci
+      ~values:(Array.init na (fun p -> mul avs.(p) bvs.(brp.(aci.(p)))))
+  else begin
+    let rowptr = Array.make (nrows + 1) 0 and colidx = Array.make na 0 in
+    let values = Array.make na (Dtype.zero dt) in
+    let n = ref 0 in
+    for i = 0 to nrows - 1 do
+      for p = arp.(i) to arp.(i + 1) - 1 do
+        let k = aci.(p) in
+        let q = brp.(k) in
+        if q < brp.(k + 1) then begin
+          colidx.(!n) <- k;
+          values.(!n) <- mul avs.(p) bvs.(q);
+          incr n
+        end
+      done;
+      rowptr.(i + 1) <- !n
+    done;
+    Smatrix.of_csr_unsafe dt ~nrows ~ncols ~rowptr ~colidx ~values
+  end
+
+(* Gustavson over the array ABI, native codegen. *)
+let mxm_gustavson (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
+    (a : a Smatrix.t) (b : a Smatrix.t) : a Smatrix.t =
+  let kernel =
+    get
+      (semiring_sig ~op:"mxm" ~flags:[ "gustavson" ] dt sr)
+      (semiring_family dt sr (module Loops.Mxm) Loops.mxm)
+  in
+  let arg =
+    ( Smatrix.unsafe_rowptr a,
+      Smatrix.unsafe_colidx a,
+      Smatrix.unsafe_values a,
+      Smatrix.unsafe_rowptr b,
+      Smatrix.unsafe_colidx b,
+      Smatrix.unsafe_values b,
+      Smatrix.nrows a,
+      Smatrix.ncols b )
+  in
+  let rowptr, colidx, values =
+    (run kernel arg : int array * int array * a array)
+  in
+  Smatrix.of_csr_unsafe dt ~nrows:(Smatrix.nrows a) ~ncols:(Smatrix.ncols b)
+    ~rowptr ~colidx ~values
+
 let mxm (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose_a
     ~transpose_b ~mask (a : a Smatrix.t) (b : a Smatrix.t) : a Smatrix.t =
   match mask with
-  | Mask.No_mmask ->
-    (* unmasked: Gustavson over the array ABI, native codegen.  Input
-       transposes are zero-copy views of the cached CSC side when the
-       format layer is on (the kernel only reads the arrays);
-       materialized host-side otherwise (as GBTL does). *)
+  | Mask.No_mmask -> (
+    (* unmasked: one pass over A when B (after the flip) is diagonal,
+       Gustavson otherwise.  Input transposes are zero-copy views of the
+       cached CSC side when the format layer is on (the kernels only
+       read the arrays); materialized host-side otherwise (as GBTL
+       does). *)
     let flip m =
       if Format_stats.enabled () then Smatrix.unsafe_transpose_view m
       else Smatrix.transpose m
@@ -687,26 +762,9 @@ let mxm (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose_a
       Error.raise_dims ~op:"mxm"
         ~expected:(Printf.sprintf "inner dimension %d" (Smatrix.ncols a))
         ~actual:(string_of_int (Smatrix.nrows b));
-    let kernel =
-      get
-        (semiring_sig ~op:"mxm" ~flags:[ "gustavson" ] dt sr)
-        (semiring_family dt sr (module Loops.Mxm) Loops.mxm)
-    in
-    let arg =
-      ( Smatrix.unsafe_rowptr a,
-        Smatrix.unsafe_colidx a,
-        Smatrix.unsafe_values a,
-        Smatrix.unsafe_rowptr b,
-        Smatrix.unsafe_colidx b,
-        Smatrix.unsafe_values b,
-        Smatrix.nrows a,
-        Smatrix.ncols b )
-    in
-    let rowptr, colidx, values =
-      (run kernel arg : int array * int array * a array)
-    in
-    Smatrix.of_csr_unsafe dt ~nrows:(Smatrix.nrows a) ~ncols:(Smatrix.ncols b)
-      ~rowptr ~colidx ~values
+    match diagonal_rows b with
+    | Some full -> mxm_diagonal dt sr ~full a b
+    | None -> mxm_gustavson dt sr a b)
   | Mask.Mmask _ ->
     (* masked: the library's kernels as a closure kernel — the marker dot
        kernel with [transpose_b], the mask-filtered Gustavson otherwise;
@@ -775,7 +833,9 @@ let ewise_m (type a) kind (dt : a Dtype.t) ~op ~transpose_a ~transpose_b
 let apply_m (type a) (dt : a Dtype.t) (f : Op_spec.unary) ~transpose
     (a : a Smatrix.t) : a Smatrix.t =
   (* the apply body over the stored values: A's CSR arrays, or for the
-     transposed result its CSC side, which is the CSR of Aᵀ *)
+     transposed result its CSC side, which is the CSR of Aᵀ.  The result
+     keeps that pattern, so it shares the [rowptr]/[colidx] arrays and
+     only its values are new (Smatrix's structure writes copy first). *)
   let kernel =
     get
       (Kernel_sig.make ~op:"apply_m" ~dtypes:(dtypes dt)
@@ -784,7 +844,7 @@ let apply_m (type a) (dt : a Dtype.t) (f : Op_spec.unary) ~transpose
          ())
       (unary_family dt [ f ] (module Loops.Apply) Loops.apply)
   in
-  let ptr, ids, vals, nrows, ncols =
+  let rowptr, colidx, vals, nrows, ncols =
     if transpose then
       ( Smatrix.unsafe_colptr a,
         Smatrix.unsafe_rowidx a,
@@ -798,11 +858,8 @@ let apply_m (type a) (dt : a Dtype.t) (f : Op_spec.unary) ~transpose
         Smatrix.nrows a,
         Smatrix.ncols a )
   in
-  let colidx, values =
-    (run kernel (ids, vals, Smatrix.nvals a) : int array * a array)
-  in
-  Smatrix.of_csr_unsafe dt ~nrows ~ncols ~rowptr:(Array.copy ptr) ~colidx
-    ~values
+  let values = (run kernel (vals, Smatrix.nvals a) : a array) in
+  Smatrix.of_csr_unsafe dt ~nrows ~ncols ~rowptr ~colidx ~values
 
 let reduce_rows (type a) (dt : a Dtype.t) ~op ~identity ~transpose
     (a : a Smatrix.t) : a Entries.t =

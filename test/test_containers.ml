@@ -181,6 +181,61 @@ let test_matrix_remove () =
   Smatrix.remove m 0 0;
   check Alcotest.int "idempotent" 1 (Smatrix.nvals m)
 
+(* A pattern-sharing result holds its operand's rowptr/colidx arrays; a
+   structure write to either matrix copies before writing, so the other
+   keeps its entries.  Both producers: a matrix built over another's
+   arrays, and apply's result over its operand. *)
+let test_shared_pattern_writes () =
+  let coo = Alcotest.(list (triple int int (float 0.0))) in
+  let writes =
+    [ ("set (insert)", fun m -> Smatrix.set m 0 0 5.0);
+      ("set (insert, last row)", fun m -> Smatrix.set m 2 3 6.0);
+      ("remove", fun m -> Smatrix.remove m 1 0);
+      ("remove (last entry)", fun m -> Smatrix.remove m 2 2);
+      ("clear", Smatrix.clear) ]
+  in
+  let pairs () =
+    let a =
+      Smatrix.of_coo f64 3 4
+        [ (0, 1, 1.0); (1, 0, 2.0); (1, 3, 3.0); (2, 2, 4.0) ]
+    in
+    let over =
+      Smatrix.of_csr_unsafe f64 ~nrows:3 ~ncols:4
+        ~rowptr:(Smatrix.unsafe_rowptr a) ~colidx:(Smatrix.unsafe_colidx a)
+        ~values:[| 10.0; 20.0; 30.0; 40.0 |]
+    in
+    let a' = Smatrix.dup a in
+    let applied =
+      Jit.Kernels.apply_m f64 (Jit.Op_spec.Named "AdditiveInverse")
+        ~transpose:false a'
+    in
+    check Alcotest.bool "apply shares its operand's rowptr" true
+      (Smatrix.unsafe_rowptr applied == Smatrix.unsafe_rowptr a');
+    [ ("built over", a, over); ("apply", a', applied) ]
+  in
+  List.iter
+    (fun (wname, write) ->
+      List.iter
+        (fun (producer, x, y) ->
+          (* write each side in turn; the other must not move *)
+          List.iter
+            (fun (side, written, other) ->
+              let expected = Smatrix.to_coo other in
+              let copy = Smatrix.dup written in
+              write written;
+              write copy;
+              check coo
+                (Printf.sprintf "%s, %s: %s leaves the other" producer side
+                   wname)
+                expected (Smatrix.to_coo other);
+              check coo
+                (Printf.sprintf "%s, %s: %s as on an unshared copy" producer
+                   side wname)
+                (Smatrix.to_coo copy) (Smatrix.to_coo written))
+            [ ("operand", x, y); ("result", y, x) ])
+        (pairs ()))
+    writes
+
 (* CSR structural invariant, checked after random construction. *)
 let csr_well_formed m =
   let rowptr = Smatrix.unsafe_rowptr m in
@@ -257,6 +312,8 @@ let suite =
       test_matrix_dense_roundtrip;
     Alcotest.test_case "matrix bounds" `Quick test_matrix_bounds;
     Alcotest.test_case "matrix remove" `Quick test_matrix_remove;
+    Alcotest.test_case "writes to a shared pattern copy it first" `Quick
+      test_shared_pattern_writes;
     Helpers.to_alcotest qcheck_csr_invariant;
     Helpers.to_alcotest qcheck_transpose_involution;
     Helpers.to_alcotest qcheck_transpose_entries;

@@ -166,6 +166,82 @@ let qcheck_matrix_ewise_typed =
     (fun (Dtype.P dt, a, b, union, (ta, tb), op) ->
       ewise_typed dt a b ~union ~ta ~tb op)
 
+(* -- operands over one pattern --
+   Operands that hold the same rowptr/colidx arrays take a one-pass path
+   whose result shares them; equal but distinct arrays and patterns one
+   entry apart take the merge.  Every case matches the dense model,
+   through the library op and the JIT entry point. *)
+let same_pattern_typed (type a) (dt : a Dtype.t) a_model b_vals case ~union
+    opname =
+  let nrows = Array.length a_model and ncols = Array.length a_model.(0) in
+  let b_model =
+    Array.mapi
+      (fun i row ->
+        Array.mapi
+          (fun j cell -> Option.map (fun _ -> b_vals.((i * ncols) + j)) cell)
+          row)
+      a_model
+  in
+  (* the stored cells in row-major order, and the cells left empty *)
+  let cells f =
+    List.concat
+      (List.init nrows (fun i ->
+           List.filter_map
+             (fun j -> if f a_model.(i).(j) then Some (i, j) else None)
+             (List.init ncols Fun.id)))
+  in
+  let stored = cells Option.is_some and empty = cells Option.is_none in
+  (match case, stored, empty with
+  | `Dropped, (i, j) :: _, _ -> b_model.(i).(j) <- None
+  | `Moved, (i, j) :: _, (i', j') :: _ ->
+    b_model.(i').(j') <- b_model.(i).(j);
+    b_model.(i).(j) <- None
+  | _ -> ());
+  let a_t = Helpers.typed dt a_model and b_t = Helpers.typed dt b_model in
+  let a = Dense_ref.smatrix_of_mat_auto dt a_t in
+  let b =
+    match case with
+    | `Shared ->
+      let vals =
+        Array.of_list
+          (List.map (fun (i, j) -> Option.get b_t.(i).(j)) stored)
+      in
+      Smatrix.of_csr_unsafe dt ~nrows ~ncols ~rowptr:(Smatrix.unsafe_rowptr a)
+        ~colidx:(Smatrix.unsafe_colidx a) ~values:vals
+    | `Distinct | `Dropped | `Moved -> Dense_ref.smatrix_of_mat_auto dt b_t
+  in
+  let op = Binop.of_name opname dt in
+  let expected =
+    Dense_ref.smatrix_of_mat dt nrows ncols
+      (Dense_ref.ewise_mat_t ~union op a_t b_t)
+  in
+  let out = Smatrix.create dt nrows ncols in
+  (if union then Ewise.matrix_add else Ewise.matrix_mult) op ~out a b;
+  let kernel =
+    Jit.Kernels.ewise_m
+      (if union then `Add else `Mult)
+      dt ~op:opname ~transpose_a:false ~transpose_b:false a b
+  in
+  let shares = Smatrix.unsafe_rowptr kernel == Smatrix.unsafe_rowptr a in
+  Smatrix.equal out expected && Smatrix.equal kernel expected
+  && shares = (case = `Shared)
+
+let qcheck_same_pattern =
+  let gen =
+    QCheck.Gen.(
+      oneofl Helpers.typed_dtypes >>= fun dt ->
+      Helpers.pattern_gen 5 7 >>= fun a ->
+      array_repeat 35 (int_range (-4) 4) >>= fun b_vals ->
+      oneofl [ `Shared; `Distinct; `Dropped; `Moved ] >>= fun case ->
+      pair bool
+        (oneofl [ "Plus"; "Minus"; "Times"; "Min"; "Max"; "First"; "Second" ])
+      >|= fun (union, op) -> (dt, a, b_vals, case, union, op))
+  in
+  Helpers.qtest ~count:400
+    "eWiseAdd/eWiseMult over one shared pattern matches the merge"
+    (Helpers.arb gen) (fun (Dtype.P dt, a, b_vals, case, union, op) ->
+      same_pattern_typed dt a b_vals case ~union op)
+
 let suite =
   [ Alcotest.test_case "add is union" `Quick test_add_union;
     Alcotest.test_case "mult is intersection" `Quick test_mult_intersection;
@@ -179,4 +255,5 @@ let suite =
     Helpers.to_alcotest qcheck_matrix_mult;
     Helpers.to_alcotest qcheck_structural_laws;
     Helpers.to_alcotest qcheck_matrix_ewise_typed;
+    Helpers.to_alcotest qcheck_same_pattern;
   ]

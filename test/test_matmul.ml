@@ -330,6 +330,98 @@ let qcheck_mxm_gustavson_emission =
     "Gustavson mxm (sorted and scanned rows) matches dense model"
     (Helpers.arb gen) (fun (Dtype.P dt, a, b, sr) -> gustavson_typed dt a b sr)
 
+(* -- a diagonal right operand against the Gustavson product --
+   Jit.Kernels.mxm computes C = A ⊕.⊗ B in one pass over A when every
+   stored entry of B (after the transpose flip) sits at some (k,k);
+   Matmul.mxm is the library's Gustavson, with the same ⊗.  Operand
+   cells are codes into a per-dtype pool holding stored zeros and, at
+   FP64, -0.0 (a sum that added the identity to the one term would lose
+   its sign).  B's diagonal has empty rows, and one off-diagonal entry
+   must send the product back to Gustavson. *)
+let diag_pool (type a) (dt : a Dtype.t) : a array =
+  match Dtype.equal_witness dt Dtype.FP64, Dtype.equal_witness dt Dtype.Bool with
+  | Some Dtype.Equal, _ -> [| -0.0; 0.0; 1.5; -2.0; 3.0; 1e300; -7.25 |]
+  | _, Some Dtype.Equal -> [| false; true; false; true; true; false; true |]
+  | None, None -> Array.map (Dtype.of_int dt) [| 0; 1; -3; 7; max_int - 1; 42; -1 |]
+
+(* Every stored cell with its exact bits (FP64 -0.0 is not 0.0). *)
+let same_bits (type a) (dt : a Dtype.t) (x : a Smatrix.t) (y : a Smatrix.t) =
+  let bits : a -> string =
+    match Dtype.equal_witness dt Dtype.FP64 with
+    | Some Dtype.Equal -> fun v -> Int64.to_string (Int64.bits_of_float v)
+    | None -> Dtype.to_string dt
+  in
+  let key (r, c, v) = (r, c, bits v) in
+  Smatrix.shape x = Smatrix.shape y
+  && List.map key (Smatrix.to_coo x) = List.map key (Smatrix.to_coo y)
+
+let diag_semirings =
+  let plus mul_op =
+    { Jit.Op_spec.add_op = "Plus"; add_identity = "Zero"; mul_op }
+  in
+  (* Second, Minus and LessThan do not commute *)
+  [ Jit.Op_spec.arithmetic; plus "Second"; plus "Minus"; plus "LessThan" ]
+
+let diag_typed (type a) (dt : a Dtype.t) (sr : Jit.Op_spec.semiring) a_codes
+    diag off ~ta ~tb =
+  let pool = diag_pool dt in
+  let m = Array.length a_codes and k = Array.length diag in
+  let cells =
+    List.concat
+      (List.mapi
+         (fun i row ->
+           List.concat
+             (List.mapi
+                (fun j -> function Some c -> [ (i, j, pool.(c)) ] | None -> [])
+                (Array.to_list row)))
+         (Array.to_list a_codes))
+  in
+  let flip (r, c, x) = (c, r, x) in
+  let a =
+    if ta then Smatrix.of_coo dt k m (List.map flip cells)
+    else Smatrix.of_coo dt m k cells
+  in
+  let b_cells =
+    List.concat
+      (List.mapi
+         (fun l -> function Some c -> [ (l, l, pool.(c)) ] | None -> [])
+         (Array.to_list diag))
+    @ match off with Some (r, c, x) -> [ (r, c, pool.(x)) ] | None -> []
+  in
+  let b = Smatrix.of_coo dt k k (if tb then List.map flip b_cells else b_cells) in
+  let expected = Smatrix.create dt m k in
+  Matmul.mxm ~transpose_a:ta ~transpose_b:tb
+    (Jit.Op_spec.instantiate_semiring dt sr)
+    ~out:expected a b;
+  let got =
+    Jit.Kernels.mxm dt sr ~transpose_a:ta ~transpose_b:tb ~mask:Mask.No_mmask
+      a b
+  in
+  same_bits dt got expected
+
+let qcheck_mxm_diagonal =
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 1 12) (int_range 2 12) >>= fun (m, k) ->
+      oneofl [ Dtype.P Dtype.Bool; Dtype.P Dtype.Int64; Dtype.P Dtype.FP64 ]
+      >>= fun dt ->
+      oneofl diag_semirings >>= fun sr ->
+      Helpers.pattern_gen ~values:(int_bound 6) m k >>= fun a ->
+      array_repeat k (option ~ratio:0.8 (int_bound 6)) >>= fun diag ->
+      (* one entry off the diagonal, in about one case in four *)
+      frequency
+        [ (3, return None);
+          ( 1,
+            triple (int_bound (k - 1)) (int_range 1 (k - 1)) (int_bound 6)
+            >|= fun (r, d, x) -> Some (r, (r + d) mod k, x) ) ]
+      >>= fun off ->
+      pair bool bool >|= fun (ta, tb) -> (dt, sr, a, diag, off, ta, tb))
+  in
+  Helpers.qtest ~count:400
+    "mxm with a diagonal right operand matches Gustavson bit for bit"
+    (Helpers.arb gen) (fun (Dtype.P dt, sr, a, diag, off, ta, tb) ->
+      diag_typed dt sr a diag off ~ta ~tb)
+
 (* -- the Int64 plus-times masked dot against the general kernel --
    [times_ref] is a user operator, so its semiring bypasses the
    specialization; values near max_int make both sides wrap. *)
@@ -561,6 +653,7 @@ let suite =
     Helpers.to_alcotest qcheck_mxm_masked_dot_path;
     Helpers.to_alcotest qcheck_mxm_dot_matches_merge;
     Helpers.to_alcotest qcheck_mxm_gustavson_emission;
+    Helpers.to_alcotest qcheck_mxm_diagonal;
     Helpers.to_alcotest qcheck_mxm_dot_int64;
     Alcotest.test_case "Int64 masked dot rejects a malformed operand" `Quick
       test_mxm_dot_int64_rejects_malformed;
