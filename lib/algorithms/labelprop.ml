@@ -21,12 +21,12 @@ open Gbtl
    the largest count and, on ties, the smallest label.
 
    Each statement of enc is one pass over counts, with no new operator:
-   the apply shares counts' pattern, the product with the diagonal D is
-   A(i,k) (.2nd) D(k,k) per stored entry and shares it too (every row of
-   D holds its entry), and the eWiseAdd of two operands over that one
-   shared pattern computes values only (DESIGN §3, "Results that keep an
-   operand's pattern share it").  In round 1 the one-hot is the
-   identity, so counts = A (+.x) onehot takes the same diagonal pass. *)
+   the apply shares counts' pattern, the product with the full diagonal D
+   is A(i,k) (.2nd) D(k,k) per stored entry and shares it too, and the
+   eWiseAdd of two operands over that one shared pattern computes values
+   only (DESIGN §3, "Results that keep an operand's pattern share it").
+   In round 1 the one-hot is the identity, so counts = A (+.x) onehot
+   takes the same diagonal pass. *)
 
 let default_rounds = 16
 

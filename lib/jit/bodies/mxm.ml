@@ -6,9 +6,10 @@
    columns in place (insertion-sorted runs of 16, merged through the
    free upper half of [touched], which the cut keeps at least as long
    as the row).  Gbtl.Spa.sort_prefix is the same sort, and Spa makes
-   the same choice for the library's kernels.  The grown output arrays
-   are returned as they are, with slack past nvals (rowptr's last cell);
-   Matmul.mxm_gustavson keeps its slack the same way. *)
+   the same choice for the library's kernels.  The output arrays start
+   at A's nvals (not the length of A's possibly slack value array) and
+   are returned as they grew, with slack past nvals (rowptr's last
+   cell); Matmul.mxm_gustavson sizes and keeps its slack the same way. *)
 let sort_prefix (t : int array) n =
   let run = 16 in
   let lo = ref 0 in
@@ -60,7 +61,7 @@ let kernel (arg : Obj.t) : Obj.t =
   let spa_occ = Array.make (max ncols_b 1) false in
   let touched = Array.make (max ncols_b 1) 0 in
   let rowptr = Array.make (nrows_a + 1) 0 in
-  let cap = ref (max 16 (Array.length avs)) in
+  let cap = ref (max 16 arp.(nrows_a)) in
   let out_idx = ref (Array.make !cap 0) in
   let out_vls = ref (Array.make !cap identity_) in
   let n = ref 0 in

@@ -667,57 +667,30 @@ let mask_flags = function
   | Mask.Mmask { complemented; _ } ->
     if complemented then [ "mask"; "mask_complement" ] else [ "mask" ]
 
-(* [Some full] when every stored entry of [b] sits at some (k,k), with
-   [full] when every row k holds its B(k,k); [None] otherwise.  One pass
+(* [true] when every row k of [b] holds exactly its (k,k) entry.  One pass
    over [b]'s rowptr. *)
 let diagonal_rows b =
   let rp = Smatrix.unsafe_rowptr b and ci = Smatrix.unsafe_colidx b in
-  let rec scan k full =
-    if k = Smatrix.nrows b then Some full
-    else
-      match rp.(k + 1) - rp.(k) with
-      | 0 -> scan (k + 1) false
-      | 1 when ci.(rp.(k)) = k -> scan (k + 1) full
-      | _ -> None
+  let rec scan k =
+    k = Smatrix.nrows b
+    || (rp.(k + 1) - rp.(k) = 1 && ci.(rp.(k)) = k && scan (k + 1))
   in
-  scan 0 true
+  scan 0
 
-(* C = A ⊕.⊗ B for a diagonal B.  Column k of B holds at most B(k,k), so
-   the Gustavson sum C(i,k) has one term, A(i,k) ⊗ B(k,k), and the
-   first-term rule stores it as it is: one pass over A's CSR in A's
+(* C = A ⊕.⊗ B for a full diagonal B.  Column k of B holds only B(k,k),
+   so the Gustavson sum C(i,k) has one term, A(i,k) ⊗ B(k,k), and the
+   first-term rule stores it as it is: one pass over A's values in A's
    column order, with the Gustavson body's ⊗ and operand order, gives
-   the same bits.  When every row of B holds its entry ([full]), C has
-   A's pattern and shares A's [rowptr]/[colidx]. *)
-let mxm_diagonal (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~full
+   the same bits.  B's k-th stored value is B(k,k).  C has A's pattern
+   and shares A's [rowptr]/[colidx]. *)
+let mxm_diagonal (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
     (a : a Smatrix.t) (b : a Smatrix.t) : a Smatrix.t =
   let mul = (Binop.of_name sr.Op_spec.mul_op dt).Binop.f in
-  let arp = Smatrix.unsafe_rowptr a
-  and aci = Smatrix.unsafe_colidx a
-  and avs = Smatrix.unsafe_values a in
-  let brp = Smatrix.unsafe_rowptr b and bvs = Smatrix.unsafe_values b in
-  let nrows = Smatrix.nrows a and ncols = Smatrix.ncols b in
-  let na = Smatrix.nvals a in
-  if full then
-    Smatrix.of_csr_unsafe dt ~nrows ~ncols ~rowptr:arp ~colidx:aci
-      ~values:(Array.init na (fun p -> mul avs.(p) bvs.(brp.(aci.(p)))))
-  else begin
-    let rowptr = Array.make (nrows + 1) 0 and colidx = Array.make na 0 in
-    let values = Array.make na (Dtype.zero dt) in
-    let n = ref 0 in
-    for i = 0 to nrows - 1 do
-      for p = arp.(i) to arp.(i + 1) - 1 do
-        let k = aci.(p) in
-        let q = brp.(k) in
-        if q < brp.(k + 1) then begin
-          colidx.(!n) <- k;
-          values.(!n) <- mul avs.(p) bvs.(q);
-          incr n
-        end
-      done;
-      rowptr.(i + 1) <- !n
-    done;
-    Smatrix.of_csr_unsafe dt ~nrows ~ncols ~rowptr ~colidx ~values
-  end
+  let aci = Smatrix.unsafe_colidx a and avs = Smatrix.unsafe_values a in
+  let bvs = Smatrix.unsafe_values b in
+  Smatrix.of_csr_unsafe dt ~nrows:(Smatrix.nrows a) ~ncols:(Smatrix.ncols b)
+    ~rowptr:(Smatrix.unsafe_rowptr a) ~colidx:aci
+    ~values:(Array.init (Smatrix.nvals a) (fun p -> mul avs.(p) bvs.(aci.(p))))
 
 (* Gustavson over the array ABI, native codegen. *)
 let mxm_gustavson (type a) (dt : a Dtype.t) (sr : Op_spec.semiring)
@@ -747,11 +720,11 @@ let mxm (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose_a
     ~transpose_b ~mask (a : a Smatrix.t) (b : a Smatrix.t) : a Smatrix.t =
   match mask with
   | Mask.No_mmask -> (
-    (* unmasked: one pass over A when B (after the flip) is diagonal,
-       Gustavson otherwise.  Input transposes are zero-copy views of the
-       cached CSC side when the format layer is on (the kernels only
-       read the arrays); materialized host-side otherwise (as GBTL
-       does). *)
+    (* unmasked: one pass over A when B (after the flip) is a full
+       diagonal, Gustavson otherwise.  Input transposes are zero-copy
+       views of the cached CSC side when the format layer is on (the
+       kernels only read the arrays); materialized host-side otherwise
+       (as GBTL does). *)
     let flip m =
       if Format_stats.enabled () then Smatrix.unsafe_transpose_view m
       else Smatrix.transpose m
@@ -762,9 +735,8 @@ let mxm (type a) (dt : a Dtype.t) (sr : Op_spec.semiring) ~transpose_a
       Error.raise_dims ~op:"mxm"
         ~expected:(Printf.sprintf "inner dimension %d" (Smatrix.ncols a))
         ~actual:(string_of_int (Smatrix.nrows b));
-    match diagonal_rows b with
-    | Some full -> mxm_diagonal dt sr ~full a b
-    | None -> mxm_gustavson dt sr a b)
+    if diagonal_rows b then mxm_diagonal dt sr a b
+    else mxm_gustavson dt sr a b)
   | Mask.Mmask _ ->
     (* masked: the library's kernels as a closure kernel — the marker dot
        kernel with [transpose_b], the mask-filtered Gustavson otherwise;

@@ -332,12 +332,13 @@ let qcheck_mxm_gustavson_emission =
 
 (* -- a diagonal right operand against the Gustavson product --
    Jit.Kernels.mxm computes C = A ⊕.⊗ B in one pass over A when every
-   stored entry of B (after the transpose flip) sits at some (k,k);
+   row k of B (after the transpose flip) holds exactly its (k,k) entry;
    Matmul.mxm is the library's Gustavson, with the same ⊗.  Operand
    cells are codes into a per-dtype pool holding stored zeros and, at
    FP64, -0.0 (a sum that added the identity to the one term would lose
-   its sign).  B's diagonal has empty rows, and one off-diagonal entry
-   must send the product back to Gustavson. *)
+   its sign).  Half of the diagonals are full; the others may have empty
+   rows, which, like one off-diagonal entry, must send the product back
+   to Gustavson. *)
 let diag_pool (type a) (dt : a Dtype.t) : a array =
   match Dtype.equal_witness dt Dtype.FP64, Dtype.equal_witness dt Dtype.Bool with
   | Some Dtype.Equal, _ -> [| -0.0; 0.0; 1.5; -2.0; 3.0; 1e300; -7.25 |]
@@ -407,7 +408,11 @@ let qcheck_mxm_diagonal =
       >>= fun dt ->
       oneofl diag_semirings >>= fun sr ->
       Helpers.pattern_gen ~values:(int_bound 6) m k >>= fun a ->
-      array_repeat k (option ~ratio:0.8 (int_bound 6)) >>= fun diag ->
+      (* a full diagonal, or one whose rows may be empty *)
+      oneof
+        [ array_repeat k (int_bound 6 >|= Option.some);
+          array_repeat k (option ~ratio:0.8 (int_bound 6)) ]
+      >>= fun diag ->
       (* one entry off the diagonal, in about one case in four *)
       frequency
         [ (3, return None);
